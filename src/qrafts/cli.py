@@ -72,9 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_order(args, parser) -> int:
+    for flag, value in (("--order", args.order), ("--x-order", args.x_order)):
+        if value is not None and value < 0:
+            parser.error(f"{flag} must be >= 0")
     if args.order is not None:
-        if args.order < 0:
-            parser.error("--order must be >= 0")
         return args.order
     name = args.profile
     if name is None:

@@ -1,11 +1,11 @@
 """Identity checks: formula builders, enumeration oracles, and the registry.
 
 Every check compares two independently built series to a truncation order and
-reports the first differing coefficient, if any.  Formula sides are finite
-q-sums with provable cutoffs; the cutoff for each summation index is the point
-where the summand's minimal exponent exceeds the truncation order, and each
-builder takes a ``_slack`` knob that deliberately runs past the cutoff so the
-tests can confirm nothing retained ever changes.
+reports the first differing coefficient, if any.  Formula sides are truncated
+infinite q-sums.  Every summation index runs through one iterator, ``_upto``,
+which stops where the summand's lowest exponent passes the truncation order.
+Its ``slack`` argument, exposed as each builder's ``_slack`` test hook, runs a
+few indices further so the tests can confirm no retained coefficient changes.
 
 Oracle sides are brute-force enumerations of distinct-part partitions.  The
 designation-heavy oracles (signed sums, exactly-k-raft counts, no-k-sequence
@@ -18,7 +18,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from itertools import count, islice
+from typing import Callable, Iterator
 
 from .partitions import iter_distinct_parts, iter_gap_parts
 from .rafts import enumerate_minimal
@@ -26,6 +27,7 @@ from .series import (
     PochhammerSpec,
     QSeries,
     XQSeries,
+    _from_buffers,
     gaussian_binomial,
     pochhammer,
     xq_pochhammer,
@@ -74,55 +76,66 @@ def rr_product(residues: tuple[int, ...], modulus: int, trunc: int) -> QSeries:
 
 
 # ---------------------------------------------------------------------------
+# the cutoff rule
+
+
+def _upto(past_cutoff: Callable[[int], bool], slack: int = 0) -> Iterator[int]:
+    """Summation indices 0, 1, 2, ... of a truncated infinite sum.
+
+    ``past_cutoff(i)`` says that summand i, and with it every later one, has
+    its lowest exponent past the truncation order.  Iteration stops at the
+    first such index, or ``slack`` indices later: the ``_slack`` test hook of
+    every builder, which confirms that running on changes no retained
+    coefficient.
+    """
+    extra = 0
+    for i in count():
+        if past_cutoff(i):
+            extra += 1
+            if extra > slack:
+                return
+        yield i
+
+
+def _add_term(acc: dict[int, list[int]], x_trunc: int, xd: int, e: int, sign: int,
+              term: QSeries) -> None:
+    """acc[xd] += sign * q^e * term, keeping nothing past either truncation."""
+    q_trunc = term.trunc
+    if xd > x_trunc or e > q_trunc:
+        return
+    buf = acc.setdefault(xd, [0] * (q_trunc + 1))
+    for i, c in enumerate(term.coeffs[: q_trunc + 1 - e]):
+        if c:
+            buf[i + e] += sign * c
+
+
+# ---------------------------------------------------------------------------
 # univariate formula sides
+
+
+def _slater_sum(shift: int, extra_len: int, trunc: int, slack: int) -> QSeries:
+    """(-q;q)_inf * sum_j (-1)^j q^(3j^2+shift*j) / ((q^2;q^2)_j (-q;q)_{2j+extra_len})."""
+    total = QSeries.zero(trunc)
+    for j in _upto(lambda j: 3 * j * j + shift * j > trunc, slack):
+        term = QSeries.monomial(3 * j * j + shift * j, trunc) \
+            * _inv_poch(1, 2, 2, j, trunc) * _inv_poch(-1, 1, 1, 2 * j + extra_len, trunc)
+        total = total + (term if j % 2 == 0 else -term)
+    return _poch(-1, 1, 1, None, trunc) * total
 
 
 def slater19_sum(trunc: int, _slack: int = 0) -> QSeries:
     """(-q;q)_inf * sum_j (-1)^j q^(3j^2) / ((q^2;q^2)_j (-q;q)_{2j})."""
-    total = QSeries.zero(trunc)
-    j = extra = 0
-    while True:
-        if 3 * j * j > trunc:
-            extra += 1
-            if extra > _slack:
-                break
-        term = QSeries.monomial(3 * j * j, trunc) \
-            * _inv_poch(1, 2, 2, j, trunc) * _inv_poch(-1, 1, 1, 2 * j, trunc)
-        total = total + (term if j % 2 == 0 else -term)
-        j += 1
-    return _poch(-1, 1, 1, None, trunc) * total
+    return _slater_sum(0, 0, trunc, _slack)
 
 
 def slater15_sum(trunc: int, _slack: int = 0) -> QSeries:
     """(-q;q)_inf * sum_j (-1)^j q^(3j^2-2j) / ((q^2;q^2)_j (-q;q)_{2j})."""
-    total = QSeries.zero(trunc)
-    j = extra = 0
-    while True:
-        if 3 * j * j - 2 * j > trunc:
-            extra += 1
-            if extra > _slack:
-                break
-        term = QSeries.monomial(3 * j * j - 2 * j, trunc) \
-            * _inv_poch(1, 2, 2, j, trunc) * _inv_poch(-1, 1, 1, 2 * j, trunc)
-        total = total + (term if j % 2 == 0 else -term)
-        j += 1
-    return _poch(-1, 1, 1, None, trunc) * total
+    return _slater_sum(-2, 0, trunc, _slack)
 
 
 def slater15_alt_sum(trunc: int, _slack: int = 0) -> QSeries:
     """(-q;q)_inf * sum_j (-1)^j q^(3j^2+2j) / ((q^2;q^2)_j (-q;q)_{2j+1})."""
-    total = QSeries.zero(trunc)
-    j = extra = 0
-    while True:
-        if 3 * j * j + 2 * j > trunc:
-            extra += 1
-            if extra > _slack:
-                break
-        term = QSeries.monomial(3 * j * j + 2 * j, trunc) \
-            * _inv_poch(1, 2, 2, j, trunc) * _inv_poch(-1, 1, 1, 2 * j + 1, trunc)
-        total = total + (term if j % 2 == 0 else -term)
-        j += 1
-    return _poch(-1, 1, 1, None, trunc) * total
+    return _slater_sum(2, 1, trunc, _slack)
 
 
 def minimal_exponent(k: int, m: int) -> int:
@@ -147,18 +160,11 @@ def minimal_gf(k: int, trunc: int, _slack: int = 0) -> QSeries:
     if k < 1:
         raise ValueError(f"raft count must be >= 1, got {k}")
     total = QSeries.zero(trunc)
-    m = extra = 0
-    while True:
-        e = minimal_exponent(k, m)
-        if e > trunc:
-            extra += 1
-            if extra > _slack:
-                break
-        term = QSeries.monomial(e, trunc) \
+    for m in _upto(lambda m: minimal_exponent(k, m) > trunc, _slack):
+        term = QSeries.monomial(minimal_exponent(k, m), trunc) \
             * gaussian_binomial(m + k - 1, k - 1, trunc) \
             * _poch(-1, 3 * k + m + 1, 1, None, trunc)
         total = total + term
-        m += 1
     return total
 
 
@@ -169,17 +175,10 @@ def rafted_gf(k: int, trunc: int, _slack: int = 0) -> QSeries:
 
 def no_raft_gf(trunc: int, _slack: int = 0) -> QSeries:
     """(-q;q)_inf + sum_{k>=1} (-1)^k rafted_gf(k): the signed designation sum."""
-    total = _poch(-1, 1, 1, None, trunc)
-    k = 1
-    extra = 0
-    while True:
-        if 3 * k * k > trunc:
-            extra += 1
-            if extra > _slack:
-                break
+    total = _poch(-1, 1, 1, None, trunc)  # the k = 0 term
+    for k in islice(_upto(lambda k: 3 * k * k > trunc, _slack), 1, None):
         term = rafted_gf(k, trunc, _slack)
         total = total + (-term if k % 2 else term)
-        k += 1
     return total
 
 
@@ -189,16 +188,10 @@ def qgauss_lhs(a_exp: int, b_exp: int, c_exp: int, trunc: int, _slack: int = 0) 
     if a_exp < 1 or b_exp < 1 or gap < 1:
         raise ValueError("need a_exp, b_exp >= 1 and c_exp > a_exp + b_exp")
     total = QSeries.zero(trunc)
-    n = extra = 0
-    while True:
-        if gap * n > trunc:
-            extra += 1
-            if extra > _slack:
-                break
+    for n in _upto(lambda n: gap * n > trunc, _slack):
         term = _poch(1, a_exp, 1, n, trunc) * _poch(1, b_exp, 1, n, trunc) \
             * _inv_poch(1, 1, 1, n, trunc) * _inv_poch(1, c_exp, 1, n, trunc)
         total = total + term.shifted(gap * n)
-        n += 1
     return total
 
 
@@ -214,17 +207,10 @@ def gauss_step_lhs(k: int, trunc: int, _slack: int = 0) -> QSeries:
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     total = QSeries.zero(trunc)
-    m = extra = 0
-    while True:
-        e = _b2(m) + (2 * k + 1) * m
-        if e > trunc:
-            extra += 1
-            if extra > _slack:
-                break
+    for m in _upto(lambda m: _b2(m) + (2 * k + 1) * m > trunc, _slack):
         term = _poch(1, k, 1, m, trunc) \
             * _inv_poch(1, 1, 1, m, trunc) * _inv_poch(-1, 3 * k + 1, 1, m, trunc)
-        total = total + term.shifted(e)
-        m += 1
+        total = total + term.shifted(_b2(m) + (2 * k + 1) * m)
     return total
 
 
@@ -241,32 +227,20 @@ def gauss_step_rhs(k: int, trunc: int) -> QSeries:
 def master_lhs(x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSeries:
     """(-xq;q)_inf * sum_k (-1)^k q^(3k^2) x^(2k) / ((q^2;q^2)_k (-xq;q)_{2k})."""
     total = XQSeries.zero(x_trunc, q_trunc)
-    k = extra = 0
-    while True:
-        if 3 * k * k > q_trunc or 2 * k > x_trunc:
-            extra += 1
-            if extra > _slack:
-                break
+    for k in _upto(lambda k: 3 * k * k > q_trunc or 2 * k > x_trunc, _slack):
         term = XQSeries.monomial(2 * k, 3 * k * k, x_trunc, q_trunc) \
             * _inv_poch(1, 2, 2, k, q_trunc) \
             * xq_pochhammer(-1, 1, 1, 2 * k, 1, x_trunc, q_trunc).inverse()
         total = total + (-term if k % 2 else term)
-        k += 1
     return xq_pochhammer(-1, 1, 1, None, 1, x_trunc, q_trunc) * total
 
 
 def master_rhs(x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSeries:
     """sum_n q^(n^2) x^n / (q;q)_n."""
     total = XQSeries.zero(x_trunc, q_trunc)
-    n = extra = 0
-    while True:
-        if n * n > q_trunc or n > x_trunc:
-            extra += 1
-            if extra > _slack:
-                break
+    for n in _upto(lambda n: n * n > q_trunc or n > x_trunc, _slack):
         term = XQSeries.monomial(n, n * n, x_trunc, q_trunc) * _inv_poch(1, 1, 1, n, q_trunc)
         total = total + term
-        n += 1
     return total
 
 
@@ -278,36 +252,21 @@ def bmn_gf(k: int, x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSeries:
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
+
+    def q_exp(j, r):
+        return _b2(k * j + r + 1) + k * _b2(j)
+
+    def past(j, r=0):
+        return q_exp(j, r) > q_trunc or k * j + r > x_trunc
+
     acc: dict[int, list[int]] = {}
-    j = extra_j = 0
-    while True:
-        base = k * j * (k * j + 1) // 2 + k * _b2(j)
-        if base > q_trunc or k * j > x_trunc:
-            extra_j += 1
-            if extra_j > _slack:
-                break
+    for j in _upto(past, _slack):
         inv_j = _inv_poch(1, k, k, j, q_trunc)
         sign = -1 if j % 2 else 1
-        r = extra_r = 0
-        while True:
-            a = r + k * j
-            e = a * (a + 1) // 2 + k * _b2(j)
-            xd = k * j + r
-            if e > q_trunc or xd > x_trunc:
-                extra_r += 1
-                if extra_r > _slack:
-                    break
-            if e <= q_trunc and xd <= x_trunc:
-                term = inv_j * _inv_poch(1, 1, 1, r, q_trunc)
-                buf = acc.setdefault(xd, [0] * (q_trunc + 1))
-                for i in range(q_trunc + 1 - e):
-                    c = term.coeffs[i]
-                    if c:
-                        buf[i + e] += sign * c
-            r += 1
-        j += 1
-    return XQSeries(x_trunc, q_trunc,
-                    {d: QSeries(q_trunc, tuple(b)) for d, b in acc.items()})
+        for r in _upto(lambda r: past(j, r), _slack):
+            _add_term(acc, x_trunc, k * j + r, q_exp(j, r), sign,
+                      inv_j * _inv_poch(1, 1, 1, r, q_trunc))
+    return _from_buffers(x_trunc, q_trunc, acc)
 
 
 def staircase_gf(d: int, x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSeries:
@@ -324,52 +283,30 @@ def staircase_gf(d: int, x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSerie
     """
     if d < 0:
         raise ValueError(f"need d >= 0, got {d}")
+
+    def q_exp(n, k, m):
+        return (_b2(n + 1) + d * _b2(n) + 3 * k * k + d * _b2(2 * k) + m + d * _b2(m)
+                + d * (2 * n * k + n * m + 2 * k * m))
+
+    def past(n, k=0, m=0):
+        return q_exp(n, k, m) > q_trunc or n + 2 * k + m > x_trunc
+
     acc: dict[int, list[int]] = {}
-    n = extra_n = 0
-    while True:
-        base_n = _b2(n + 1) + d * _b2(n)
-        if base_n > q_trunc or n > x_trunc:
-            extra_n += 1
-            if extra_n > _slack:
-                break
+    for n in _upto(past, _slack):
         inv_n = _inv_poch(1, 1, 1, n, q_trunc)
-        k = extra_k = 0
-        while True:
-            base_k = 3 * k * k + d * _b2(2 * k)
-            e_nk = base_n + base_k + 2 * d * n * k
-            if e_nk > q_trunc or n + 2 * k > x_trunc:
-                extra_k += 1
-                if extra_k > _slack:
-                    break
+        for k in _upto(lambda k: past(n, k), _slack):
             u = inv_n * _inv_poch(1, 2, 2, k, q_trunc)
-            sign_k = -1 if k % 2 else 1
             num = QSeries.one(q_trunc)  # running (q^(2k); q)_m
-            m = extra_m = 0
-            while True:
-                e = e_nk + d * _b2(m) + m + d * n * m + 2 * d * k * m
-                xd = n + 2 * k + m
-                if e > q_trunc or xd > x_trunc:
-                    extra_m += 1
-                    if extra_m > _slack:
-                        break
+            for m in _upto(lambda m: past(n, k, m), _slack):
                 if m > 0:
                     fac = 2 * k + m - 1  # next factor (1 - q^(2k+m-1))
                     num = num - num.shifted(fac) if fac > 0 else QSeries.zero(q_trunc)
                     if num.is_zero():
                         break
-                if e <= q_trunc and xd <= x_trunc:
-                    term = u * _inv_poch(1, 1, 1, m, q_trunc) * num
-                    sign = sign_k * (-1 if m % 2 else 1)
-                    buf = acc.setdefault(xd, [0] * (q_trunc + 1))
-                    for i in range(q_trunc + 1 - e):
-                        c = term.coeffs[i]
-                        if c:
-                            buf[i + e] += sign * c
-                m += 1
-            k += 1
-        n += 1
-    return XQSeries(x_trunc, q_trunc,
-                    {deg: QSeries(q_trunc, tuple(b)) for deg, b in acc.items()})
+                _add_term(acc, x_trunc, n + 2 * k + m, q_exp(n, k, m),
+                          -1 if (k + m) % 2 else 1,
+                          u * _inv_poch(1, 1, 1, m, q_trunc) * num)
+    return _from_buffers(x_trunc, q_trunc, acc)
 
 
 def minimal_gf_x(k: int, x_trunc: int, q_trunc: int) -> XQSeries:
@@ -378,16 +315,11 @@ def minimal_gf_x(k: int, x_trunc: int, q_trunc: int) -> XQSeries:
     if k < 1:
         raise ValueError(f"raft count must be >= 1, got {k}")
     total = XQSeries.zero(x_trunc, q_trunc)
-    m = 0
-    while True:
-        e = minimal_exponent(k, m)
-        if e > q_trunc:
-            break
-        term = XQSeries.monomial(2 * k + m, e, x_trunc, q_trunc) \
+    for m in _upto(lambda m: minimal_exponent(k, m) > q_trunc):
+        term = XQSeries.monomial(2 * k + m, minimal_exponent(k, m), x_trunc, q_trunc) \
             * gaussian_binomial(m + k - 1, k - 1, q_trunc) \
             * xq_pochhammer(-1, 3 * k + m + 1, 1, None, 1, x_trunc, q_trunc)
         total = total + term
-        m += 1
     return total
 
 
@@ -416,8 +348,7 @@ def d_distinct_xq(d: int, x_trunc: int, q_trunc: int) -> XQSeries:
         if xd > x_trunc:
             continue
         acc.setdefault(xd, [0] * (q_trunc + 1))[sum(parts)] += 1
-    return XQSeries(x_trunc, q_trunc,
-                    {deg: QSeries(q_trunc, tuple(b)) for deg, b in acc.items()})
+    return _from_buffers(x_trunc, q_trunc, acc)
 
 
 def minimal_oracle(k: int, trunc: int) -> QSeries:
@@ -503,11 +434,8 @@ def no_kseq_oracle(k: int, x_trunc: int, q_trunc: int) -> XQSeries:
     if k not in (2, 3, 4):
         raise ValueError(f"the fused sweep covers k in 2..4, got {k}")
     _, _, kseq = _sweep(q_trunc)
-    terms = {}
-    for length, buf in kseq[k].items():
-        if length <= x_trunc:
-            terms[length] = QSeries(q_trunc, tuple(buf))
-    return XQSeries(x_trunc, q_trunc, terms)
+    return _from_buffers(x_trunc, q_trunc,
+                         {n: buf for n, buf in kseq[k].items() if n <= x_trunc})
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,7 @@ exactly once, used by the series oracles, where order is irrelevant).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
-
-from .series import QSeries, XQSeries
+from typing import Iterator
 
 __all__ = [
     "Partition",
@@ -27,7 +25,6 @@ __all__ = [
     "iter_gap_parts",
     "iter_gap_exact",
     "enumerate_designations",
-    "oracle_series",
     "parse_rafted_text",
     "render_rafted_text",
 ]
@@ -205,41 +202,6 @@ def enumerate_designations(p: Partition) -> Iterator[tuple[int, ...]]:
     elig = p.eligible_rafts()
     for mask in range(1 << len(elig)):
         yield tuple(r for i, r in enumerate(elig) if mask >> i & 1)
-
-
-# ---------------------------------------------------------------------------
-# series oracle
-
-
-def oracle_series(
-    predicate: Callable[[Partition], bool],
-    x_trunc: int,
-    q_trunc: int,
-    weight_fn: Callable[[Partition], tuple[int, int, int]] | None = None,
-) -> XQSeries:
-    """Sum sign * x^xd * q^qe over distinct-part partitions passing predicate.
-
-    weight_fn maps a partition to (x-degree, q-exponent, sign); the default
-    tracks (length, weight, +1).  Pure enumeration: this is the brute-force
-    reference the formula sides are judged against.
-    """
-    if weight_fn is None:
-        weight_fn = lambda p: (p.length, p.weight, 1)
-    acc: dict[int, list[int]] = {}
-    for parts in iter_distinct_parts(q_trunc):
-        p = Partition(parts)
-        if not predicate(p):
-            continue
-        xd, qe, sign = weight_fn(p)
-        if xd > x_trunc or qe > q_trunc:
-            continue
-        buf = acc.get(xd)
-        if buf is None:
-            buf = [0] * (q_trunc + 1)
-            acc[xd] = buf
-        buf[qe] += sign
-    return XQSeries(x_trunc, q_trunc,
-                    {d: QSeries(q_trunc, tuple(b)) for d, b in acc.items()})
 
 
 # ---------------------------------------------------------------------------

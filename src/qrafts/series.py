@@ -179,10 +179,6 @@ class QSeries:
 
     # -- rendering ----------------------------------------------------------
 
-    def coeff_strings(self) -> list[str]:
-        """Coefficients as decimal strings, index = exponent (JSON-friendly)."""
-        return [str(c) for c in self.coeffs]
-
     def __str__(self) -> str:
         pieces = []
         for e, c in enumerate(self.coeffs):
@@ -450,17 +446,6 @@ class XQSeries:
                 if c:
                     out[base + e] += c
         return QSeries(nq, tuple(out))
-
-    def staircase(self, d: int) -> "XQSeries":
-        """Multiply the x-degree-n slice by q^(d*n*(n-1)/2)."""
-        if d < 0:
-            raise ValueError(f"staircase parameter must be >= 0, got {d}")
-        out: dict[int, QSeries] = {}
-        for deg, s in self.terms.items():
-            shift = d * deg * (deg - 1) // 2
-            if shift <= self.q_trunc:
-                out[deg] = s.shifted(shift)
-        return XQSeries(self.x_trunc, self.q_trunc, out)
 
     # -- rendering ----------------------------------------------------------
 

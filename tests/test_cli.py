@@ -69,9 +69,11 @@ class TestVerify:
         assert e.value.code == 2
 
     def test_negative_order(self, capsys):
-        with pytest.raises(SystemExit) as e:
-            main(["verify", "--all", "--order", "-3"])
-        assert e.value.code == 2
+        # rejected by the parser, before any check runs
+        for flags in (["--order", "-3"], ["--order", "5", "--x-order", "-3"]):
+            with pytest.raises(SystemExit) as e:
+                main(["verify", "--all", *flags])
+            assert e.value.code == 2, flags
 
     def test_identity_and_all_conflict(self, capsys):
         with pytest.raises(SystemExit) as e:

@@ -129,8 +129,13 @@ class TestCutoffSlack:
     def test_bivariate(self):
         assert idn.master_lhs(18, 18) == idn.master_lhs(18, 18, _slack=2)
         assert idn.master_rhs(18, 18) == idn.master_rhs(18, 18, _slack=2)
-        assert idn.bmn_gf(2, 18, 18) == idn.bmn_gf(2, 18, 18, _slack=2)
-        assert idn.staircase_gf(1, 18, 18) == idn.staircase_gf(1, 18, 18, _slack=2)
+
+    @pytest.mark.parametrize("build, param", [
+        *[(idn.bmn_gf, k) for k in (2, 3, 4)],
+        *[(idn.staircase_gf, d) for d in (0, 1, 2, 3)],
+    ])
+    def test_bivariate_sums(self, build, param):
+        assert build(param, 18, 18) == build(param, 18, 18, _slack=2)
 
 
 class TestCrossWeb:
@@ -183,6 +188,24 @@ class TestCrossWeb:
                 acc.setdefault(d, [0] * (N + 1))[rp.weight] += 1
             want = XQSeries(N, N, {d: QSeries(N, tuple(b)) for d, b in acc.items()})
             assert idn.minimal_gf_x(k, N, N) == want
+
+
+# Each side of a bivariate check, and the x-refined raft sums, keyed by name.
+X_SIDES = {
+    **{f"{name}-{side}": getattr(check, side)
+       for name, check in REGISTRY.items() if check.bivariate
+       for side in ("lhs", "rhs")},
+    **{f"{f.__name__}-k{k}": (lambda Nx, Nq, f=f, k=k: f(k, Nx, Nq))
+       for f in (idn.minimal_gf_x, idn.rafted_gf_x) for k in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("side", list(X_SIDES))
+def test_x_valuation(side):
+    """The x^n slice starts at q^n or later: the premise of substitute_x_power."""
+    s = X_SIDES[side](20, 20)
+    for n, sl in s.terms.items():
+        assert not any(sl.coeffs[:n]), f"x^{n} slice has a term below q^{n}"
 
 
 class TestDomains:

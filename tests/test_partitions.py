@@ -15,7 +15,6 @@ from qrafts.partitions import (
     iter_distinct_parts,
     iter_gap_exact,
     iter_gap_parts,
-    oracle_series,
     parse_rafted_text,
     render_rafted_text,
     runs_of,
@@ -149,27 +148,6 @@ class TestGenerators:
 
     def test_designations_none_eligible(self):
         assert list(enumerate_designations(Partition.of(1, 3, 5))) == [()]
-
-
-class TestOracleSeries:
-    def test_default_weighting(self):
-        s = oracle_series(lambda p: True, 4, 8)
-        # slice n = distinct partitions with n parts
-        assert s.slice(0).coefficient(0) == 1
-        assert s.slice(1).coeffs[1:] == (1,) * 8
-        assert s.slice(2).coefficient(3) == 1  # {1,2}
-
-    def test_predicate_filter(self):
-        s = oracle_series(lambda p: p.is_d_distinct(2), 6, 10)
-        total = [sum(s.slice(d).coefficient(w) for d in s.x_degrees())
-                 for w in range(11)]
-        assert total[10] == 6
-
-    def test_custom_weight_fn(self):
-        s = oracle_series(lambda p: True, 3, 6,
-                          weight_fn=lambda p: (0, p.weight, -1))
-        assert s.x_degrees() in ((0,), ())
-        assert s.slice(0).coefficient(3) == -2  # {3} and {1,2}, negated
 
 
 class TestTextFormat:

@@ -279,11 +279,6 @@ class TestXQSeries:
         # x -> 1 keeps exponents
         assert a.substitute_x_power(0) == QSeries.monomial(3, 10) + QSeries.monomial(1, 10)
 
-    def test_staircase_shifts_slices(self):
-        a = XQSeries.monomial(3, 2, 5, 20)
-        assert a.staircase(2).slice(3) == QSeries.monomial(2 + 2 * 3, 20)
-        assert a.staircase(0) == a
-
 
 class TestXQPochhammer:
     def test_tracks_distinct_partitions_by_length(self):
