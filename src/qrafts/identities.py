@@ -8,9 +8,11 @@ Its ``slack`` argument, exposed as each builder's ``_slack`` test hook, runs a
 few indices further so the tests can confirm no retained coefficient changes.
 
 Oracle sides are brute-force enumerations of distinct-part partitions.  The
-designation-heavy oracles (signed sums, exactly-k-raft counts, no-k-sequence
-counts) share one fused sweep per truncation order, cached per process, so a
-full profile run enumerates the partitions once instead of once per check.
+designation oracles (signed sums, exactly-k-raft counts, no-k-sequence counts)
+share one sweep per truncation order, cached per process.  It counts the
+partitions by number of eligible rafts and by (longest run, number of parts),
+so each oracle is a sum over those counts, with binomial weights for the
+designations, for any raft count or run length.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice
+from math import comb
 from typing import Callable, Iterator
 
 from .partitions import iter_distinct_parts, iter_gap_parts
@@ -230,9 +233,9 @@ def master_lhs(x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSeries:
     for k in _upto(lambda k: 3 * k * k > q_trunc or 2 * k > x_trunc, _slack):
         term = XQSeries.monomial(2 * k, 3 * k * k, x_trunc, q_trunc) \
             * _inv_poch(1, 2, 2, k, q_trunc) \
-            * xq_pochhammer(-1, 1, 1, 2 * k, 1, x_trunc, q_trunc).inverse()
+            * xq_pochhammer(-1, 1, 1, 2 * k, x_trunc, q_trunc).inverse()
         total = total + (-term if k % 2 else term)
-    return xq_pochhammer(-1, 1, 1, None, 1, x_trunc, q_trunc) * total
+    return xq_pochhammer(-1, 1, 1, None, x_trunc, q_trunc) * total
 
 
 def master_rhs(x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSeries:
@@ -318,7 +321,7 @@ def minimal_gf_x(k: int, x_trunc: int, q_trunc: int) -> XQSeries:
     for m in _upto(lambda m: minimal_exponent(k, m) > q_trunc):
         term = XQSeries.monomial(2 * k + m, minimal_exponent(k, m), x_trunc, q_trunc) \
             * gaussian_binomial(m + k - 1, k - 1, q_trunc) \
-            * xq_pochhammer(-1, 3 * k + m + 1, 1, None, 1, x_trunc, q_trunc)
+            * xq_pochhammer(-1, 3 * k + m + 1, 1, None, x_trunc, q_trunc)
         total = total + term
     return total
 
@@ -334,10 +337,7 @@ def rafted_gf_x(k: int, x_trunc: int, q_trunc: int) -> XQSeries:
 
 def d_distinct_q(d: int, trunc: int) -> QSeries:
     """Count of partitions with part gaps >= d, by weight (brute force)."""
-    buf = [0] * (trunc + 1)
-    for parts in iter_gap_parts(trunc, d):
-        buf[sum(parts)] += 1
-    return QSeries(trunc, tuple(buf))
+    return d_distinct_xq(d, trunc, trunc).substitute_x_power(0)
 
 
 def d_distinct_xq(d: int, x_trunc: int, q_trunc: int) -> XQSeries:
@@ -347,7 +347,10 @@ def d_distinct_xq(d: int, x_trunc: int, q_trunc: int) -> XQSeries:
         xd = len(parts)
         if xd > x_trunc:
             continue
-        acc.setdefault(xd, [0] * (q_trunc + 1))[sum(parts)] += 1
+        buf = acc.get(xd)
+        if buf is None:
+            buf = acc[xd] = [0] * (q_trunc + 1)
+        buf[sum(parts)] += 1
     return _from_buffers(x_trunc, q_trunc, acc)
 
 
@@ -361,25 +364,25 @@ def minimal_oracle(k: int, trunc: int) -> QSeries:
 
 @lru_cache(maxsize=3)
 def _sweep(q_trunc: int):
-    """One fused pass over all distinct-part partitions of weight <= q_trunc.
+    """One pass over all distinct-part partitions of weight <= q_trunc.
 
-    Collects, per partition: the signed sum over all 2^R raft designations,
-    the count of designations of each size 1..3, and no-k-sequence indicators
-    for k = 2, 3, 4 keyed by part count.  Every accumulator here is pure
-    enumeration; no q-series algebra is involved.
+    Files each partition's weight under R, its number of eligible rafts (runs
+    of length >= 2), and under (longest run, number of parts).  A partition
+    with R eligible rafts has comb(R, j) designations of j rafts, so every
+    designation oracle is a binomial sum over the R buckets; no designation
+    is listed.  Pure enumeration: no q-series algebra is involved.
     """
     n1 = q_trunc + 1
-    signed = [0] * n1
-    rafted = {1: [0] * n1, 2: [0] * n1, 3: [0] * n1}
-    kseq: dict[int, dict[int, list[int]]] = {2: {}, 3: {}, 4: {}}
+    by_rafts: dict[int, list[int]] = {}
+    by_run: dict[tuple[int, int], list[int]] = {}
     for parts in iter_distinct_parts(q_trunc):
         w = sum(parts)
-        runlen = 1
+        runlen = 0
         maxrun = 0
         big_runs = 0
-        prev = None
+        prev = -1  # parts are >= 1, so the first part opens a run
         for p in parts:
-            if prev is not None and p == prev + 1:
+            if p == prev + 1:
                 runlen += 1
             else:
                 if runlen >= 2:
@@ -392,50 +395,50 @@ def _sweep(q_trunc: int):
             big_runs += 1
         if runlen > maxrun:
             maxrun = runlen
-        if parts:
-            length = len(parts)
-            for kk in (2, 3, 4):
-                if maxrun < kk:
-                    buf = kseq[kk].get(length)
-                    if buf is None:
-                        buf = [0] * n1
-                        kseq[kk][length] = buf
-                    buf[w] += 1
-        else:
-            for kk in (2, 3, 4):
-                kseq[kk].setdefault(0, [0] * n1)[0] += 1
-        if big_runs == 0:
-            signed[w] += 1
-        else:
-            for mask in range(1 << big_runs):
-                bits = mask.bit_count()
-                signed[w] += -1 if bits & 1 else 1
-                if 1 <= bits <= 3:
-                    rafted[bits][w] += 1
-    return signed, rafted, kseq
+        buf = by_rafts.get(big_runs)
+        if buf is None:
+            buf = by_rafts[big_runs] = [0] * n1
+        buf[w] += 1
+        key = (maxrun, len(parts))
+        buf = by_run.get(key)
+        if buf is None:
+            buf = by_run[key] = [0] * n1
+        buf[w] += 1
+    return by_rafts, by_run
+
+
+def _designation_sum(weight: Callable[[int], int], trunc: int) -> QSeries:
+    """sum_R weight(R) * (partitions with R eligible rafts), by weight."""
+    out = [0] * (trunc + 1)
+    for r, counts in _sweep(trunc)[0].items():
+        c = weight(r)
+        if c:
+            for w, n in enumerate(counts):
+                if n:
+                    out[w] += c * n
+    return QSeries(trunc, tuple(out))
 
 
 def signed_designation_oracle(trunc: int) -> QSeries:
     """sum over partitions and designations of (-1)^(number of rafts) q^weight."""
-    signed, _, _ = _sweep(trunc)
-    return QSeries(trunc, tuple(signed))
+    return _designation_sum(
+        lambda r: sum((-1) ** j * comb(r, j) for j in range(r + 1)), trunc)
 
 
 def rafted_oracle(k: int, trunc: int) -> QSeries:
-    """Count of designations with exactly k rafts, by weight (k <= 3 cached)."""
-    if k not in (1, 2, 3):
-        raise ValueError(f"the fused sweep covers k in 1..3, got {k}")
-    _, rafted, _ = _sweep(trunc)
-    return QSeries(trunc, tuple(rafted[k]))
+    """Count of designations with exactly k rafts, by weight."""
+    return _designation_sum(lambda r: comb(r, k), trunc)
 
 
 def no_kseq_oracle(k: int, x_trunc: int, q_trunc: int) -> XQSeries:
     """Partitions with no run of length >= k, by (part count, weight)."""
-    if k not in (2, 3, 4):
-        raise ValueError(f"the fused sweep covers k in 2..4, got {k}")
-    _, _, kseq = _sweep(q_trunc)
-    return _from_buffers(x_trunc, q_trunc,
-                         {n: buf for n, buf in kseq[k].items() if n <= x_trunc})
+    acc: dict[int, list[int]] = {}
+    for (longest, length), counts in _sweep(q_trunc)[1].items():
+        if longest < k and length <= x_trunc:
+            buf = acc.setdefault(length, [0] * (q_trunc + 1))
+            for w, n in enumerate(counts):
+                buf[w] += n
+    return _from_buffers(x_trunc, q_trunc, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -129,13 +129,7 @@ class QSeries:
         self._check(other)
         n = self.trunc
         out = [0] * (n + 1)
-        b = other.coeffs
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j in range(n - i + 1):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] += ai * bj
+        _mul_into(out, self.coeffs, other.coeffs, n)
         return QSeries(n, tuple(out))
 
     __rmul__ = __mul__
@@ -473,50 +467,38 @@ def _from_buffers(x_trunc: int, q_trunc: int, acc: Mapping[int, list[int]]) -> X
 
 
 def xq_pochhammer(sign: int, base_exp: int, step_exp: int, count: int | None,
-                  x_deg_per_factor: int, x_trunc: int, q_trunc: int) -> XQSeries:
-    """Product of factors (1 - sign * x^x_deg_per_factor * q^(base_exp + j*step_exp)).
+                  x_trunc: int, q_trunc: int) -> XQSeries:
+    """Product of factors (1 - sign * x * q^(base_exp + j*step_exp)).
 
-    base_exp = 0 is allowed when each factor carries a positive x-degree
-    (e.g. products of (1 + x q^j) starting at j = 0); the q-exponent still
-    increases with j, so the infinite-product stopping rule applies as usual.
+    base_exp = 0 is allowed because each factor carries x (e.g. products of
+    (1 + x q^j) starting at j = 0); the q-exponent still increases with j, so
+    the infinite-product stopping rule applies as usual.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if base_exp < 0 or step_exp < 1:
         raise ValueError("need base_exp >= 0 and step_exp >= 1")
-    if base_exp == 0 and x_deg_per_factor == 0:
-        raise ValueError("a factor with no x part needs base_exp >= 1")
-    if x_deg_per_factor < 0:
-        raise ValueError("x-degree per factor must be >= 0")
     if count is not None and count < 0:
         raise ValueError(f"count must be >= 0 or None, got {count}")
 
     table: dict[int, list[int]] = {0: [0] * (q_trunc + 1)}
     table[0][0] = 1
-    d = x_deg_per_factor
     j = 0
     while count is None or j < count:
         e = base_exp + j * step_exp
-        if e > q_trunc or d > x_trunc:
+        if e > q_trunc:
             break
-        # multiply by (1 - sign*x^d*q^e): walk x-degrees top-down
+        # multiply by (1 - sign*x*q^e): walk x-degrees top-down
         for deg in sorted(table, reverse=True):
-            target = deg + d
-            if target > x_trunc:
+            if deg >= x_trunc:
                 continue
             src = table[deg]
-            dst = table.get(target)
-            if dst is None and d > 0:
+            dst = table.get(deg + 1)
+            if dst is None:
                 dst = [0] * (q_trunc + 1)
-                table[target] = dst
-            if d == 0:
-                # pure q factor: in-place descend
-                for i in range(q_trunc - e, -1, -1):
-                    if src[i]:
-                        src[i + e] -= sign * src[i]
-            else:
-                for i in range(q_trunc - e + 1):
-                    if src[i]:
-                        dst[i + e] -= sign * src[i]
+                table[deg + 1] = dst
+            for i in range(q_trunc - e + 1):
+                if src[i]:
+                    dst[i + e] -= sign * src[i]
         j += 1
     return _from_buffers(x_trunc, q_trunc, table)

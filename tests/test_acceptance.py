@@ -24,12 +24,10 @@ from qrafts.rafts import (
 
 
 def _rafted_upto(max_weight):
-    import itertools
     for p in enumerate_distinct(max_weight):
-        eligible = p.eligible_rafts()
-        for size in range(1, len(eligible) + 1):
-            for combo in itertools.combinations(eligible, size):
-                yield RaftedPartition(p, combo)
+        for rafts in enumerate_designations(p):
+            if rafts:
+                yield RaftedPartition(p, rafts)
 
 
 def test_criterion_01_gap2_sum_to_order_100_under_10s():

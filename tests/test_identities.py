@@ -13,7 +13,12 @@ from qrafts.identities import (
     run_check,
     run_many,
 )
-from qrafts.partitions import Partition, enumerate_designations, enumerate_distinct
+from qrafts.partitions import (
+    Partition,
+    enumerate_designations,
+    enumerate_distinct,
+    iter_distinct_parts,
+)
 from qrafts.rafts import enumerate_minimal, enumerate_rafted
 from qrafts.series import QSeries, XQSeries
 
@@ -106,11 +111,30 @@ class TestSignedDesignations:
                 want[rp.weight] += 1
             assert got.coeffs == tuple(want)
 
-    def test_sweep_domain(self):
-        with pytest.raises(ValueError):
-            idn.rafted_oracle(4, 10)
-        with pytest.raises(ValueError):
-            idn.no_kseq_oracle(5, 10, 10)
+    # four rafts weigh at least 48, so k = 4 needs a higher order to count anything
+    @pytest.mark.parametrize("k, N", [(1, 36), (2, 36), (3, 36), (4, 54)])
+    def test_rafted_oracle_matches_enumeration(self, k, N):
+        want = [0] * (N + 1)
+        for rp in enumerate_rafted(k, N):
+            want[rp.weight] += 1
+        assert any(want)
+        assert idn.rafted_oracle(k, N).coeffs == tuple(want)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_no_kseq_oracle_matches_filter(self, k):
+        acc = {}
+        for parts in iter_distinct_parts(36):
+            if not Partition(parts).has_k_sequence(k):
+                acc.setdefault(len(parts), [0] * 37)[sum(parts)] += 1
+        want = XQSeries(36, 36, {n: QSeries(36, tuple(b)) for n, b in acc.items()})
+        assert idn.no_kseq_oracle(k, 36, 36) == want
+
+    def test_rafted_oracle_k4_matches_formula(self):
+        assert idn.rafted_oracle(4, 60) == idn.rafted_gf(4, 60)
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_no_kseq_oracle_matches_bmn(self, k):
+        assert idn.no_kseq_oracle(k, 30, 30) == idn.bmn_gf(k, 30, 30)
 
 
 class TestCutoffSlack:

@@ -31,10 +31,9 @@ from qrafts.rafts import (
 
 def all_rafted(max_weight):
     for p in enumerate_distinct(max_weight):
-        eligible = p.eligible_rafts()
-        for size in range(1, len(eligible) + 1):
-            for combo in itertools.combinations(eligible, size):
-                yield RaftedPartition(p, combo)
+        for rafts in enumerate_designations(p):
+            if rafts:
+                yield RaftedPartition(p, rafts)
 
 
 class TestValidation:

@@ -282,7 +282,7 @@ class TestXQSeries:
 
 class TestXQPochhammer:
     def test_tracks_distinct_partitions_by_length(self):
-        got = xq_pochhammer(-1, 1, 1, None, 1, 8, 16)
+        got = xq_pochhammer(-1, 1, 1, None, 8, 16)
         acc = {}
         from qrafts.partitions import iter_distinct_parts
         for parts in iter_distinct_parts(16):
@@ -294,7 +294,7 @@ class TestXQPochhammer:
     def test_euler_distinct_form(self):
         # (-xq; q)_inf = sum_n x^n q^(n(n+1)/2) / (q;q)_n
         xt, qt = 10, 18
-        lhs = xq_pochhammer(-1, 1, 1, None, 1, xt, qt)
+        lhs = xq_pochhammer(-1, 1, 1, None, xt, qt)
         rhs = XQSeries.zero(xt, qt)
         n = 0
         while n * (n + 1) // 2 <= qt and n <= xt:
@@ -306,7 +306,7 @@ class TestXQPochhammer:
     def test_euler_geometric_form(self):
         # 1/(xq; q)_inf = sum_n x^n q^n / (q;q)_n via the base_exp=0 shift trick
         xt, qt = 10, 18
-        lhs = xq_pochhammer(1, 1, 1, None, 1, xt, qt).inverse()
+        lhs = xq_pochhammer(1, 1, 1, None, xt, qt).inverse()
         rhs = XQSeries.zero(xt, qt)
         for n in range(min(xt, qt) + 1):
             inv = pochhammer(PochhammerSpec(1, 1, 1, n), qt).inverse()
@@ -317,7 +317,7 @@ class TestXQPochhammer:
         # (-xq; q)_n = sum_k q^(k(k+1)/2) [n choose k]_q x^k
         xt, qt = 8, 24
         for n in range(7):
-            lhs = xq_pochhammer(-1, 1, 1, n, 1, xt, qt)
+            lhs = xq_pochhammer(-1, 1, 1, n, xt, qt)
             rhs = XQSeries.zero(xt, qt)
             for k in range(n + 1):
                 rhs = rhs + XQSeries.monomial(k, k * (k + 1) // 2, xt, qt) \
@@ -325,10 +325,8 @@ class TestXQPochhammer:
             assert lhs == rhs, f"n={n}"
 
     def test_base_zero_needs_x_degree(self):
-        with pytest.raises(ValueError):
-            xq_pochhammer(1, 0, 1, None, 0, 4, 4)
-        # base 0 with x-degree >= 1 is the (x; q)-style product, fine
-        got = xq_pochhammer(1, 0, 1, 1, 1, 4, 4)
+        # base 0 is allowed because every factor carries x: the (x; q)-style product
+        got = xq_pochhammer(1, 0, 1, 1, 4, 4)
         assert got == XQSeries.one(4, 4) - XQSeries.monomial(1, 0, 4, 4)
 
 
