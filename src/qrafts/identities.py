@@ -6,6 +6,10 @@ infinite q-sums.  Every summation index runs through one iterator, ``_upto``,
 which stops where the summand's lowest exponent passes the truncation order.
 Its ``slack`` argument, exposed as each builder's ``_slack`` test hook, runs a
 few indices further so the tests can confirm no retained coefficient changes.
+Each sum keeps one running term as a coefficient list (a table of them when x
+is tracked) and advances it by the summand ratio, term_{i+1} = term_i * ratio,
+in O(N) in-place factor steps from ``series``; ``_add_term`` files each term
+at its x-degree and q-shift.  No summand is rebuilt from full products.
 
 Oracle sides are brute-force enumerations of distinct-part partitions.  The
 designation oracles (signed sums, exactly-k-raft counts, no-k-sequence counts)
@@ -30,8 +34,11 @@ from .series import (
     PochhammerSpec,
     QSeries,
     XQSeries,
+    _add_shifted,
     _from_buffers,
-    gaussian_binomial,
+    div_factor,
+    div_x_factor,
+    mul_factor,
     pochhammer,
     xq_pochhammer,
 )
@@ -56,20 +63,20 @@ def _b2(a: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# cached Pochhammer pieces
+# cached product sides
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _poch(sign: int, base: int, step: int, count: int | None, trunc: int) -> QSeries:
     return pochhammer(PochhammerSpec(sign, base, step, count), trunc)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _inv_poch(sign: int, base: int, step: int, count: int | None, trunc: int) -> QSeries:
     return _poch(sign, base, step, count, trunc).inverse()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def rr_product(residues: tuple[int, ...], modulus: int, trunc: int) -> QSeries:
     """1 / prod_{r in residues} (q^r; q^modulus)_inf."""
     prod = QSeries.one(trunc)
@@ -79,7 +86,7 @@ def rr_product(residues: tuple[int, ...], modulus: int, trunc: int) -> QSeries:
 
 
 # ---------------------------------------------------------------------------
-# the cutoff rule
+# the cutoff rule and the running term
 
 
 def _upto(past_cutoff: Callable[[int], bool], slack: int = 0) -> Iterator[int]:
@@ -100,16 +107,24 @@ def _upto(past_cutoff: Callable[[int], bool], slack: int = 0) -> Iterator[int]:
         yield i
 
 
+def _unit(trunc: int) -> list[int]:
+    return [1] + [0] * trunc
+
+
+def _table(series: XQSeries) -> dict[int, list[int]]:
+    """A bivariate series as a mutable x-degree -> coefficient list table."""
+    return {d: list(s.coeffs) for d, s in series.terms.items()}
+
+
 def _add_term(acc: dict[int, list[int]], x_trunc: int, xd: int, e: int, sign: int,
-              term: QSeries) -> None:
+              term: list[int]) -> None:
     """acc[xd] += sign * q^e * term, keeping nothing past either truncation."""
-    q_trunc = term.trunc
-    if xd > x_trunc or e > q_trunc:
+    if xd > x_trunc or e >= len(term):
         return
-    buf = acc.setdefault(xd, [0] * (q_trunc + 1))
-    for i, c in enumerate(term.coeffs[: q_trunc + 1 - e]):
-        if c:
-            buf[i + e] += sign * c
+    buf = acc.get(xd)
+    if buf is None:
+        buf = acc[xd] = [0] * len(term)
+    _add_shifted(buf, term, sign, e)
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +132,20 @@ def _add_term(acc: dict[int, list[int]], x_trunc: int, xd: int, e: int, sign: in
 
 
 def _slater_sum(shift: int, extra_len: int, trunc: int, slack: int) -> QSeries:
-    """(-q;q)_inf * sum_j (-1)^j q^(3j^2+shift*j) / ((q^2;q^2)_j (-q;q)_{2j+extra_len})."""
-    total = QSeries.zero(trunc)
+    """(-q;q)_inf * sum_j (-1)^j q^(3j^2+shift*j) / ((q^2;q^2)_j (-q;q)_{2j+extra_len}).
+
+    The prefactor cancels each denominator's head, so the running term is
+    (-q^(2j+extra_len+1);q)_inf / (q^2;q^2)_j.
+    """
+    total = [0] * (trunc + 1)
+    term = list(_poch(-1, extra_len + 1, 1, None, trunc).coeffs)
     for j in _upto(lambda j: 3 * j * j + shift * j > trunc, slack):
-        term = QSeries.monomial(3 * j * j + shift * j, trunc) \
-            * _inv_poch(1, 2, 2, j, trunc) * _inv_poch(-1, 1, 1, 2 * j + extra_len, trunc)
-        total = total + (term if j % 2 == 0 else -term)
-    return _poch(-1, 1, 1, None, trunc) * total
+        if j:
+            div_factor(term, -1, 2 * j - 1 + extra_len)
+            div_factor(term, -1, 2 * j + extra_len)
+            div_factor(term, 1, 2 * j)
+        _add_shifted(total, term, -1 if j % 2 else 1, 3 * j * j + shift * j)
+    return QSeries(trunc, tuple(total))
 
 
 def slater19_sum(trunc: int, _slack: int = 0) -> QSeries:
@@ -153,6 +175,12 @@ def minimal_exponent(k: int, m: int) -> int:
     return _b2(3 * k + m) - 3 * _b2(k) - m * (k - 1)
 
 
+def _minimal_step(row: list[int], k: int, m: int) -> None:
+    """[m+k-2 choose k-1]_q -> [m+k-1 choose k-1]_q on a running term."""
+    mul_factor(row, 1, m + k - 1)
+    div_factor(row, 1, m)
+
+
 def minimal_gf(k: int, trunc: int, _slack: int = 0) -> QSeries:
     """Generating function of minimal k-raft configurations by weight.
 
@@ -162,18 +190,26 @@ def minimal_gf(k: int, trunc: int, _slack: int = 0) -> QSeries:
     """
     if k < 1:
         raise ValueError(f"raft count must be >= 1, got {k}")
-    total = QSeries.zero(trunc)
+    total = [0] * (trunc + 1)
+    term = list(_poch(-1, 3 * k + 1, 1, None, trunc).coeffs)
     for m in _upto(lambda m: minimal_exponent(k, m) > trunc, _slack):
-        term = QSeries.monomial(minimal_exponent(k, m), trunc) \
-            * gaussian_binomial(m + k - 1, k - 1, trunc) \
-            * _poch(-1, 3 * k + m + 1, 1, None, trunc)
-        total = total + term
-    return total
+        if m:
+            _minimal_step(term, k, m)
+            div_factor(term, -1, 3 * k + m)
+        _add_shifted(total, term, 1, minimal_exponent(k, m))
+    return QSeries(trunc, tuple(total))
+
+
+def _over_q2q2(row: list[int], k: int) -> list[int]:
+    """row / (q^2;q^2)_k in place; returns row."""
+    for i in range(1, k + 1):
+        div_factor(row, 1, 2 * i)
+    return row
 
 
 def rafted_gf(k: int, trunc: int, _slack: int = 0) -> QSeries:
     """Generating function of all k-raft configurations: minimal_gf / (q^2;q^2)_k."""
-    return minimal_gf(k, trunc, _slack) * _inv_poch(1, 2, 2, k, trunc)
+    return QSeries(trunc, tuple(_over_q2q2(list(minimal_gf(k, trunc, _slack).coeffs), k)))
 
 
 def no_raft_gf(trunc: int, _slack: int = 0) -> QSeries:
@@ -190,12 +226,16 @@ def qgauss_lhs(a_exp: int, b_exp: int, c_exp: int, trunc: int, _slack: int = 0) 
     gap = c_exp - a_exp - b_exp
     if a_exp < 1 or b_exp < 1 or gap < 1:
         raise ValueError("need a_exp, b_exp >= 1 and c_exp > a_exp + b_exp")
-    total = QSeries.zero(trunc)
+    total = [0] * (trunc + 1)
+    term = _unit(trunc)
     for n in _upto(lambda n: gap * n > trunc, _slack):
-        term = _poch(1, a_exp, 1, n, trunc) * _poch(1, b_exp, 1, n, trunc) \
-            * _inv_poch(1, 1, 1, n, trunc) * _inv_poch(1, c_exp, 1, n, trunc)
-        total = total + term.shifted(gap * n)
-    return total
+        if n:
+            mul_factor(term, 1, a_exp + n - 1)
+            mul_factor(term, 1, b_exp + n - 1)
+            div_factor(term, 1, n)
+            div_factor(term, 1, c_exp + n - 1)
+        _add_shifted(total, term, 1, gap * n)
+    return QSeries(trunc, tuple(total))
 
 
 def qgauss_rhs(a_exp: int, b_exp: int, c_exp: int, trunc: int) -> QSeries:
@@ -209,12 +249,15 @@ def gauss_step_lhs(k: int, trunc: int, _slack: int = 0) -> QSeries:
     """sum_m q^(m(m-1)/2 + (2k+1)m) (q^k;q)_m / ((q;q)_m (-q^(3k+1);q)_m)."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    total = QSeries.zero(trunc)
+    total = [0] * (trunc + 1)
+    term = _unit(trunc)
     for m in _upto(lambda m: _b2(m) + (2 * k + 1) * m > trunc, _slack):
-        term = _poch(1, k, 1, m, trunc) \
-            * _inv_poch(1, 1, 1, m, trunc) * _inv_poch(-1, 3 * k + 1, 1, m, trunc)
-        total = total + term.shifted(_b2(m) + (2 * k + 1) * m)
-    return total
+        if m:
+            mul_factor(term, 1, k + m - 1)
+            div_factor(term, 1, m)
+            div_factor(term, -1, 3 * k + m)
+        _add_shifted(total, term, 1, _b2(m) + (2 * k + 1) * m)
+    return QSeries(trunc, tuple(total))
 
 
 def gauss_step_rhs(k: int, trunc: int) -> QSeries:
@@ -228,23 +271,33 @@ def gauss_step_rhs(k: int, trunc: int) -> QSeries:
 
 @lru_cache(maxsize=8)
 def master_lhs(x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSeries:
-    """(-xq;q)_inf * sum_k (-1)^k q^(3k^2) x^(2k) / ((q^2;q^2)_k (-xq;q)_{2k})."""
-    total = XQSeries.zero(x_trunc, q_trunc)
+    """(-xq;q)_inf * sum_k (-1)^k q^(3k^2) x^(2k) / ((q^2;q^2)_k (-xq;q)_{2k}).
+
+    The prefactor cancels each denominator's head, so the running term is
+    (-xq^(2k+1);q)_inf / (q^2;q^2)_k.
+    """
+    term = _table(xq_pochhammer(-1, 1, 1, None, x_trunc, q_trunc))
+    acc: dict[int, list[int]] = {}
     for k in _upto(lambda k: 3 * k * k > q_trunc or 2 * k > x_trunc, _slack):
-        term = XQSeries.monomial(2 * k, 3 * k * k, x_trunc, q_trunc) \
-            * _inv_poch(1, 2, 2, k, q_trunc) \
-            * xq_pochhammer(-1, 1, 1, 2 * k, x_trunc, q_trunc).inverse()
-        total = total + (-term if k % 2 else term)
-    return xq_pochhammer(-1, 1, 1, None, x_trunc, q_trunc) * total
+        if k:
+            div_x_factor(term, -1, 2 * k - 1, x_trunc)
+            div_x_factor(term, -1, 2 * k, x_trunc)
+            for row in term.values():
+                div_factor(row, 1, 2 * k)
+        for d, row in term.items():
+            _add_term(acc, x_trunc, 2 * k + d, 3 * k * k, -1 if k % 2 else 1, row)
+    return _from_buffers(x_trunc, q_trunc, acc)
 
 
 def master_rhs(x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSeries:
     """sum_n q^(n^2) x^n / (q;q)_n."""
-    total = XQSeries.zero(x_trunc, q_trunc)
+    acc: dict[int, list[int]] = {}
+    term = _unit(q_trunc)
     for n in _upto(lambda n: n * n > q_trunc or n > x_trunc, _slack):
-        term = XQSeries.monomial(n, n * n, x_trunc, q_trunc) * _inv_poch(1, 1, 1, n, q_trunc)
-        total = total + term
-    return total
+        if n:
+            div_factor(term, 1, n)
+        _add_term(acc, x_trunc, n, n * n, 1, term)
+    return _from_buffers(x_trunc, q_trunc, acc)
 
 
 def bmn_gf(k: int, x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSeries:
@@ -263,12 +316,16 @@ def bmn_gf(k: int, x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSeries:
         return q_exp(j, r) > q_trunc or k * j + r > x_trunc
 
     acc: dict[int, list[int]] = {}
+    inv_j = _unit(q_trunc)  # running 1 / (q^k;q^k)_j
     for j in _upto(past, _slack):
-        inv_j = _inv_poch(1, k, k, j, q_trunc)
+        if j:
+            div_factor(inv_j, 1, k * j)
         sign = -1 if j % 2 else 1
+        term = inv_j[:]  # running 1 / ((q^k;q^k)_j (q;q)_r)
         for r in _upto(lambda r: past(j, r), _slack):
-            _add_term(acc, x_trunc, k * j + r, q_exp(j, r), sign,
-                      inv_j * _inv_poch(1, 1, 1, r, q_trunc))
+            if r:
+                div_factor(term, 1, r)
+            _add_term(acc, x_trunc, k * j + r, q_exp(j, r), sign, term)
     return _from_buffers(x_trunc, q_trunc, acc)
 
 
@@ -281,8 +338,8 @@ def staircase_gf(d: int, x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSerie
       * (q^(2k);q)_m q^(d binom(m,2)) (-q)^m / (q;q)_m
       * x^(n+2k+m) * q^(2dnk + dnm + 2dkm).
 
-    The k = 0 column collapses to m = 0 because (1;q)_m vanishes; the running
-    numerator product makes that automatic.
+    The k = 0 column collapses to m = 0 because (1;q)_m vanishes: its first
+    factor is (1 - q^0), where the running m-term stops.
     """
     if d < 0:
         raise ValueError(f"need d >= 0, got {d}")
@@ -295,20 +352,24 @@ def staircase_gf(d: int, x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSerie
         return q_exp(n, k, m) > q_trunc or n + 2 * k + m > x_trunc
 
     acc: dict[int, list[int]] = {}
+    inv_n = _unit(q_trunc)  # running 1 / (q;q)_n
     for n in _upto(past, _slack):
-        inv_n = _inv_poch(1, 1, 1, n, q_trunc)
+        if n:
+            div_factor(inv_n, 1, n)
+        u = inv_n[:]  # running 1 / ((q;q)_n (q^2;q^2)_k)
         for k in _upto(lambda k: past(n, k), _slack):
-            u = inv_n * _inv_poch(1, 2, 2, k, q_trunc)
-            num = QSeries.one(q_trunc)  # running (q^(2k); q)_m
+            if k:
+                div_factor(u, 1, 2 * k)
+            term = u[:]  # running u (q^(2k);q)_m / (q;q)_m
             for m in _upto(lambda m: past(n, k, m), _slack):
-                if m > 0:
-                    fac = 2 * k + m - 1  # next factor (1 - q^(2k+m-1))
-                    num = num - num.shifted(fac) if fac > 0 else QSeries.zero(q_trunc)
-                    if num.is_zero():
+                if m:
+                    fac = 2 * k + m - 1
+                    if fac == 0:
                         break
+                    mul_factor(term, 1, fac)
+                    div_factor(term, 1, m)
                 _add_term(acc, x_trunc, n + 2 * k + m, q_exp(n, k, m),
-                          -1 if (k + m) % 2 else 1,
-                          u * _inv_poch(1, 1, 1, m, q_trunc) * num)
+                          -1 if (k + m) % 2 else 1, term)
     return _from_buffers(x_trunc, q_trunc, acc)
 
 
@@ -317,18 +378,24 @@ def minimal_gf_x(k: int, x_trunc: int, q_trunc: int) -> XQSeries:
     sum_m x^(2k+m) q^minimal_exponent(k,m) [m+k-1 choose k-1]_q (-xq^(3k+m+1);q)_inf."""
     if k < 1:
         raise ValueError(f"raft count must be >= 1, got {k}")
-    total = XQSeries.zero(x_trunc, q_trunc)
+    term = _table(xq_pochhammer(-1, 3 * k + 1, 1, None, x_trunc, q_trunc))
+    acc: dict[int, list[int]] = {}
     for m in _upto(lambda m: minimal_exponent(k, m) > q_trunc):
-        term = XQSeries.monomial(2 * k + m, minimal_exponent(k, m), x_trunc, q_trunc) \
-            * gaussian_binomial(m + k - 1, k - 1, q_trunc) \
-            * xq_pochhammer(-1, 3 * k + m + 1, 1, None, x_trunc, q_trunc)
-        total = total + term
-    return total
+        if m:
+            div_x_factor(term, -1, 3 * k + m, x_trunc)
+            for row in term.values():
+                _minimal_step(row, k, m)
+        for d, row in term.items():
+            _add_term(acc, x_trunc, 2 * k + m + d, minimal_exponent(k, m), 1, row)
+    return _from_buffers(x_trunc, q_trunc, acc)
 
 
 def rafted_gf_x(k: int, x_trunc: int, q_trunc: int) -> XQSeries:
     """All k-raft configurations, x marking parts (moves preserve the count)."""
-    return minimal_gf_x(k, x_trunc, q_trunc) * _inv_poch(1, 2, 2, k, q_trunc)
+    acc = _table(minimal_gf_x(k, x_trunc, q_trunc))
+    for row in acc.values():
+        _over_q2q2(row, k)
+    return _from_buffers(x_trunc, q_trunc, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +407,13 @@ def d_distinct_q(d: int, trunc: int) -> QSeries:
     return d_distinct_xq(d, trunc, trunc).substitute_x_power(0)
 
 
+@lru_cache(maxsize=4)
 def d_distinct_xq(d: int, x_trunc: int, q_trunc: int) -> XQSeries:
-    """Gap->=d partitions by (number of parts, weight), brute force."""
+    """Gap->=d partitions by (number of parts, weight), brute force.
+
+    Cached, so ``d_distinct_q`` and the staircase check at one order share
+    one enumeration.
+    """
     acc: dict[int, list[int]] = {}
     for parts in iter_gap_parts(q_trunc, d):
         xd = len(parts)

@@ -11,6 +11,13 @@ degrees are the zero series, and every stored slice shares one q-truncation.
 Infinite Pochhammer products stop at the first factor whose lowest retained
 exponent exceeds the truncation order; every later factor is 1 modulo the
 truncation, so the stopping rule loses nothing.
+
+Products and quotients are built by in-place factor steps on raw coefficient
+lists: ``mul_factor``/``div_factor`` multiply or divide by (1 - s*q^a), and
+``mul_x_factor``/``div_x_factor`` by (1 - s*x*q^a) on a table mapping
+x-degree to coefficient list.  Multiplying is one descending pass and dividing
+one ascending pass, so a step costs O(N), or O(Nx*Nq) in two variables, where
+a full series product costs O(N^2).
 """
 
 from __future__ import annotations
@@ -26,6 +33,10 @@ __all__ = [
     "pochhammer",
     "xq_pochhammer",
     "gaussian_binomial",
+    "mul_factor",
+    "div_factor",
+    "mul_x_factor",
+    "div_x_factor",
     "TruncationMismatchError",
     "NonUnitConstantError",
 ]
@@ -152,17 +163,6 @@ class QSeries:
             b[m] = -c0 * s
         return QSeries(n, tuple(b))
 
-    def shifted(self, exponent: int) -> "QSeries":
-        """Multiply by q^exponent, dropping whatever overflows the truncation."""
-        if exponent < 0:
-            raise ValueError("negative exponents are not representable")
-        n = self.trunc
-        if exponent == 0:
-            return self
-        if exponent > n:
-            return QSeries.zero(n)
-        return QSeries(n, (0,) * exponent + self.coeffs[: n + 1 - exponent])
-
     def truncated(self, new_trunc: int) -> "QSeries":
         """Explicitly drop precision down to new_trunc <= trunc."""
         if new_trunc > self.trunc:
@@ -188,6 +188,72 @@ class QSeries:
                 else:
                     pieces.append(f"+ {mag}{var}" if pieces else f"{mag}{var}")
         return " ".join(pieces) if pieces else "0"
+
+
+# ---------------------------------------------------------------------------
+# in-place factor steps
+
+
+def mul_factor(c: list[int], sign: int, a: int) -> None:
+    """c *= (1 - sign*q^a) in place, modulo q^len(c).
+
+    Descends, so every c[i] is read before the step rewrites it.
+    """
+    for i in range(len(c) - 1 - a, -1, -1):
+        if c[i]:
+            c[i + a] -= sign * c[i]
+
+
+def div_factor(c: list[int], sign: int, a: int) -> None:
+    """c /= (1 - sign*q^a) in place, modulo q^len(c); needs a >= 1.
+
+    Ascends, so every c[i - a] read is already divided: the quotient b of
+    c by the factor satisfies b[i] = c[i] + sign*b[i - a].
+    """
+    if a < 1:
+        raise NonUnitConstantError(f"(1 - {sign}*q^{a}) has no unit constant term")
+    for i in range(a, len(c)):
+        if c[i - a]:
+            c[i] += sign * c[i - a]
+
+
+def _add_shifted(dst: list[int], src, coeff: int, a: int) -> None:
+    """dst += coeff * q^a * src, modulo q^len(dst)."""
+    for i in range(len(dst) - a):
+        if src[i]:
+            dst[i + a] += coeff * src[i]
+
+
+def _x_step(table: dict[int, list[int]], d: int, coeff: int, a: int) -> None:
+    """table[d+1] += coeff * q^a * table[d], adding the row only when nonzero."""
+    src = table[d]
+    dst = table.get(d + 1)
+    if dst is None:
+        if a >= len(src) or not any(src[: len(src) - a]):
+            return
+        dst = table[d + 1] = [0] * len(src)
+    _add_shifted(dst, src, coeff, a)
+
+
+def mul_x_factor(table: dict[int, list[int]], sign: int, a: int, x_trunc: int) -> None:
+    """table *= (1 - sign*x*q^a) in place, modulo x^(x_trunc+1).
+
+    ``table`` maps x-degree to a coefficient list; absent degrees are zero.
+    Descends in x-degree, so every row is read before the step rewrites it.
+    """
+    for d in sorted(table, reverse=True):
+        if d < x_trunc:
+            _x_step(table, d, -sign, a)
+
+
+def div_x_factor(table: dict[int, list[int]], sign: int, a: int, x_trunc: int) -> None:
+    """table /= (1 - sign*x*q^a) in place, modulo x^(x_trunc+1); any a >= 0.
+
+    Ascends in x-degree, so every row read is already divided.
+    """
+    for d in range(min(table, default=x_trunc), x_trunc):
+        if d in table:
+            _x_step(table, d, sign, a)
 
 
 # ---------------------------------------------------------------------------
@@ -226,18 +292,13 @@ def pochhammer(spec: PochhammerSpec, trunc: int) -> QSeries:
     since exponents increase, the loop stops at the first such factor for
     finite and infinite counts alike.
     """
-    coeffs = [0] * (trunc + 1)
-    coeffs[0] = 1
-    sign = spec.sign
+    coeffs = [1] + [0] * trunc
     j = 0
     while spec.count is None or j < spec.count:
         e = spec.base_exp + j * spec.step_exp
         if e > trunc:
             break
-        # in-place multiply by (1 - sign*q^e); descend so lower terms are unread
-        for i in range(trunc - e, -1, -1):
-            if coeffs[i]:
-                coeffs[i + e] -= sign * coeffs[i]
+        mul_factor(coeffs, spec.sign, e)
         j += 1
     return QSeries(trunc, tuple(coeffs))
 
@@ -397,25 +458,6 @@ class XQSeries:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "XQSeries":
-        """Inverse by forward recurrence on x-degree; needs a unit x^0 slice."""
-        a0 = self.slice(0)
-        b0 = a0.inverse()  # raises NonUnitConstantError when not a unit
-        nq = self.q_trunc
-        out: dict[int, QSeries] = {0: b0}
-        higher = [(d, s) for d, s in sorted(self.terms.items()) if d > 0]
-        for n in range(1, self.x_trunc + 1):
-            buf = [0] * (nq + 1)
-            for d, s in higher:
-                if d > n:
-                    break
-                prev = out.get(n - d)
-                if prev is not None:
-                    _mul_into(buf, s.coeffs, prev.coeffs, nq)
-            if any(buf):
-                out[n] = -(b0 * QSeries(nq, tuple(buf)))
-        return XQSeries(self.x_trunc, nq, out)
-
     # -- substitutions ------------------------------------------------------
 
     def substitute_x_power(self, t: int) -> QSeries:
@@ -481,24 +523,12 @@ def xq_pochhammer(sign: int, base_exp: int, step_exp: int, count: int | None,
     if count is not None and count < 0:
         raise ValueError(f"count must be >= 0 or None, got {count}")
 
-    table: dict[int, list[int]] = {0: [0] * (q_trunc + 1)}
-    table[0][0] = 1
+    table = {0: [1] + [0] * q_trunc}
     j = 0
     while count is None or j < count:
         e = base_exp + j * step_exp
         if e > q_trunc:
             break
-        # multiply by (1 - sign*x*q^e): walk x-degrees top-down
-        for deg in sorted(table, reverse=True):
-            if deg >= x_trunc:
-                continue
-            src = table[deg]
-            dst = table.get(deg + 1)
-            if dst is None:
-                dst = [0] * (q_trunc + 1)
-                table[deg + 1] = dst
-            for i in range(q_trunc - e + 1):
-                if src[i]:
-                    dst[i + e] -= sign * src[i]
+        mul_x_factor(table, sign, e, x_trunc)
         j += 1
     return _from_buffers(x_trunc, q_trunc, table)

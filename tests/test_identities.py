@@ -18,9 +18,12 @@ from qrafts.partitions import (
     enumerate_designations,
     enumerate_distinct,
     iter_distinct_parts,
+    iter_gap_parts,
 )
 from qrafts.rafts import enumerate_minimal, enumerate_rafted
 from qrafts.series import QSeries, XQSeries
+
+import product_forms as ref
 
 
 @pytest.mark.parametrize("name", list(REGISTRY))
@@ -160,6 +163,102 @@ class TestCutoffSlack:
     ])
     def test_bivariate_sums(self, build, param):
         assert build(param, 18, 18) == build(param, 18, 18, _slack=2)
+
+
+ORDERS = range(41)
+SLACKS = (0, 1, 3)
+QGAUSS = ((1, 1, 3), (1, 2, 4), (2, 2, 5), (1, 1, 4), (2, 3, 7), (1, 3, 5))
+
+
+class TestAgainstProductForms:
+    """Running-term builders equal their product-built forms in tests/product_forms.py."""
+
+    @pytest.mark.parametrize("build, reference", [
+        (idn.slater19_sum, lambda N: ref.slater_sum(0, 0, N)),
+        (idn.slater15_sum, lambda N: ref.slater_sum(-2, 0, N)),
+        (idn.slater15_alt_sum, lambda N: ref.slater_sum(2, 1, N)),
+        (idn.no_raft_gf, ref.no_raft_gf),
+        *[(lambda N, _slack, k=k: idn.minimal_gf(k, N, _slack),
+           lambda N, k=k: ref.minimal_gf(k, N)) for k in (1, 2, 3)],
+        *[(lambda N, _slack, k=k: idn.rafted_gf(k, N, _slack),
+           lambda N, k=k: ref.rafted_gf(k, N)) for k in (1, 2, 3)],
+        *[(lambda N, _slack, t=t: idn.qgauss_lhs(*t, N, _slack),
+           lambda N, t=t: ref.qgauss_lhs(*t, N)) for t in QGAUSS],
+        *[(lambda N, _slack, k=k: idn.gauss_step_lhs(k, N, _slack),
+           lambda N, k=k: ref.gauss_step_lhs(k, N)) for k in (1, 2, 3)],
+    ], ids=[
+        "slater19_sum", "slater15_sum", "slater15_alt_sum", "no_raft_gf",
+        *[f"minimal_gf-{k}" for k in (1, 2, 3)], *[f"rafted_gf-{k}" for k in (1, 2, 3)],
+        *["qgauss_lhs-{}-{}-{}".format(*t) for t in QGAUSS],
+        *[f"gauss_step_lhs-{k}" for k in (1, 2, 3)],
+    ])
+    def test_univariate(self, build, reference):
+        for N in ORDERS:
+            want = reference(N)
+            for slack in SLACKS:
+                assert build(N, _slack=slack) == want, (N, slack)
+
+    @pytest.mark.parametrize("build, reference", [
+        (idn.master_lhs, ref.master_lhs),
+        (idn.master_rhs, ref.master_rhs),
+        *[(lambda Nx, Nq, _slack, k=k: idn.bmn_gf(k, Nx, Nq, _slack),
+           lambda Nx, Nq, k=k: ref.bmn_gf(k, Nx, Nq)) for k in (2, 3, 4)],
+        *[(lambda Nx, Nq, _slack, d=d: idn.staircase_gf(d, Nx, Nq, _slack),
+           lambda Nx, Nq, d=d: ref.staircase_gf(d, Nx, Nq)) for d in (0, 1, 2, 3)],
+    ], ids=[
+        "master_lhs", "master_rhs", *[f"bmn_gf-{k}" for k in (2, 3, 4)],
+        *[f"staircase_gf-{d}" for d in (0, 1, 2, 3)],
+    ])
+    def test_bivariate(self, build, reference):
+        for N in ORDERS:
+            for Nx in {N, N // 3}:
+                want = reference(Nx, N)
+                for slack in SLACKS:
+                    assert build(Nx, N, _slack=slack) == want, (Nx, N, slack)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_x_refined_minimal(self, k):
+        for N in ORDERS:
+            for Nx in {N, N // 3}:
+                assert idn.minimal_gf_x(k, Nx, N) == ref.minimal_gf_x(k, Nx, N)
+                assert idn.rafted_gf_x(k, Nx, N) == ref.rafted_gf_x(k, Nx, N)
+
+
+CACHED = ("_poch", "_inv_poch", "rr_product", "master_lhs", "_sweep", "d_distinct_xq")
+
+
+def _build_registry(N):
+    for check in REGISTRY.values():
+        args = (N, N) if check.bivariate else (N,)
+        check.lhs(*args)
+        check.rhs(*args)
+
+
+class TestCaches:
+    def test_bounded_and_hold_one_registry_run(self):
+        for N in (8, 12, 16, 20):
+            _build_registry(N)
+            for name in CACHED:
+                info = getattr(idn, name).cache_info()
+                assert info.maxsize is not None, name
+                assert info.currsize <= info.maxsize, name
+        misses = {n: getattr(idn, n).cache_info().misses for n in CACHED}
+        _build_registry(20)
+        assert {n: getattr(idn, n).cache_info().misses for n in CACHED} == misses
+
+    def test_d_distinct_xq_shared_by_both_checks(self):
+        idn.d_distinct_xq.cache_clear()
+        REGISTRY["inclusion-exclusion-2-distinct"].rhs(20)
+        REGISTRY["staircase-d0"].rhs(20, 20)
+        info = idn.d_distinct_xq.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    @pytest.mark.parametrize("d", range(5))
+    def test_d_distinct_q_counts_gap_parts(self, d):
+        want = [0] * 41
+        for parts in iter_gap_parts(40, d):
+            want[sum(parts)] += 1
+        assert idn.d_distinct_q(d, 40).coeffs == tuple(want)
 
 
 class TestCrossWeb:

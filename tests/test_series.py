@@ -1,4 +1,4 @@
-"""Truncated series arithmetic, Pochhammer products, Gaussian binomials."""
+"""Truncated series arithmetic, factor steps, Pochhammer products, Gaussian binomials."""
 
 import math
 
@@ -12,10 +12,17 @@ from qrafts.series import (
     QSeries,
     TruncationMismatchError,
     XQSeries,
+    _from_buffers,
+    div_factor,
+    div_x_factor,
     gaussian_binomial,
+    mul_factor,
+    mul_x_factor,
     pochhammer,
     xq_pochhammer,
 )
+
+from product_forms import xq_inverse
 
 N = 12
 
@@ -74,10 +81,8 @@ class TestQSeriesBasics:
         with pytest.raises(TruncationMismatchError):
             a * b
 
-    def test_shifted_and_truncated(self):
+    def test_truncated(self):
         s = poly(1, 2, 3)
-        assert s.shifted(2).coeffs[:5] == (0, 0, 1, 2, 3)
-        assert s.shifted(0) == s
         t = s.truncated(1)
         assert t.trunc == 1 and t.coeffs == (1, 2)
         with pytest.raises(ValueError):
@@ -204,7 +209,7 @@ class TestGaussianBinomial:
         big = 90
         lhs = gaussian_binomial(n, k, big)
         rhs = gaussian_binomial(n - 1, k - 1, big) \
-            + gaussian_binomial(n - 1, k, big).shifted(k)
+            + gaussian_binomial(n - 1, k, big) * QSeries.monomial(k, big)
         assert lhs == rhs
 
     @given(st.integers(0, 8), st.integers(0, 8))
@@ -261,16 +266,6 @@ class TestXQSeries:
         assert (a * 2).slice(1) == QSeries.monomial(1, 6, 2)
         assert (a * QSeries.monomial(2, 6)).slice(1) == QSeries.monomial(3, 6)
 
-    def test_inverse_roundtrip(self):
-        x = XQSeries.monomial(1, 1, 5, 8)
-        a = XQSeries.one(5, 8) - x + x * x * 3
-        assert a * a.inverse() == XQSeries.one(5, 8)
-        assert a.inverse().inverse() == a
-
-    def test_inverse_needs_unit_slice0(self):
-        with pytest.raises(NonUnitConstantError):
-            XQSeries.monomial(1, 0, 3, 3).inverse()
-
     def test_substitute_x_power(self):
         a = XQSeries.monomial(2, 3, 6, 10) + XQSeries.monomial(1, 1, 6, 10)
         # x -> q^2: x^2 q^3 -> q^7, x q -> q^3
@@ -304,9 +299,12 @@ class TestXQPochhammer:
         assert lhs == rhs
 
     def test_euler_geometric_form(self):
-        # 1/(xq; q)_inf = sum_n x^n q^n / (q;q)_n via the base_exp=0 shift trick
+        # 1/(xq; q)_inf = sum_n x^n q^n / (q;q)_n
         xt, qt = 10, 18
-        lhs = xq_pochhammer(1, 1, 1, None, xt, qt).inverse()
+        table = {0: [1] + [0] * qt}
+        for a in range(1, qt + 1):
+            div_x_factor(table, 1, a, xt)
+        lhs = _from_buffers(xt, qt, table)
         rhs = XQSeries.zero(xt, qt)
         for n in range(min(xt, qt) + 1):
             inv = pochhammer(PochhammerSpec(1, 1, 1, n), qt).inverse()
@@ -349,3 +347,87 @@ def test_xq_mul_matches_bruteforce(xd, qe, terms):
             if 0 <= d - xd <= xt and 0 <= e - qe <= qt:
                 want = b.slice(d - xd).coefficient(e - qe)
             assert prod.slice(d).coefficient(e) == want
+
+
+factor_steps = st.lists(
+    st.tuples(st.sampled_from([1, -1]), st.integers(1, N + 2)), max_size=5)
+
+
+class TestFactorSteps:
+    @given(small_series, factor_steps)
+    def test_mul_then_div_restores(self, a, steps):
+        c = list(a.coeffs)
+        for sign, e in steps:
+            mul_factor(c, sign, e)
+        for sign, e in reversed(steps):
+            div_factor(c, sign, e)
+        assert c == list(a.coeffs)
+
+    @given(small_series, factor_steps)
+    def test_steps_match_series_products(self, a, steps):
+        c = list(a.coeffs)
+        want = a
+        for sign, e in steps:
+            factor = QSeries.one(N) - QSeries.monomial(e, N, sign)
+            mul_factor(c, sign, e)
+            assert c == list((want := want * factor).coeffs)
+        for sign, e in steps:
+            div_factor(c, sign, e)
+            factor = QSeries.one(N) - QSeries.monomial(e, N, sign)
+            assert c == list((want := want * factor.inverse()).coeffs)
+
+    @pytest.mark.parametrize("sign, base, step, count", [
+        (1, 1, 1, None), (-1, 1, 1, None), (1, 2, 2, 4), (-1, 3, 1, 5), (1, 2, 5, None),
+    ])
+    def test_div_matches_pochhammer_inverse(self, sign, base, step, count):
+        c = [1] + [0] * 30
+        j = 0
+        while (count is None or j < count) and base + j * step <= 30:
+            div_factor(c, sign, base + j * step)
+            j += 1
+        spec = PochhammerSpec(sign, base, step, count)
+        assert c == list(pochhammer(spec, 30).inverse().coeffs)
+
+    def test_div_needs_unit_constant(self):
+        with pytest.raises(NonUnitConstantError):
+            div_factor([1, 0, 0], 1, 0)
+        c = [1, 2, 3]
+        mul_factor(c, 1, 0)  # times (1 - 1) is zero, which is fine
+        assert c == [0, 0, 0]
+
+    @pytest.mark.parametrize("sign, base, count", [
+        (-1, 1, None), (1, 1, None), (-1, 0, 4), (1, 2, 3), (-1, 3, None),
+    ])
+    def test_x_steps_match_xq_pochhammer_and_its_inverse(self, sign, base, count):
+        xt, qt = 7, 16
+        prod = xq_pochhammer(sign, base, 1, count, xt, qt)
+        brute = XQSeries.one(xt, qt)
+        mul_table = {0: [1] + [0] * qt}
+        div_table = {0: [1] + [0] * qt}
+        j = 0
+        while (count is None or j < count) and base + j <= qt:
+            e = base + j
+            brute = brute * (XQSeries.one(xt, qt) - XQSeries.monomial(1, e, xt, qt, sign))
+            mul_x_factor(mul_table, sign, e, xt)
+            div_x_factor(div_table, sign, e, xt)
+            j += 1
+        assert _from_buffers(xt, qt, mul_table) == prod == brute
+        inv = _from_buffers(xt, qt, div_table)
+        assert inv == xq_inverse(prod)
+        assert inv * prod == XQSeries.one(xt, qt)
+
+    @settings(max_examples=30)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 8), st.integers(-3, 3)),
+                    max_size=6),
+           st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(0, 10)), max_size=4))
+    def test_x_mul_then_div_restores(self, terms, steps):
+        xt, qt = 4, 8
+        table = {0: [0] * (qt + 1)}
+        for d, e, c in terms:
+            table.setdefault(d, [0] * (qt + 1))[e] += c
+        before = _from_buffers(xt, qt, table)
+        for sign, e in steps:
+            mul_x_factor(table, sign, e, xt)
+        for sign, e in reversed(steps):
+            div_x_factor(table, sign, e, xt)
+        assert _from_buffers(xt, qt, table) == before
