@@ -29,7 +29,6 @@ from .series import (
     QSeries,
     TruncationMismatchError,
     XQSeries,
-    gaussian_binomial,
     pochhammer,
     xq_pochhammer,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "enumerate_minimal",
     "enumerate_rafted",
     "first_difference",
-    "gaussian_binomial",
     "minimal_profile",
     "pochhammer",
     "run_check",

@@ -2,14 +2,18 @@
 
 Every check compares two independently built series to a truncation order and
 reports the first differing coefficient, if any.  Formula sides are truncated
-infinite q-sums.  Every summation index runs through one iterator, ``_upto``,
-which stops where the summand's lowest exponent passes the truncation order.
-Its ``slack`` argument, exposed as each builder's ``_slack`` test hook, runs a
-few indices further so the tests can confirm no retained coefficient changes.
-Each sum keeps one running term as a coefficient list (a table of them when x
-is tracked) and advances it by the summand ratio, term_{i+1} = term_i * ratio,
-in O(N) in-place factor steps from ``series``; ``_add_term`` files each term
-at its x-degree and q-shift.  No summand is rebuilt from full products.
+infinite q-sums and quotients of infinite products, and both are built by
+O(N) in-place factor steps from ``series``: no formula side multiplies or
+inverts a whole series.  ``series._product`` builds a product side as a
+coefficient list, one factor step per factor.  Every summation index runs
+through one iterator, ``_upto``, which stops where the summand's lowest
+exponent passes the truncation order.  Its ``slack`` argument, exposed as
+each builder's ``_slack`` test hook, runs a few indices further so the tests
+can confirm no retained coefficient changes.  Each sum keeps one running term
+as a coefficient list (a table of them when x is tracked), starts it with
+``_product`` where it carries an infinite product, and advances it by the
+summand ratio, term_{i+1} = term_i * ratio; ``_add_term`` files each term at
+its x-degree and q-shift.
 
 Oracle sides are brute-force enumerations of distinct-part partitions.  The
 designation oracles (signed sums, exactly-k-raft counts, no-k-sequence counts)
@@ -36,11 +40,11 @@ from .series import (
     XQSeries,
     _add_shifted,
     _from_buffers,
+    _product,
+    _x_product,
     div_factor,
     div_x_factor,
     mul_factor,
-    pochhammer,
-    xq_pochhammer,
 )
 
 __all__ = [
@@ -62,27 +66,18 @@ def _b2(a: int) -> int:
     return a * (a - 1) // 2
 
 
+def _unit(trunc: int) -> list[int]:
+    return [1] + [0] * trunc
+
+
 # ---------------------------------------------------------------------------
-# cached product sides
+# product sides
 
 
-@lru_cache(maxsize=64)
-def _poch(sign: int, base: int, step: int, count: int | None, trunc: int) -> QSeries:
-    return pochhammer(PochhammerSpec(sign, base, step, count), trunc)
-
-
-@lru_cache(maxsize=16)
-def _inv_poch(sign: int, base: int, step: int, count: int | None, trunc: int) -> QSeries:
-    return _poch(sign, base, step, count, trunc).inverse()
-
-
-@lru_cache(maxsize=8)
 def rr_product(residues: tuple[int, ...], modulus: int, trunc: int) -> QSeries:
     """1 / prod_{r in residues} (q^r; q^modulus)_inf."""
-    prod = QSeries.one(trunc)
-    for r in residues:
-        prod = prod * _poch(1, r, modulus, None, trunc)
-    return prod.inverse()
+    den = [PochhammerSpec(1, r, modulus) for r in residues]
+    return QSeries(trunc, tuple(_product(trunc, den=den)))
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +102,6 @@ def _upto(past_cutoff: Callable[[int], bool], slack: int = 0) -> Iterator[int]:
         yield i
 
 
-def _unit(trunc: int) -> list[int]:
-    return [1] + [0] * trunc
-
-
-def _table(series: XQSeries) -> dict[int, list[int]]:
-    """A bivariate series as a mutable x-degree -> coefficient list table."""
-    return {d: list(s.coeffs) for d, s in series.terms.items()}
-
-
 def _add_term(acc: dict[int, list[int]], x_trunc: int, xd: int, e: int, sign: int,
               term: list[int]) -> None:
     """acc[xd] += sign * q^e * term, keeping nothing past either truncation."""
@@ -138,7 +124,7 @@ def _slater_sum(shift: int, extra_len: int, trunc: int, slack: int) -> QSeries:
     (-q^(2j+extra_len+1);q)_inf / (q^2;q^2)_j.
     """
     total = [0] * (trunc + 1)
-    term = list(_poch(-1, extra_len + 1, 1, None, trunc).coeffs)
+    term = _product(trunc, [PochhammerSpec(-1, extra_len + 1, 1)])
     for j in _upto(lambda j: 3 * j * j + shift * j > trunc, slack):
         if j:
             div_factor(term, -1, 2 * j - 1 + extra_len)
@@ -175,12 +161,6 @@ def minimal_exponent(k: int, m: int) -> int:
     return _b2(3 * k + m) - 3 * _b2(k) - m * (k - 1)
 
 
-def _minimal_step(row: list[int], k: int, m: int) -> None:
-    """[m+k-2 choose k-1]_q -> [m+k-1 choose k-1]_q on a running term."""
-    mul_factor(row, 1, m + k - 1)
-    div_factor(row, 1, m)
-
-
 def minimal_gf(k: int, trunc: int, _slack: int = 0) -> QSeries:
     """Generating function of minimal k-raft configurations by weight.
 
@@ -191,34 +171,30 @@ def minimal_gf(k: int, trunc: int, _slack: int = 0) -> QSeries:
     if k < 1:
         raise ValueError(f"raft count must be >= 1, got {k}")
     total = [0] * (trunc + 1)
-    term = list(_poch(-1, 3 * k + 1, 1, None, trunc).coeffs)
+    term = _product(trunc, [PochhammerSpec(-1, 3 * k + 1, 1)])
     for m in _upto(lambda m: minimal_exponent(k, m) > trunc, _slack):
         if m:
-            _minimal_step(term, k, m)
+            mul_factor(term, 1, m + k - 1)  # [m+k-2 choose k-1] -> [m+k-1 choose k-1]
+            div_factor(term, 1, m)
             div_factor(term, -1, 3 * k + m)
         _add_shifted(total, term, 1, minimal_exponent(k, m))
     return QSeries(trunc, tuple(total))
 
 
-def _over_q2q2(row: list[int], k: int) -> list[int]:
-    """row / (q^2;q^2)_k in place; returns row."""
-    for i in range(1, k + 1):
-        div_factor(row, 1, 2 * i)
-    return row
-
-
 def rafted_gf(k: int, trunc: int, _slack: int = 0) -> QSeries:
     """Generating function of all k-raft configurations: minimal_gf / (q^2;q^2)_k."""
-    return QSeries(trunc, tuple(_over_q2q2(list(minimal_gf(k, trunc, _slack).coeffs), k)))
+    row = list(minimal_gf(k, trunc, _slack).coeffs)
+    for i in range(1, k + 1):
+        div_factor(row, 1, 2 * i)
+    return QSeries(trunc, tuple(row))
 
 
 def no_raft_gf(trunc: int, _slack: int = 0) -> QSeries:
     """(-q;q)_inf + sum_{k>=1} (-1)^k rafted_gf(k): the signed designation sum."""
-    total = _poch(-1, 1, 1, None, trunc)  # the k = 0 term
+    total = _product(trunc, [PochhammerSpec(-1, 1, 1)])  # the k = 0 term
     for k in islice(_upto(lambda k: 3 * k * k > trunc, _slack), 1, None):
-        term = rafted_gf(k, trunc, _slack)
-        total = total + (-term if k % 2 else term)
-    return total
+        _add_shifted(total, rafted_gf(k, trunc, _slack).coeffs, -1 if k % 2 else 1, 0)
+    return QSeries(trunc, tuple(total))
 
 
 def qgauss_lhs(a_exp: int, b_exp: int, c_exp: int, trunc: int, _slack: int = 0) -> QSeries:
@@ -240,9 +216,9 @@ def qgauss_lhs(a_exp: int, b_exp: int, c_exp: int, trunc: int, _slack: int = 0) 
 
 def qgauss_rhs(a_exp: int, b_exp: int, c_exp: int, trunc: int) -> QSeries:
     """(q^(C-A);q)_inf (q^(C-B);q)_inf / ((q^C;q)_inf (q^(C-A-B);q)_inf)."""
-    gap = c_exp - a_exp - b_exp
-    num = _poch(1, c_exp - a_exp, 1, None, trunc) * _poch(1, c_exp - b_exp, 1, None, trunc)
-    return num * _inv_poch(1, c_exp, 1, None, trunc) * _inv_poch(1, gap, 1, None, trunc)
+    num = [PochhammerSpec(1, c_exp - a_exp, 1), PochhammerSpec(1, c_exp - b_exp, 1)]
+    den = [PochhammerSpec(1, c_exp, 1), PochhammerSpec(1, c_exp - a_exp - b_exp, 1)]
+    return QSeries(trunc, tuple(_product(trunc, num, den)))
 
 
 def gauss_step_lhs(k: int, trunc: int, _slack: int = 0) -> QSeries:
@@ -262,7 +238,9 @@ def gauss_step_lhs(k: int, trunc: int, _slack: int = 0) -> QSeries:
 
 def gauss_step_rhs(k: int, trunc: int) -> QSeries:
     """(-q^(2k+1);q)_inf / (-q^(3k+1);q)_inf."""
-    return _poch(-1, 2 * k + 1, 1, None, trunc) * _inv_poch(-1, 3 * k + 1, 1, None, trunc)
+    num = [PochhammerSpec(-1, 2 * k + 1, 1)]
+    den = [PochhammerSpec(-1, 3 * k + 1, 1)]
+    return QSeries(trunc, tuple(_product(trunc, num, den)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +254,7 @@ def master_lhs(x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSeries:
     The prefactor cancels each denominator's head, so the running term is
     (-xq^(2k+1);q)_inf / (q^2;q^2)_k.
     """
-    term = _table(xq_pochhammer(-1, 1, 1, None, x_trunc, q_trunc))
+    term = _x_product(-1, 1, 1, None, x_trunc, q_trunc)  # the k = 0 term, (-xq;q)_inf
     acc: dict[int, list[int]] = {}
     for k in _upto(lambda k: 3 * k * k > q_trunc or 2 * k > x_trunc, _slack):
         if k:
@@ -370,31 +348,6 @@ def staircase_gf(d: int, x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSerie
                     div_factor(term, 1, m)
                 _add_term(acc, x_trunc, n + 2 * k + m, q_exp(n, k, m),
                           -1 if (k + m) % 2 else 1, term)
-    return _from_buffers(x_trunc, q_trunc, acc)
-
-
-def minimal_gf_x(k: int, x_trunc: int, q_trunc: int) -> XQSeries:
-    """Minimal-configuration sum with x marking the number of parts:
-    sum_m x^(2k+m) q^minimal_exponent(k,m) [m+k-1 choose k-1]_q (-xq^(3k+m+1);q)_inf."""
-    if k < 1:
-        raise ValueError(f"raft count must be >= 1, got {k}")
-    term = _table(xq_pochhammer(-1, 3 * k + 1, 1, None, x_trunc, q_trunc))
-    acc: dict[int, list[int]] = {}
-    for m in _upto(lambda m: minimal_exponent(k, m) > q_trunc):
-        if m:
-            div_x_factor(term, -1, 3 * k + m, x_trunc)
-            for row in term.values():
-                _minimal_step(row, k, m)
-        for d, row in term.items():
-            _add_term(acc, x_trunc, 2 * k + m + d, minimal_exponent(k, m), 1, row)
-    return _from_buffers(x_trunc, q_trunc, acc)
-
-
-def rafted_gf_x(k: int, x_trunc: int, q_trunc: int) -> XQSeries:
-    """All k-raft configurations, x marking parts (moves preserve the count)."""
-    acc = _table(minimal_gf_x(k, x_trunc, q_trunc))
-    for row in acc.values():
-        _over_q2q2(row, k)
     return _from_buffers(x_trunc, q_trunc, acc)
 
 

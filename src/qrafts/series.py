@@ -23,8 +23,7 @@ a full series product costs O(N^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 __all__ = [
     "QSeries",
@@ -32,7 +31,6 @@ __all__ = [
     "PochhammerSpec",
     "pochhammer",
     "xq_pochhammer",
-    "gaussian_binomial",
     "mul_factor",
     "div_factor",
     "mul_x_factor",
@@ -285,51 +283,33 @@ class PochhammerSpec:
             raise ValueError(f"count must be >= 0 or None, got {self.count}")
 
 
-def pochhammer(spec: PochhammerSpec, trunc: int) -> QSeries:
-    """Evaluate a PochhammerSpec modulo q^(trunc+1).
+def _exponents(base: int, step: int, count: int | None, trunc: int) -> range:
+    """Exponents base + j*step, j < count (every j if count is None), up to trunc.
 
-    Factors whose exponent exceeds the truncation are 1 modulo q^(trunc+1);
-    since exponents increase, the loop stops at the first such factor for
-    finite and infinite counts alike.
+    Exponents increase, so every later factor is 1 modulo q^(trunc+1) and the
+    stopping rule loses nothing, for finite and infinite counts alike.
     """
-    coeffs = [1] + [0] * trunc
-    j = 0
-    while spec.count is None or j < spec.count:
-        e = spec.base_exp + j * spec.step_exp
-        if e > trunc:
-            break
-        mul_factor(coeffs, spec.sign, e)
-        j += 1
-    return QSeries(trunc, tuple(coeffs))
+    stop = trunc + 1 if count is None else min(trunc + 1, base + count * step)
+    return range(base, stop, step)
 
 
-# ---------------------------------------------------------------------------
-# Gaussian binomial coefficients
+def _product(trunc: int, num: Sequence[PochhammerSpec] = (),
+             den: Sequence[PochhammerSpec] = ()) -> list[int]:
+    """prod(num) / prod(den) as a coefficient list modulo q^(trunc+1).
+
+    Each family is a PochhammerSpec; one in-place factor step per factor.
+    """
+    c = [1] + [0] * trunc
+    for families, apply in ((num, mul_factor), (den, div_factor)):
+        for f in families:
+            for a in _exponents(f.base_exp, f.step_exp, f.count, trunc):
+                apply(c, f.sign, a)
+    return c
 
 
-@lru_cache(maxsize=None)
-def _gauss_coeffs(n: int, k: int) -> tuple[int, ...]:
-    """Exact coefficient tuple of the Gaussian binomial [n choose k]_q."""
-    if k < 0 or k > n:
-        return (0,)
-    k = min(k, n - k)  # symmetry keeps the cache small
-    if k == 0:
-        return (1,)
-    a = _gauss_coeffs(n - 1, k - 1)
-    b = _gauss_coeffs(n - 1, k)  # enters shifted by q^k
-    out = [0] * (k * (n - k) + 1)
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i + k] += c
-    return tuple(out)
-
-
-def gaussian_binomial(n: int, k: int, trunc: int) -> QSeries:
-    """[n choose k]_q as a QSeries; zero when k < 0 or k > n."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return QSeries.from_coeffs(_gauss_coeffs(n, k), trunc)
+def pochhammer(spec: PochhammerSpec, trunc: int) -> QSeries:
+    """Evaluate a PochhammerSpec modulo q^(trunc+1)."""
+    return QSeries(trunc, tuple(_product(trunc, [spec])))
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +488,15 @@ def _from_buffers(x_trunc: int, q_trunc: int, acc: Mapping[int, list[int]]) -> X
                     {d: QSeries(q_trunc, tuple(buf)) for d, buf in acc.items()})
 
 
+def _x_product(sign: int, base: int, step: int, count: int | None,
+               x_trunc: int, q_trunc: int) -> dict[int, list[int]]:
+    """prod_j (1 - sign*x*q^(base + j*step)) as an x-degree -> list table."""
+    table = {0: [1] + [0] * q_trunc}
+    for a in _exponents(base, step, count, q_trunc):
+        mul_x_factor(table, sign, a, x_trunc)
+    return table
+
+
 def xq_pochhammer(sign: int, base_exp: int, step_exp: int, count: int | None,
                   x_trunc: int, q_trunc: int) -> XQSeries:
     """Product of factors (1 - sign * x * q^(base_exp + j*step_exp)).
@@ -522,13 +511,5 @@ def xq_pochhammer(sign: int, base_exp: int, step_exp: int, count: int | None,
         raise ValueError("need base_exp >= 0 and step_exp >= 1")
     if count is not None and count < 0:
         raise ValueError(f"count must be >= 0 or None, got {count}")
-
-    table = {0: [1] + [0] * q_trunc}
-    j = 0
-    while count is None or j < count:
-        e = base_exp + j * step_exp
-        if e > q_trunc:
-            break
-        mul_x_factor(table, sign, e, x_trunc)
-        j += 1
-    return _from_buffers(x_trunc, q_trunc, table)
+    return _from_buffers(x_trunc, q_trunc,
+                         _x_product(sign, base_exp, step_exp, count, x_trunc, q_trunc))

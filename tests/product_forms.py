@@ -1,33 +1,79 @@
 """Reference forms of the formula builders, built from full series products.
 
-Each function evaluates the same truncated sum as its namesake in
+Each function evaluates the same truncated sum or product as its namesake in
 ``qrafts.identities``, but builds every summand from whole Pochhammer
 products, their inverses and a monomial shift, then multiplies them out.
-That is O(N^2) work per summand where the library steps one running term by
-O(N) factor steps, so these serve only as the tests' reference.  Every sum
-runs to its own cutoff, independent of ``identities._upto``.
+That is O(N^2) work per summand or factor where the library steps one
+coefficient list by O(N) factor steps, so these serve only as the tests'
+reference.  Every sum runs to its own cutoff, independent of
+``identities._upto``, and every Pochhammer product is multiplied out here one
+binomial factor at a time, independent of ``series``' factor steps and their
+stopping rule.  The Gaussian binomials behind ``minimal_gf`` are built here by
+the q-Pascal recurrence.
 """
 
-from qrafts.series import (
-    PochhammerSpec,
-    QSeries,
-    XQSeries,
-    gaussian_binomial,
-    pochhammer,
-    xq_pochhammer,
-)
+from functools import lru_cache
+
+from qrafts.series import QSeries, XQSeries
 
 
 def _b2(a):
     return a * (a - 1) // 2
 
 
+def _exps(base, step, count, trunc):
+    j = 0
+    while (count is None or j < count) and base + j * step <= trunc:
+        yield base + j * step
+        j += 1
+
+
+@lru_cache(maxsize=None)
 def _poch(sign, base, step, count, trunc):
-    return pochhammer(PochhammerSpec(sign, base, step, count), trunc)
+    """prod_j (1 - sign*q^(base + j*step)), multiplied out factor by factor."""
+    prod = QSeries.one(trunc)
+    for a in _exps(base, step, count, trunc):
+        prod = (QSeries.one(trunc) - QSeries.monomial(a, trunc, sign)) * prod
+    return prod
 
 
+def _xq_poch(sign, base, step, count, x_trunc, q_trunc):
+    """prod_j (1 - sign*x*q^(base + j*step)), multiplied out factor by factor."""
+    one = XQSeries.one(x_trunc, q_trunc)
+    prod = one
+    for a in _exps(base, step, count, q_trunc):
+        prod = (one - XQSeries.monomial(1, a, x_trunc, q_trunc, sign)) * prod
+    return prod
+
+
+@lru_cache(maxsize=None)
 def _inv_poch(sign, base, step, count, trunc):
     return _poch(sign, base, step, count, trunc).inverse()
+
+
+@lru_cache(maxsize=None)
+def _gauss_coeffs(n, k):
+    """Exact coefficient tuple of the Gaussian binomial [n choose k]_q."""
+    if k < 0 or k > n:
+        return (0,)
+    k = min(k, n - k)  # symmetry keeps the cache small
+    if k == 0:
+        return (1,)
+    a = _gauss_coeffs(n - 1, k - 1)
+    b = _gauss_coeffs(n - 1, k)  # enters shifted by q^k
+    out = [0] * (k * (n - k) + 1)
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i + k] += c
+    return tuple(out)
+
+
+def gaussian_binomial(n, k, trunc):
+    """[n choose k]_q as a QSeries; zero when k < 0 or k > n."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return QSeries.from_coeffs(_gauss_coeffs(n, k), trunc)
 
 
 def xq_inverse(a: XQSeries) -> XQSeries:
@@ -42,6 +88,13 @@ def xq_inverse(a: XQSeries) -> XQSeries:
         if not acc.is_zero():
             out[n] = -(b0 * acc)
     return XQSeries(a.x_trunc, a.q_trunc, out)
+
+
+def rr_product(residues, modulus, trunc):
+    prod = QSeries.one(trunc)
+    for r in residues:
+        prod = prod * _poch(1, r, modulus, None, trunc)
+    return prod.inverse()
 
 
 def slater_sum(shift, extra_len, trunc):
@@ -96,6 +149,12 @@ def qgauss_lhs(a_exp, b_exp, c_exp, trunc):
     return total
 
 
+def qgauss_rhs(a_exp, b_exp, c_exp, trunc):
+    gap = c_exp - a_exp - b_exp
+    num = _poch(1, c_exp - a_exp, 1, None, trunc) * _poch(1, c_exp - b_exp, 1, None, trunc)
+    return num * _inv_poch(1, c_exp, 1, None, trunc) * _inv_poch(1, gap, 1, None, trunc)
+
+
 def gauss_step_lhs(k, trunc):
     total = QSeries.zero(trunc)
     m = 0
@@ -107,16 +166,20 @@ def gauss_step_lhs(k, trunc):
     return total
 
 
+def gauss_step_rhs(k, trunc):
+    return _poch(-1, 2 * k + 1, 1, None, trunc) * _inv_poch(-1, 3 * k + 1, 1, None, trunc)
+
+
 def master_lhs(x_trunc, q_trunc):
     total = XQSeries.zero(x_trunc, q_trunc)
     k = 0
     while 3 * k * k <= q_trunc and 2 * k <= x_trunc:
         term = XQSeries.monomial(2 * k, 3 * k * k, x_trunc, q_trunc) \
             * _inv_poch(1, 2, 2, k, q_trunc) \
-            * xq_inverse(xq_pochhammer(-1, 1, 1, 2 * k, x_trunc, q_trunc))
+            * xq_inverse(_xq_poch(-1, 1, 1, 2 * k, x_trunc, q_trunc))
         total = total + (-term if k % 2 else term)
         k += 1
-    return xq_pochhammer(-1, 1, 1, None, x_trunc, q_trunc) * total
+    return _xq_poch(-1, 1, 1, None, x_trunc, q_trunc) * total
 
 
 def master_rhs(x_trunc, q_trunc):
@@ -173,18 +236,3 @@ def staircase_gf(d, x_trunc, q_trunc):
             k += 1
         n += 1
     return total
-
-
-def minimal_gf_x(k, x_trunc, q_trunc):
-    total = XQSeries.zero(x_trunc, q_trunc)
-    m = 0
-    while minimal_exponent(k, m) <= q_trunc:
-        total = total + XQSeries.monomial(2 * k + m, minimal_exponent(k, m), x_trunc, q_trunc) \
-            * gaussian_binomial(m + k - 1, k - 1, q_trunc) \
-            * xq_pochhammer(-1, 3 * k + m + 1, 1, None, x_trunc, q_trunc)
-        m += 1
-    return total
-
-
-def rafted_gf_x(k, x_trunc, q_trunc):
-    return minimal_gf_x(k, x_trunc, q_trunc) * _inv_poch(1, 2, 2, k, q_trunc)

@@ -67,11 +67,14 @@ class TestFrozenValues:
 
     def test_minimal_exponent(self):
         assert [idn.minimal_exponent(k, 0) for k in (1, 2, 3)] == [3, 12, 27]
-        for k in (1, 2, 3):
-            diffs = [idn.minimal_exponent(k, m + 1) - idn.minimal_exponent(k, m)
-                     for m in range(8)]
+        # no_raft_gf stops at 3k^2 > N and minimal_gf at the first m past N:
+        # both rely on minimal_exponent(k, m) >= 3k^2, increasing in m
+        for k in range(1, 7):
+            exps = [idn.minimal_exponent(k, m) for m in range(61)]
+            assert all(e >= 3 * k * k for e in exps)
+            diffs = [b - a for a, b in zip(exps, exps[1:])]
             assert all(d > 0 for d in diffs)
-            assert diffs == [2 * k + m + 1 for m in range(8)]
+            assert diffs == [2 * k + m + 1 for m in range(60)]
 
     def test_gf_leading_terms(self):
         for k in (1, 2, 3):
@@ -216,15 +219,24 @@ class TestAgainstProductForms:
                 for slack in SLACKS:
                     assert build(Nx, N, _slack=slack) == want, (Nx, N, slack)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_x_refined_minimal(self, k):
+    @pytest.mark.parametrize("build, reference", [
+        *[(lambda N, r=r: idn.rr_product(r, 5, N),
+           lambda N, r=r: ref.rr_product(r, 5, N)) for r in ((1, 4), (2, 3))],
+        *[(lambda N, t=t: idn.qgauss_rhs(*t, N),
+           lambda N, t=t: ref.qgauss_rhs(*t, N)) for t in QGAUSS],
+        *[(lambda N, k=k: idn.gauss_step_rhs(k, N),
+           lambda N, k=k: ref.gauss_step_rhs(k, N)) for k in (1, 2, 3)],
+    ], ids=[
+        "rr_product-1-4", "rr_product-2-3",
+        *["qgauss_rhs-{}-{}-{}".format(*t) for t in QGAUSS],
+        *[f"gauss_step_rhs-{k}" for k in (1, 2, 3)],
+    ])
+    def test_product_sides(self, build, reference):
         for N in ORDERS:
-            for Nx in {N, N // 3}:
-                assert idn.minimal_gf_x(k, Nx, N) == ref.minimal_gf_x(k, Nx, N)
-                assert idn.rafted_gf_x(k, Nx, N) == ref.rafted_gf_x(k, Nx, N)
+            assert build(N) == reference(N), N
 
 
-CACHED = ("_poch", "_inv_poch", "rr_product", "master_lhs", "_sweep", "d_distinct_xq")
+CACHED = ("master_lhs", "_sweep", "d_distinct_xq")
 
 
 def _build_registry(N):
@@ -292,35 +304,11 @@ class TestCrossWeb:
             assert all(c == 0 for c in s.coeffs[: n * n])
             assert s.coefficient(n * n) == 1
 
-    def test_x_refined_rafted(self):
-        N = 22
-        for k in (1, 2):
-            acc = {}
-            for rp in enumerate_rafted(k, N):
-                d = len(rp.partition.parts)
-                acc.setdefault(d, [0] * (N + 1))[rp.weight] += 1
-            want = XQSeries(N, N, {d: QSeries(N, tuple(b)) for d, b in acc.items()})
-            assert idn.rafted_gf_x(k, N, N) == want
 
-    def test_x_refined_minimal(self):
-        N = 22
-        for k in (1, 2):
-            acc = {}
-            for rp in enumerate_minimal(k, N):
-                d = len(rp.partition.parts)
-                acc.setdefault(d, [0] * (N + 1))[rp.weight] += 1
-            want = XQSeries(N, N, {d: QSeries(N, tuple(b)) for d, b in acc.items()})
-            assert idn.minimal_gf_x(k, N, N) == want
-
-
-# Each side of a bivariate check, and the x-refined raft sums, keyed by name.
-X_SIDES = {
-    **{f"{name}-{side}": getattr(check, side)
-       for name, check in REGISTRY.items() if check.bivariate
-       for side in ("lhs", "rhs")},
-    **{f"{f.__name__}-k{k}": (lambda Nx, Nq, f=f, k=k: f(k, Nx, Nq))
-       for f in (idn.minimal_gf_x, idn.rafted_gf_x) for k in (1, 2, 3)},
-}
+# Each side of a bivariate check, keyed by name.
+X_SIDES = {f"{name}-{side}": getattr(check, side)
+           for name, check in REGISTRY.items() if check.bivariate
+           for side in ("lhs", "rhs")}
 
 
 @pytest.mark.parametrize("side", list(X_SIDES))

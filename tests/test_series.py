@@ -1,4 +1,5 @@
-"""Truncated series arithmetic, factor steps, Pochhammer products, Gaussian binomials."""
+"""Truncated series arithmetic, factor steps, Pochhammer products, and the tests'
+Gaussian-binomial reference."""
 
 import math
 
@@ -15,14 +16,13 @@ from qrafts.series import (
     _from_buffers,
     div_factor,
     div_x_factor,
-    gaussian_binomial,
     mul_factor,
     mul_x_factor,
     pochhammer,
     xq_pochhammer,
 )
 
-from product_forms import xq_inverse
+from product_forms import gaussian_binomial, xq_inverse
 
 N = 12
 
