@@ -15,12 +15,11 @@ as a coefficient list (a table of them when x is tracked), starts it with
 summand ratio, term_{i+1} = term_i * ratio; ``_add_term`` files each term at
 its x-degree and q-shift.
 
-Oracle sides are brute-force enumerations of distinct-part partitions.  The
-designation oracles (signed sums, exactly-k-raft counts, no-k-sequence counts)
-share one sweep per truncation order, cached per process.  It counts the
-partitions by number of eligible rafts and by (longest run, number of parts),
-so each oracle is a sum over those counts, with binomial weights for the
-designations, for any raft count or run length.
+Oracle sides count partitions into distinct parts from their definitions,
+by one transfer-matrix walk, ``_walk``, over the 0/1 word that says which of
+1..N are parts, with one small transition per family.  The walk does its own
+list arithmetic and takes only the containers from ``series``, so no oracle
+shares code with a formula side.
 """
 
 from __future__ import annotations
@@ -29,11 +28,8 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice
-from math import comb
 from typing import Callable, Iterator
 
-from .partitions import iter_distinct_parts, iter_gap_parts
-from .rafts import enumerate_minimal
 from .series import (
     PochhammerSpec,
     QSeries,
@@ -352,118 +348,121 @@ def staircase_gf(d: int, x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSerie
 
 
 # ---------------------------------------------------------------------------
-# enumeration oracles
+# enumeration oracles: one transfer-matrix walk
+
+
+def _walk(n: int, start, step) -> dict:
+    """Count the 0/1 words over positions 1..n by final state and weight.
+
+    A word says which of 1..n are parts; a 1 at position p adds p to the
+    weight.  ``step(state, taken)`` lists the (next state, multiplier) pairs
+    of one letter, and an empty list refuses the word.  One more 0 after
+    position n, of no weight, closes the last open run.  Returns the counts
+    by weight 0..n of every final state with a nonzero count.
+    """
+    layer = {start: [1] + [0] * n}
+    for p in range(1, n + 2):
+        nxt: dict = {}
+        for state, counts in layer.items():
+            for taken in (False, True) if p <= n else (False,):
+                for new, mult in step(state, taken):
+                    buf = nxt.setdefault(new, [0] * (n + 1))
+                    lo = p if taken else 0
+                    buf[lo:] = [a + mult * c for a, c in zip(buf[lo:], counts)]
+        layer = {s: c for s, c in nxt.items() if any(c)}
+    return layer
+
+
+def _q(trunc: int, layer: dict, keep=lambda state: True) -> QSeries:
+    """The walk's counts summed over the final states that ``keep`` accepts."""
+    lists = [c for s, c in layer.items() if keep(s)]
+    return QSeries(trunc, tuple(map(sum, zip([0] * (trunc + 1), *lists))))
+
+
+def _xq(x_trunc: int, q_trunc: int, layer: dict) -> XQSeries:
+    """The walk's counts by (part count, weight); the part count ends each state."""
+    return XQSeries(x_trunc, q_trunc, {x: _q(q_trunc, layer, lambda s, x=x: s[-1] == x)
+                                       for x in {s[-1] for s in layer}})
+
+
+def _gap_walk(d: int, x_trunc: int, q_trunc: int) -> dict:
+    """Part gaps >= d; the state is (distance since the last part, capped at d; parts)."""
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
+
+    def step(state, taken):
+        dist, parts = state
+        if taken:
+            return [((1, parts + 1), 1)] if dist == d and parts < x_trunc else []
+        return [((min(dist + 1, d), parts), 1)]
+
+    return _walk(q_trunc, (d, 0), step)
 
 
 def d_distinct_q(d: int, trunc: int) -> QSeries:
-    """Count of partitions with part gaps >= d, by weight (brute force)."""
-    return d_distinct_xq(d, trunc, trunc).substitute_x_power(0)
+    """Count of partitions with part gaps >= d, by weight."""
+    return _q(trunc, _gap_walk(d, trunc, trunc))
 
 
-@lru_cache(maxsize=4)
 def d_distinct_xq(d: int, x_trunc: int, q_trunc: int) -> XQSeries:
-    """Gap->=d partitions by (number of parts, weight), brute force.
+    """Partitions with part gaps >= d, by (number of parts, weight)."""
+    return _xq(x_trunc, q_trunc, _gap_walk(d, x_trunc, q_trunc))
 
-    Cached, so ``d_distinct_q`` and the staircase check at one order share
-    one enumeration.
+
+def no_kseq_oracle(k: int, x_trunc: int, q_trunc: int) -> XQSeries:
+    """Partitions with no run of length >= k, by (part count, weight).
+
+    The state is (open run length; part count); a part that would make the
+    run reach length k is refused.
     """
-    acc: dict[int, list[int]] = {}
-    for parts in iter_gap_parts(q_trunc, d):
-        xd = len(parts)
-        if xd > x_trunc:
-            continue
-        buf = acc.get(xd)
-        if buf is None:
-            buf = acc[xd] = [0] * (q_trunc + 1)
-        buf[sum(parts)] += 1
-    return _from_buffers(x_trunc, q_trunc, acc)
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+
+    def step(state, taken):
+        run, parts = state
+        if taken:
+            return [((run + 1, parts + 1), 1)] if run + 1 < k and parts < x_trunc else []
+        return [((0, parts), 1)]
+
+    return _xq(x_trunc, q_trunc, _walk(q_trunc, (0, 0), step))
+
+
+def _designation_walk(k: int, trunc: int, minimal: bool = False, sign: int = 1) -> dict:
+    """Designations of at most k rafts, each weighted sign^(number of rafts).
+
+    The state is (open run length, capped at 2; anchored; rafts so far).  A
+    run of length >= 2 may be designated as it closes, if it is anchored.
+    With ``minimal`` a run is anchored when it starts at 1, or exactly one
+    missing part above a designated run: where ``RaftedPartition.can_backward``
+    refuses the raft's move.  Otherwise every run is anchored.  With no run
+    open, the flag says whether a run starting at the next position would be.
+    """
+    def step(state, taken):
+        run, anchored, rafts = state
+        if taken:
+            return [((min(run + 1, 2), anchored, rafts), 1)]
+        out = [((0, not minimal, rafts), 1)]
+        if run == 2 and anchored and rafts < k:
+            out.append(((0, True, rafts + 1), sign))
+        return out
+
+    return _walk(trunc, (0, True, 0), step)
 
 
 def minimal_oracle(k: int, trunc: int) -> QSeries:
-    """Weight series of enumerate_minimal(k): the constructive enumeration."""
-    buf = [0] * (trunc + 1)
-    for rp in enumerate_minimal(k, trunc):
-        buf[rp.weight] += 1
-    return QSeries(trunc, tuple(buf))
-
-
-@lru_cache(maxsize=3)
-def _sweep(q_trunc: int):
-    """One pass over all distinct-part partitions of weight <= q_trunc.
-
-    Files each partition's weight under R, its number of eligible rafts (runs
-    of length >= 2), and under (longest run, number of parts).  A partition
-    with R eligible rafts has comb(R, j) designations of j rafts, so every
-    designation oracle is a binomial sum over the R buckets; no designation
-    is listed.  Pure enumeration: no q-series algebra is involved.
-    """
-    n1 = q_trunc + 1
-    by_rafts: dict[int, list[int]] = {}
-    by_run: dict[tuple[int, int], list[int]] = {}
-    for parts in iter_distinct_parts(q_trunc):
-        w = sum(parts)
-        runlen = 0
-        maxrun = 0
-        big_runs = 0
-        prev = -1  # parts are >= 1, so the first part opens a run
-        for p in parts:
-            if p == prev + 1:
-                runlen += 1
-            else:
-                if runlen >= 2:
-                    big_runs += 1
-                if runlen > maxrun:
-                    maxrun = runlen
-                runlen = 1
-            prev = p
-        if runlen >= 2:
-            big_runs += 1
-        if runlen > maxrun:
-            maxrun = runlen
-        buf = by_rafts.get(big_runs)
-        if buf is None:
-            buf = by_rafts[big_runs] = [0] * n1
-        buf[w] += 1
-        key = (maxrun, len(parts))
-        buf = by_run.get(key)
-        if buf is None:
-            buf = by_run[key] = [0] * n1
-        buf[w] += 1
-    return by_rafts, by_run
-
-
-def _designation_sum(weight: Callable[[int], int], trunc: int) -> QSeries:
-    """sum_R weight(R) * (partitions with R eligible rafts), by weight."""
-    out = [0] * (trunc + 1)
-    for r, counts in _sweep(trunc)[0].items():
-        c = weight(r)
-        if c:
-            for w, n in enumerate(counts):
-                if n:
-                    out[w] += c * n
-    return QSeries(trunc, tuple(out))
-
-
-def signed_designation_oracle(trunc: int) -> QSeries:
-    """sum over partitions and designations of (-1)^(number of rafts) q^weight."""
-    return _designation_sum(
-        lambda r: sum((-1) ** j * comb(r, j) for j in range(r + 1)), trunc)
+    """Minimal k-raft configurations by weight, counted from the definition."""
+    return _q(trunc, _designation_walk(k, trunc, minimal=True), lambda s: s[2] == k)
 
 
 def rafted_oracle(k: int, trunc: int) -> QSeries:
     """Count of designations with exactly k rafts, by weight."""
-    return _designation_sum(lambda r: comb(r, k), trunc)
+    return _q(trunc, _designation_walk(k, trunc), lambda s: s[2] == k)
 
 
-def no_kseq_oracle(k: int, x_trunc: int, q_trunc: int) -> XQSeries:
-    """Partitions with no run of length >= k, by (part count, weight)."""
-    acc: dict[int, list[int]] = {}
-    for (longest, length), counts in _sweep(q_trunc)[1].items():
-        if longest < k and length <= x_trunc:
-            buf = acc.setdefault(length, [0] * (q_trunc + 1))
-            for w, n in enumerate(counts):
-                buf[w] += n
-    return _from_buffers(x_trunc, q_trunc, acc)
+def signed_designation_oracle(trunc: int) -> QSeries:
+    """sum over partitions and designations of (-1)^(number of rafts) q^weight."""
+    # every raft weighs at least 3, so a cap of trunc rafts never binds
+    return _q(trunc, _designation_walk(trunc, trunc, sign=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +597,7 @@ for _k in (1, 2, 3):
         f"minimal-gf-k{_k}", False,
         (lambda N, k=_k: minimal_gf(k, N)),
         (lambda N, k=_k: minimal_oracle(k, N)),
-        f"closed form vs construction for minimal {_k}-raft configurations",
+        f"closed form vs definition count for minimal {_k}-raft configurations",
     )
     _register(
         f"rafted-gf-k{_k}", False,
@@ -640,7 +639,7 @@ for _k in (2, 3, 4):
         f"bmn-k{_k}", True,
         (lambda Nx, Nq, k=_k: bmn_gf(k, Nx, Nq)),
         (lambda Nx, Nq, k=_k: no_kseq_oracle(k, Nx, Nq)),
-        f"double sum vs brute count of partitions with no {_k}-sequence",
+        f"double sum vs direct count of partitions with no {_k}-sequence",
     )
 _register(
     "bmn-c2-slater-19", False,
@@ -659,7 +658,7 @@ for _d in (0, 1, 2, 3):
         f"staircase-d{_d}", True,
         (lambda Nx, Nq, d=_d: staircase_gf(d, Nx, Nq)),
         (lambda Nx, Nq, d=_d: d_distinct_xq(2 + d, Nx, Nq)),
-        f"staircase triple sum vs brute count of gap->={2 + _d} partitions",
+        f"staircase triple sum vs direct count of gap->={2 + _d} partitions",
     )
 _register(
     "staircase-d0-master", True, (lambda Nx, Nq: staircase_gf(0, Nx, Nq)), master_lhs,

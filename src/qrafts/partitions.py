@@ -7,7 +7,8 @@ rafts, so a partition with R qualifying runs has exactly 2^R designations.
 
 The enumeration generators come in two flavours: ordered (weight ascending,
 then lexicographic, for user-facing listings) and tree-order (each partition
-exactly once, used by the series oracles, where order is irrelevant).
+exactly once, for the constructive enumerators and the tests' brute counts,
+where order is irrelevant).
 """
 
 from __future__ import annotations

@@ -354,12 +354,8 @@ def enumerate_minimal(k: int, max_weight: int) -> Iterator[RaftedPartition]:
     prefix, then append any distinct-part tail at r_k + 3 or above.  Ordered
     by (weight, parts, rafts).
     """
-    if k < 0:
-        raise ValueError(f"raft count must be >= 0, got {k}")
-    if k == 0:
-        for parts in sorted(iter_distinct_parts(max_weight), key=lambda t: (sum(t), t)):
-            yield RaftedPartition(Partition(parts), ())
-        return
+    if k < 1:
+        raise ValueError(f"raft count must be >= 1, got {k}")
 
     def prefix_weight(r: tuple[int, ...]) -> int:
         top = r[-1] + 1

@@ -26,6 +26,15 @@ from qrafts.series import QSeries, XQSeries
 import product_forms as ref
 
 
+def _by_parts(partitions, x_trunc, q_trunc):
+    """Brute count of the given part tuples by (number of parts, weight)."""
+    acc = {}
+    for parts in partitions:
+        if len(parts) <= x_trunc and sum(parts) <= q_trunc:
+            acc.setdefault(len(parts), [0] * (q_trunc + 1))[sum(parts)] += 1
+    return XQSeries(x_trunc, q_trunc, {n: QSeries(q_trunc, tuple(b)) for n, b in acc.items()})
+
+
 @pytest.mark.parametrize("name", list(REGISTRY))
 def test_registry_check_passes(name):
     rep = run_check(REGISTRY[name], 25)
@@ -109,14 +118,6 @@ class TestSignedDesignations:
     def test_aggregate_matches_formula(self):
         assert idn.signed_designation_oracle(30) == idn.no_raft_gf(30)
 
-    def test_sweep_rafted_matches_bruteforce(self):
-        for k in (1, 2):
-            got = idn.rafted_oracle(k, 16)
-            want = [0] * 17
-            for rp in enumerate_rafted(k, 16):
-                want[rp.weight] += 1
-            assert got.coeffs == tuple(want)
-
     # four rafts weigh at least 48, so k = 4 needs a higher order to count anything
     @pytest.mark.parametrize("k, N", [(1, 36), (2, 36), (3, 36), (4, 54)])
     def test_rafted_oracle_matches_enumeration(self, k, N):
@@ -124,16 +125,32 @@ class TestSignedDesignations:
         for rp in enumerate_rafted(k, N):
             want[rp.weight] += 1
         assert any(want)
-        assert idn.rafted_oracle(k, N).coeffs == tuple(want)
+        for n in range(N + 1):
+            assert idn.rafted_oracle(k, n).coeffs == tuple(want[: n + 1]), n
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_minimal_oracle_matches_construction(self, k):
+        want = [0] * 41
+        for rp in enumerate_minimal(k, 40):
+            want[rp.weight] += 1
+        for n in range(41):
+            assert idn.minimal_oracle(k, n).coeffs == tuple(want[: n + 1]), n
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_no_kseq_oracle_matches_filter(self, k):
-        acc = {}
-        for parts in iter_distinct_parts(36):
-            if not Partition(parts).has_k_sequence(k):
-                acc.setdefault(len(parts), [0] * 37)[sum(parts)] += 1
-        want = XQSeries(36, 36, {n: QSeries(36, tuple(b)) for n, b in acc.items()})
-        assert idn.no_kseq_oracle(k, 36, 36) == want
+        counted = [parts for parts in iter_distinct_parts(36)
+                   if not Partition(parts).has_k_sequence(k)]
+        for N in range(37):
+            for Nx in {N, N // 3}:
+                assert idn.no_kseq_oracle(k, Nx, N) == _by_parts(counted, Nx, N), (Nx, N)
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_d_distinct_q_counts_gap_parts(self, d):
+        counted = list(iter_gap_parts(40, d))
+        for N in range(41):
+            assert idn.d_distinct_q(d, N) == _by_parts(counted, N, N).substitute_x_power(0)
+            for Nx in {N, N // 3}:
+                assert idn.d_distinct_xq(d, Nx, N) == _by_parts(counted, Nx, N), (Nx, N)
 
     def test_rafted_oracle_k4_matches_formula(self):
         assert idn.rafted_oracle(4, 60) == idn.rafted_gf(4, 60)
@@ -236,9 +253,6 @@ class TestAgainstProductForms:
             assert build(N) == reference(N), N
 
 
-CACHED = ("master_lhs", "_sweep", "d_distinct_xq")
-
-
 def _build_registry(N):
     for check in REGISTRY.values():
         args = (N, N) if check.bivariate else (N,)
@@ -250,27 +264,12 @@ class TestCaches:
     def test_bounded_and_hold_one_registry_run(self):
         for N in (8, 12, 16, 20):
             _build_registry(N)
-            for name in CACHED:
-                info = getattr(idn, name).cache_info()
-                assert info.maxsize is not None, name
-                assert info.currsize <= info.maxsize, name
-        misses = {n: getattr(idn, n).cache_info().misses for n in CACHED}
+            info = idn.master_lhs.cache_info()
+            assert info.maxsize is not None
+            assert info.currsize <= info.maxsize
+        misses = idn.master_lhs.cache_info().misses
         _build_registry(20)
-        assert {n: getattr(idn, n).cache_info().misses for n in CACHED} == misses
-
-    def test_d_distinct_xq_shared_by_both_checks(self):
-        idn.d_distinct_xq.cache_clear()
-        REGISTRY["inclusion-exclusion-2-distinct"].rhs(20)
-        REGISTRY["staircase-d0"].rhs(20, 20)
-        info = idn.d_distinct_xq.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
-
-    @pytest.mark.parametrize("d", range(5))
-    def test_d_distinct_q_counts_gap_parts(self, d):
-        want = [0] * 41
-        for parts in iter_gap_parts(40, d):
-            want[sum(parts)] += 1
-        assert idn.d_distinct_q(d, 40).coeffs == tuple(want)
+        assert idn.master_lhs.cache_info().misses == misses
 
 
 class TestCrossWeb:
@@ -335,6 +334,15 @@ class TestDomains:
             idn.bmn_gf(1, 10, 10)
         with pytest.raises(ValueError):
             idn.staircase_gf(-1, 10, 10)
+        with pytest.raises(ValueError):
+            next(enumerate_minimal(0, 10))
+        with pytest.raises(ValueError):
+            idn.no_kseq_oracle(0, 10, 10)
+        for d in (0, -1):  # a walk over distinct parts has no gap-0 count
+            with pytest.raises(ValueError):
+                idn.d_distinct_xq(d, 10, 10)
+            with pytest.raises(ValueError):
+                idn.d_distinct_q(d, 10)
 
 
 class TestReports:

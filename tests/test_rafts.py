@@ -314,11 +314,6 @@ class TestEnumeration:
             )
             assert list(enumerate_rafted(k, 16)) == brute
 
-    def test_k_zero_minimal_is_all_distinct(self):
-        got = list(enumerate_minimal(0, 8))
-        assert all(rp.rafts == () for rp in got)
-        assert len(got) == sum(1 for _ in enumerate_distinct(8))
-
     def test_ordering(self):
         seq = list(enumerate_minimal(2, 30))
         keys = [(rp.weight, rp.partition.parts, rp.rafts) for rp in seq]
