@@ -1,6 +1,7 @@
 """Command-line front end: verify identities, enumerate objects, trace moves.
 
-Exit codes: 0 all good, 1 at least one check failed, 2 usage error.  Output is
+Exit codes: 0 all good, 1 at least one check failed (a builder that raises
+fails its own check, and the other checks still report), 2 usage error.  Output is
 deterministic for a fixed invocation; the text and CSV report formats omit
 timings so repeated runs are byte-identical (JSON keeps the millis field from
 the report schema).
@@ -94,6 +95,9 @@ def _report_text(reports: list[CheckReport]) -> str:
             scope += f" x<={r.x_trunc}"
         if r.passed:
             lines.append(f"ok    {r.name:<{width}}  {scope}")
+        elif r.error is not None:
+            lines.append(f"FAIL  {r.name:<{width}}  {scope}  "
+                         f"error: {r.error[0]}: {r.error[1]}")
         else:
             fd = r.first_diff
             at = f"q^{fd.q}" if fd.x is None else f"x^{fd.x} q^{fd.q}"

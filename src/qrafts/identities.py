@@ -484,15 +484,18 @@ class FirstDiff:
 
 @dataclass(frozen=True, slots=True)
 class CheckReport:
+    """One check's verdict; error holds (type name, message) when a builder raised."""
+
     name: str
     q_trunc: int
     x_trunc: int | None
     passed: bool
     first_diff: FirstDiff | None
     millis: int
+    error: tuple[str, str] | None = None
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "name": self.name,
             "q_trunc": self.q_trunc,
             "x_trunc": self.x_trunc,
@@ -500,6 +503,9 @@ class CheckReport:
             "first_diff": self.first_diff.to_json_dict() if self.first_diff else None,
             "millis": self.millis,
         }
+        if self.error is not None:
+            out["error"] = {"type": self.error[0], "message": self.error[1]}
+        return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -536,19 +542,22 @@ def first_difference(lhs, rhs) -> FirstDiff | None:
 
 
 def run_check(check: IdentityCheck, q_trunc: int, x_trunc: int | None = None) -> CheckReport:
-    """Build both sides, locate the first difference, time the whole thing."""
+    """Build both sides, locate the first difference, time the whole thing.
+
+    An exception from a builder or the comparison fails this check alone: the
+    report carries its type and message, so the other checks still report.
+    """
     t0 = time.perf_counter()
-    if check.bivariate:
-        xt = q_trunc if x_trunc is None else x_trunc
-        lhs = check.lhs(xt, q_trunc)
-        rhs = check.rhs(xt, q_trunc)
-    else:
-        xt = None
-        lhs = check.lhs(q_trunc)
-        rhs = check.rhs(q_trunc)
-    diff = first_difference(lhs, rhs)
+    xt = (q_trunc if x_trunc is None else x_trunc) if check.bivariate else None
+    args = (xt, q_trunc) if check.bivariate else (q_trunc,)
+    diff = error = None
+    try:
+        diff = first_difference(check.lhs(*args), check.rhs(*args))
+    except Exception as exc:  # the run reports every check, so contain any fault
+        error = (type(exc).__name__, str(exc))
     millis = int((time.perf_counter() - t0) * 1000)
-    return CheckReport(check.name, q_trunc, xt, diff is None, diff, millis)
+    return CheckReport(check.name, q_trunc, xt, diff is None and error is None, diff,
+                       millis, error)
 
 
 REGISTRY: dict[str, IdentityCheck] = {}

@@ -13,7 +13,9 @@ where order is irrelevant).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from operator import lt
 from typing import Iterator
 
 __all__ = [
@@ -50,13 +52,10 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        prev = 0
-        for p in self.parts:
-            if p <= prev:
-                raise ValueError(
-                    f"parts must be strictly increasing positive integers, got {self.parts}"
-                )
-            prev = p
+        if not all(map(lt, (0, *self.parts), self.parts)):
+            raise ValueError(
+                f"parts must be strictly increasing positive integers, got {self.parts}"
+            )
 
     @classmethod
     def of(cls, *parts: int) -> "Partition":
@@ -75,7 +74,7 @@ class Partition:
 
     def eligible_rafts(self) -> tuple[int, ...]:
         """Smaller members of the top pairs of all runs of length >= 2."""
-        return tuple(r.end - 1 for r in self.runs() if r.length >= 2)
+        return _eligible_rafts(self.parts)
 
     def is_d_distinct(self, d: int) -> bool:
         """All gaps between successive parts >= d (1-distinct = distinct)."""
@@ -125,6 +124,16 @@ def runs_of(parts: tuple[int, ...]) -> list[tuple[int, int]]:
         out.append((parts[i], j - i + 1))
         i = j + 1
     return out
+
+
+def _eligible_rafts(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Partition.eligible_rafts of a strictly increasing tuple, in one scan.
+
+    a is eligible when a+1 follows it and a+2 does not; the 0 padding the
+    last pair can never equal a+2.
+    """
+    return tuple(a for a, b, c in zip(parts, parts[1:], parts[2:] + (0,))
+                 if b == a + 1 and c != a + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -227,56 +236,45 @@ def render_rafted_text(parts: tuple[int, ...], rafts: tuple[int, ...]) -> str:
     return ",".join(items)
 
 
+# one item and the whitespace around it: a part, or a raft bracket [a,b]
+_ITEM = re.compile(r"\s*(?:([0-9]+)|\[\s*([0-9]+)\s*,\s*([0-9]+)\s*\])\s*")
+
+
 def parse_rafted_text(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Inverse of render_rafted_text; returns (parts, rafts), both sorted.
 
-    Syntax errors raise ValueError; semantic raft rules are checked by
-    RaftedPartition, not here.
+    Items are separated by single commas; whitespace may surround items,
+    brackets and commas but not split a number.  Syntax errors raise
+    ValueError; semantic raft rules are checked by RaftedPartition, not here.
     """
-    text = "".join(text.split())
-    if not text:
+    if not text.strip():
         raise ValueError("empty input; the empty partition is written '()'")
-    if text == "()":
+    if text.strip() == "()":
         return (), ()
     parts: list[int] = []
     rafts: list[int] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i] == "[":
-            j = text.find("]", i)
-            if j < 0:
-                raise ValueError(f"unclosed bracket in {text!r}")
-            inner = text[i + 1 : j].split(",")
-            if len(inner) != 2:
-                raise ValueError(f"a raft bracket needs exactly two parts: {text[i:j+1]!r}")
-            a, b = (int(s) for s in inner)
-            if a < 1:
-                raise ValueError(f"parts must be positive, got {a}")
+    pos = 0
+    while True:
+        m = _ITEM.match(text, pos)
+        if m is None:
+            raise ValueError(f"expected a part or a raft [k,k+1] at offset {pos} of {text!r}")
+        single, a, b = m.groups()
+        if single is not None:
+            parts.append(int(single))
+        else:
+            a, b = int(a), int(b)
             if b != a + 1:
                 raise ValueError(f"a raft must be a consecutive pair, got [{a},{b}]")
             parts += [a, b]
             rafts.append(a)
-            i = j + 1
-            if i < n:
-                if text[i] != ",":
-                    raise ValueError(f"expected ',' after bracket in {text!r}")
-                i += 1
-        else:
-            j = text.find(",", i)
-            k = text.find("[", i)
-            stop = min(x for x in (j, k, n) if x >= 0)
-            tok = text[i:stop].strip()
-            if not tok:
-                raise ValueError(f"empty item in {text!r}")
-            value = int(tok)
-            if value < 1:
-                raise ValueError(f"parts must be positive, got {value}")
-            parts.append(value)
-            i = stop
-            if i < n and text[i] == ",":
-                i += 1
-    ordered = tuple(sorted(parts))
+        pos = m.end()
+        if pos == len(text):
+            break
+        if text[pos] != ",":
+            raise ValueError(f"expected ',' at offset {pos} of {text!r}")
+        pos += 1
+    if min(parts) < 1:
+        raise ValueError(f"parts must be positive, got {min(parts)}")
     if len(set(parts)) != len(parts):
         raise ValueError(f"repeated part in {text!r}")
-    return ordered, tuple(sorted(rafts))
+    return tuple(sorted(parts)), tuple(sorted(rafts))

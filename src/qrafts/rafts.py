@@ -15,6 +15,15 @@ mirror (remove a+1, add a-1, where a is the start of the raft's run), refused
 when it would need a part 0 or land on a+1-type conflicts with a designated
 raft ending at a-2.
 
+The engine works on the sorted part tuple by index.  Since k+2 is absent and
+a-1 is absent, each move is a two-slot splice that keeps the tuple sorted:
+forward replaces the slots of k, k+1 by (k+1, k+2), backward replaces the
+slots of a, a+1 by (a-1, a).  Raft positions come from bisect_left, run ends
+and starts from walking the neighbouring indices, and each refusal rule lives
+in one step helper that the can_*/move methods and the decomposition share.
+Validation bisects once per raft too: since parts strictly increase, rafts
+a < b share a run exactly when their indices differ by b - a.
+
 A configuration is minimal when no designated raft can move backward.
 Minimal configurations have rigid structure (consecutive parts from 1 up with
 one missing part above each lower raft), captured by MinimalProfile, and every
@@ -24,16 +33,18 @@ configuration decomposes uniquely as moves applied to a minimal one.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import eq
 from typing import Iterator
 
 from .partitions import (
     EvenPartition,
     Partition,
+    _eligible_rafts,
     iter_distinct_parts,
     parse_rafted_text,
     render_rafted_text,
-    runs_of,
 )
 
 __all__ = [
@@ -77,28 +88,29 @@ class RaftedPartition:
     rafts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rafts", tuple(sorted(self.rafts)))
-        parts = set(self.partition.parts)
-        for k in self.rafts:
-            if k not in parts or k + 1 not in parts:
+        rafts = tuple(sorted(self.rafts))
+        object.__setattr__(self, "rafts", rafts)
+        parts = self.partition.parts
+        n = len(parts)
+        at = []  # index of each raft's smaller member in parts
+        for k in rafts:
+            i = bisect_left(parts, k)
+            if i + 1 >= n or parts[i] != k or parts[i + 1] != k + 1:
                 raise RaftError("raft-pair-broken",
                                 f"raft [{k},{k + 1}] needs both members in {self.partition}")
-        if len(set(self.rafts)) != len(self.rafts):
-            raise RaftError("colliding-rafts", f"repeated raft in {self.rafts}")
-        run_of: dict[int, int] = {}
-        for idx, (start, length) in enumerate(runs_of(self.partition.parts)):
-            for v in range(start, start + length):
-                run_of[v] = idx
-        seen: dict[int, int] = {}
-        for k in self.rafts:
-            idx = run_of[k]
-            if idx in seen:
+            at.append(i)
+        if any(map(eq, rafts, rafts[1:])):
+            raise RaftError("colliding-rafts", f"repeated raft in {rafts}")
+        # parts strictly increase, so a < b share a run exactly when the
+        # index gap equals the value gap
+        for j in range(1, len(rafts)):
+            if at[j] - at[j - 1] == rafts[j] - rafts[j - 1]:
+                lo, k = rafts[j - 1], rafts[j]
                 raise RaftError("colliding-rafts",
-                                f"rafts [{seen[idx]},{seen[idx] + 1}] and [{k},{k + 1}] "
+                                f"rafts [{lo},{lo + 1}] and [{k},{k + 1}] "
                                 f"share a run in {self.partition}")
-            seen[idx] = k
-        for k in self.rafts:
-            if k + 2 in parts:
+        for k, i in zip(rafts, at):
+            if i + 2 < n and parts[i + 2] == k + 2:
                 raise RaftError("raft-not-terminal",
                                 f"raft [{k},{k + 1}] has {k + 2} present in {self.partition}")
 
@@ -124,73 +136,72 @@ class RaftedPartition:
         if k not in self.rafts:
             raise MoveError(f"move-not-applicable: {k} is not a designated raft of {self}")
 
+    def _with_raft_moved(self, k: int, new_parts: tuple[int, ...],
+                         new_raft: int) -> "RaftedPartition":
+        j = self.rafts.index(k)
+        rafts = self.rafts[:j] + (new_raft,) + self.rafts[j + 1:]
+        return RaftedPartition(Partition(new_parts), rafts)
+
     # -- forward move -------------------------------------------------------
 
+    def _forward_step(self, k: int) -> tuple[int, int, str | None]:
+        """For designated raft k: (index of k, the raft it becomes, refusal or None)."""
+        parts = self.partition.parts
+        i = bisect_left(parts, k)
+        j = i + 2
+        if j == len(parts) or parts[j] != k + 3:
+            return i, k + 1, None
+        while j + 1 < len(parts) and parts[j + 1] == parts[j] + 1:
+            j += 1
+        e = parts[j]
+        if e - 1 in self.rafts:
+            return i, e - 1, (f"raft [{k},{k + 1}] is blocked by designated "
+                              f"raft [{e - 1},{e}] at the end of the run ahead")
+        return i, e - 1, None
+
     def can_forward(self, k: int) -> bool:
-        if k not in self.rafts:
-            return False
-        parts = set(self.partition.parts)
-        if k + 3 not in parts:
-            return True
-        e = k + 3
-        while e + 1 in parts:
-            e += 1
-        return (e - 1) not in self.rafts
+        return k in self.rafts and self._forward_step(k)[2] is None
 
     def forward(self, k: int) -> "RaftedPartition":
         """Move raft k up, gaining weight 2: remove k, add k+2."""
         self._require_raft(k)
-        parts = set(self.partition.parts)
-        if k + 3 in parts:
-            e = k + 3
-            while e + 1 in parts:
-                e += 1
-            if (e - 1) in self.rafts:
-                raise MoveError(
-                    f"move-not-applicable: raft [{k},{k + 1}] is blocked by designated "
-                    f"raft [{e - 1},{e}] at the end of the run ahead"
-                )
-        parts.discard(k)
-        parts.add(k + 2)
-        e = k + 2
-        while e + 1 in parts:
-            e += 1
-        new_rafts = tuple(r for r in self.rafts if r != k) + (e - 1,)
-        return RaftedPartition(Partition(tuple(sorted(parts))), new_rafts)
+        i, new_raft, refusal = self._forward_step(k)
+        if refusal:
+            raise MoveError(f"move-not-applicable: {refusal}")
+        parts = self.partition.parts
+        return self._with_raft_moved(k, parts[:i] + (k + 1, k + 2) + parts[i + 2:], new_raft)
 
     # -- backward move ------------------------------------------------------
 
-    def _run_start(self, k: int) -> int:
-        parts = set(self.partition.parts)
-        a = k
-        while a - 1 in parts:
-            a -= 1
-        return a
+    def _backward_step(self, k: int) -> tuple[int, str | None]:
+        """For designated raft k: (index of its run start a, refusal or None)."""
+        parts = self.partition.parts
+        ia = bisect_left(parts, k)
+        while ia and parts[ia - 1] == parts[ia] - 1:
+            ia -= 1
+        a = parts[ia]
+        if a < 2:
+            return ia, f"raft [{k},{k + 1}] sits on a run starting at 1"
+        if a - 3 in self.rafts:
+            return ia, (f"raft [{k},{k + 1}] is blocked by designated "
+                        f"raft [{a - 3},{a - 2}] just below its run")
+        return ia, None
+
+    def _backward_from(self, k: int, ia: int) -> "RaftedPartition":
+        parts = self.partition.parts
+        a = parts[ia]
+        return self._with_raft_moved(k, parts[:ia] + (a - 1, a) + parts[ia + 2:], a - 1)
 
     def can_backward(self, k: int) -> bool:
-        if k not in self.rafts:
-            return False
-        a = self._run_start(k)
-        return a >= 2 and (a - 3) not in self.rafts
+        return k in self.rafts and self._backward_step(k)[1] is None
 
     def backward(self, k: int) -> "RaftedPartition":
         """Move raft k down, losing weight 2: remove a+1, add a-1 (a = run start)."""
         self._require_raft(k)
-        a = self._run_start(k)
-        if a < 2:
-            raise MoveError(
-                f"move-not-applicable: raft [{k},{k + 1}] sits on a run starting at 1"
-            )
-        if (a - 3) in self.rafts:
-            raise MoveError(
-                f"move-not-applicable: raft [{k},{k + 1}] is blocked by designated "
-                f"raft [{a - 3},{a - 2}] just below its run"
-            )
-        parts = set(self.partition.parts)
-        parts.discard(a + 1)
-        parts.add(a - 1)
-        new_rafts = tuple(r for r in self.rafts if r != k) + (a - 1,)
-        return RaftedPartition(Partition(tuple(sorted(parts))), new_rafts)
+        ia, refusal = self._backward_step(k)
+        if refusal:
+            raise MoveError(f"move-not-applicable: {refusal}")
+        return self._backward_from(k, ia)
 
     # -- minimality ---------------------------------------------------------
 
@@ -240,9 +251,10 @@ def decompose_with_trace(
         n = 0
         while True:
             k = current.rafts[rank]
-            if not current.can_backward(k):
+            ia, refusal = current._backward_step(k)
+            if refusal:
                 break
-            nxt = current.backward(k)
+            nxt = current._backward_from(k, ia)
             moves.append((current, k, nxt))
             current = nxt
             n += 1
@@ -389,13 +401,14 @@ def enumerate_rafted(k: int, max_weight: int) -> Iterator[RaftedPartition]:
     Filter route: every distinct-part partition crossed with every size-k
     subset of its eligible rafts.  Ordered by (weight, parts, rafts).
     """
-    found: list[RaftedPartition] = []
+    found: list[tuple[int, tuple[int, ...], tuple[int, ...], Partition]] = []
     for parts in iter_distinct_parts(max_weight):
-        p = Partition(parts)
-        elig = p.eligible_rafts()
+        elig = _eligible_rafts(parts)
         if len(elig) < k:
             continue
+        p, w = Partition(parts), sum(parts)
         for combo in itertools.combinations(elig, k):
-            found.append(RaftedPartition(p, combo))
-    found.sort(key=lambda rp: (rp.weight, rp.partition.parts, rp.rafts))
-    yield from found
+            found.append((w, parts, combo, p))
+    found.sort()  # (parts, combo) is unique, so the Partition is never compared
+    for _, _, combo, p in found:
+        yield RaftedPartition(p, combo)

@@ -1,0 +1,117 @@
+"""Reference raft validator and moves, built on part sets and a run table.
+
+The library's ``RaftedPartition`` validates and moves rafts by index on the
+sorted part tuple.  This module keeps the set-based forms it replaced: it
+looks every membership up in ``set(parts)``, maps each part to its run
+through ``runs_of``, and re-sorts the parts after each move.  It shares no
+index arithmetic with the library, so the tests judge the splices and the
+bisect validation against it.
+"""
+
+from dataclasses import dataclass
+
+from qrafts.partitions import Partition, render_rafted_text, runs_of
+from qrafts.rafts import MoveError, RaftError
+
+
+@dataclass(frozen=True, slots=True)
+class ReferenceRafted:
+    """``RaftedPartition``'s state and rules, checked and moved through sets."""
+
+    partition: Partition
+    rafts: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rafts", tuple(sorted(self.rafts)))
+        parts = set(self.partition.parts)
+        for k in self.rafts:
+            if k not in parts or k + 1 not in parts:
+                raise RaftError("raft-pair-broken",
+                                f"raft [{k},{k + 1}] needs both members in {self.partition}")
+        if len(set(self.rafts)) != len(self.rafts):
+            raise RaftError("colliding-rafts", f"repeated raft in {self.rafts}")
+        run_of: dict[int, int] = {}
+        for idx, (start, length) in enumerate(runs_of(self.partition.parts)):
+            for v in range(start, start + length):
+                run_of[v] = idx
+        seen: dict[int, int] = {}
+        for k in self.rafts:
+            idx = run_of[k]
+            if idx in seen:
+                raise RaftError("colliding-rafts",
+                                f"rafts [{seen[idx]},{seen[idx] + 1}] and [{k},{k + 1}] "
+                                f"share a run in {self.partition}")
+            seen[idx] = k
+        for k in self.rafts:
+            if k + 2 in parts:
+                raise RaftError("raft-not-terminal",
+                                f"raft [{k},{k + 1}] has {k + 2} present in {self.partition}")
+
+    def __str__(self) -> str:
+        return render_rafted_text(self.partition.parts, self.rafts)
+
+    def _require_raft(self, k: int) -> None:
+        if k not in self.rafts:
+            raise MoveError(f"move-not-applicable: {k} is not a designated raft of {self}")
+
+    def can_forward(self, k: int) -> bool:
+        if k not in self.rafts:
+            return False
+        parts = set(self.partition.parts)
+        if k + 3 not in parts:
+            return True
+        e = k + 3
+        while e + 1 in parts:
+            e += 1
+        return (e - 1) not in self.rafts
+
+    def forward(self, k: int) -> "ReferenceRafted":
+        self._require_raft(k)
+        parts = set(self.partition.parts)
+        if k + 3 in parts:
+            e = k + 3
+            while e + 1 in parts:
+                e += 1
+            if (e - 1) in self.rafts:
+                raise MoveError(
+                    f"move-not-applicable: raft [{k},{k + 1}] is blocked by designated "
+                    f"raft [{e - 1},{e}] at the end of the run ahead"
+                )
+        parts.discard(k)
+        parts.add(k + 2)
+        e = k + 2
+        while e + 1 in parts:
+            e += 1
+        new_rafts = tuple(r for r in self.rafts if r != k) + (e - 1,)
+        return ReferenceRafted(Partition(tuple(sorted(parts))), new_rafts)
+
+    def _run_start(self, k: int) -> int:
+        parts = set(self.partition.parts)
+        a = k
+        while a - 1 in parts:
+            a -= 1
+        return a
+
+    def can_backward(self, k: int) -> bool:
+        if k not in self.rafts:
+            return False
+        a = self._run_start(k)
+        return a >= 2 and (a - 3) not in self.rafts
+
+    def backward(self, k: int) -> "ReferenceRafted":
+        self._require_raft(k)
+        a = self._run_start(k)
+        if a < 2:
+            raise MoveError(
+                f"move-not-applicable: raft [{k},{k + 1}] sits on a run starting at 1"
+            )
+        if (a - 3) in self.rafts:
+            raise MoveError(
+                f"move-not-applicable: raft [{k},{k + 1}] is blocked by designated "
+                f"raft [{a - 3},{a - 2}] just below its run"
+            )
+        parts = set(self.partition.parts)
+        parts.discard(a + 1)
+        parts.add(a - 1)
+        new_rafts = tuple(r for r in self.rafts if r != k) + (a - 1,)
+        return ReferenceRafted(Partition(tuple(sorted(parts))), new_rafts)

@@ -1,10 +1,12 @@
 """Command-line behavior: exit codes, formats, enumeration, tracing."""
 
+import dataclasses
 import json
 
 import pytest
 
 from qrafts.cli import main
+from qrafts.identities import REGISTRY
 
 
 def run(capsys, *argv):
@@ -30,6 +32,29 @@ class TestVerify:
         assert code == 2
         assert "unknown-identity" in err
         assert out == ""
+
+    @pytest.mark.parametrize("exc", [ValueError("bad order"), ZeroDivisionError("boom")],
+                             ids=["ValueError", "ZeroDivisionError"])
+    def test_raising_builder_fails_only_its_check(self, capsys, monkeypatch, exc):
+        def broken(*args):
+            raise exc
+
+        monkeypatch.setitem(REGISTRY, "bmn-k2",
+                            dataclasses.replace(REGISTRY["bmn-k2"], rhs=broken))
+        code, out, err = run(capsys, "verify", "--all", "--order", "12", "--format", "json")
+        assert code == 1 and err == ""
+        reports = {r["name"]: r for r in json.loads(out)}
+        assert len(reports) == len(REGISTRY)
+        bad = reports.pop("bmn-k2")
+        assert bad["passed"] is False and bad["first_diff"] is None
+        assert bad["error"] == {"type": type(exc).__name__, "message": str(exc)}
+        assert all(r["passed"] and "error" not in r for r in reports.values())
+        code, out, _ = run(capsys, "verify", "--identity", "bmn-k2", "--order", "12")
+        assert code == 1
+        assert f"error: {type(exc).__name__}: {exc}" in out.splitlines()[0]
+        code, out, _ = run(capsys, "verify", "--identity", "bmn-k2", "--order", "12",
+                           "--format", "csv")
+        assert (code, out.splitlines()[1]) == (1, "bmn-k2,false,,")
 
     def test_all_quick_profile(self, capsys):
         code, out, _ = run(capsys, "verify", "--all", "--profile", "quick")

@@ -164,10 +164,12 @@ class TestTextFormat:
     @pytest.mark.parametrize("bad", [
         "", "x", "1,,2", "1,[2],3", "[2,4]", "1,[2,3", "2,3]",
         "[1,2,3]", "()(", "0,1", "-1,2", "1,[a,b]",
+        "1 2", "1[2,3]", "[1,2][4,5]", "1,2,", "[1,2],", ",1", "1,()",
     ])
     def test_parse_rejects(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as e:
             parse_rafted_text(bad)
+        assert "invalid literal" not in str(e.value)  # a message of our own, not int()'s
 
     @given(parts_strategy, st.data())
     def test_roundtrip(self, parts, data):
@@ -182,3 +184,10 @@ class TestTextFormat:
 @given(parts_strategy)
 def test_runs_of_matches_method(parts):
     assert runs_of(parts) == [(r.start, r.length) for r in Partition(parts).runs()]
+
+
+@settings(max_examples=60)
+@given(parts_strategy)
+def test_eligible_rafts_are_run_tops(parts):
+    runs = Partition(parts).runs()
+    assert Partition(parts).eligible_rafts() == tuple(r.end - 1 for r in runs if r.length >= 2)

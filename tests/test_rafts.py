@@ -28,6 +28,8 @@ from qrafts.rafts import (
     minimal_profile,
 )
 
+from raft_reference import ReferenceRafted
+
 
 def all_rafted(max_weight):
     for p in enumerate_distinct(max_weight):
@@ -147,6 +149,44 @@ class TestMoves:
                     assert out.forward(moved) == rp
                     checked += 1
         assert checked > 300
+
+
+def _outcome(make):
+    """What building or moving gives, as plain data; refusals by their message."""
+    try:
+        rp = make()
+    except (RaftError, MoveError) as exc:
+        return type(exc).__name__, getattr(exc, "reason", None), str(exc)
+    return rp.partition.parts, rp.rafts
+
+
+class TestAgainstReference:
+    """The index engine against the set-based validator and moves it replaced."""
+
+    def test_moves_match_reference(self):
+        moved = 0
+        for p in enumerate_distinct(20):
+            for rafts in enumerate_designations(p):
+                rp, ref = RaftedPartition(p, rafts), ReferenceRafted(p, rafts)
+                # every designated raft, and every part or 0 as a non-raft
+                for k in sorted({0, *p.parts}):
+                    assert rp.can_forward(k) == ref.can_forward(k), (str(rp), k)
+                    assert rp.can_backward(k) == ref.can_backward(k), (str(rp), k)
+                    assert _outcome(lambda: rp.forward(k)) == _outcome(lambda: ref.forward(k))
+                    assert _outcome(lambda: rp.backward(k)) == _outcome(lambda: ref.backward(k))
+                    moved += rp.can_forward(k) + rp.can_backward(k)
+        assert moved > 300
+
+    def test_validation_matches_reference(self):
+        reasons = set()
+        for p in enumerate_distinct(14):
+            top = max(p.parts, default=0)
+            for r in range(4):
+                for rafts in itertools.combinations_with_replacement(range(1, top + 1), r):
+                    got = _outcome(lambda: RaftedPartition(p, rafts))
+                    assert got == _outcome(lambda: ReferenceRafted(p, rafts)), (str(p), rafts)
+                    reasons.add(got[1] if len(got) == 3 else "ok")
+        assert reasons == {"ok", "raft-pair-broken", "colliding-rafts", "raft-not-terminal"}
 
 
 class TestMinimality:
