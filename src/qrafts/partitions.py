@@ -52,10 +52,7 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not all(map(lt, (0, *self.parts), self.parts)):
-            raise ValueError(
-                f"parts must be strictly increasing positive integers, got {self.parts}"
-            )
+        _check_parts(self.parts)
 
     @classmethod
     def of(cls, *parts: int) -> "Partition":
@@ -111,6 +108,12 @@ class EvenPartition:
 
     def __len__(self) -> int:
         return len(self.parts)
+
+
+def _check_parts(parts: tuple[int, ...]) -> None:
+    """Partition's rule: ValueError unless parts strictly increase from >= 1."""
+    if not all(map(lt, (0, *parts), parts)):
+        raise ValueError(f"parts must be strictly increasing positive integers, got {parts}")
 
 
 def runs_of(parts: tuple[int, ...]) -> list[tuple[int, int]]:

@@ -21,8 +21,14 @@ forward replaces the slots of k, k+1 by (k+1, k+2), backward replaces the
 slots of a, a+1 by (a-1, a).  Raft positions come from bisect_left, run ends
 and starts from walking the neighbouring indices, and each refusal rule lives
 in one step helper that the can_*/move methods and the decomposition share.
-Validation bisects once per raft too: since parts strictly increase, rafts
-a < b share a run exactly when their indices differ by b - a.
+
+One validator runs on every state, those the moves make included: Partition's
+part rule, then the raft rules in one pass over the rafts, one bisect each.
+Since parts strictly increase, rafts a < b share a run exactly when their
+indices differ by b - a.  Only a designation that fails, or one not given as
+a sorted tuple, is walked again rule by rule, so each RaftError names the
+first broken rule in a fixed order.  A move builds its state through
+_checked_state, which runs that validator without the dataclass dispatch.
 
 A configuration is minimal when no designated raft can move backward.
 Minimal configurations have rigid structure (consecutive parts from 1 up with
@@ -35,12 +41,13 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import eq
+from operator import eq, lt
 from typing import Iterator
 
 from .partitions import (
     EvenPartition,
     Partition,
+    _check_parts,
     _eligible_rafts,
     iter_distinct_parts,
     parse_rafted_text,
@@ -88,31 +95,7 @@ class RaftedPartition:
     rafts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        rafts = tuple(sorted(self.rafts))
-        object.__setattr__(self, "rafts", rafts)
-        parts = self.partition.parts
-        n = len(parts)
-        at = []  # index of each raft's smaller member in parts
-        for k in rafts:
-            i = bisect_left(parts, k)
-            if i + 1 >= n or parts[i] != k or parts[i + 1] != k + 1:
-                raise RaftError("raft-pair-broken",
-                                f"raft [{k},{k + 1}] needs both members in {self.partition}")
-            at.append(i)
-        if any(map(eq, rafts, rafts[1:])):
-            raise RaftError("colliding-rafts", f"repeated raft in {rafts}")
-        # parts strictly increase, so a < b share a run exactly when the
-        # index gap equals the value gap
-        for j in range(1, len(rafts)):
-            if at[j] - at[j - 1] == rafts[j] - rafts[j - 1]:
-                lo, k = rafts[j - 1], rafts[j]
-                raise RaftError("colliding-rafts",
-                                f"rafts [{lo},{lo + 1}] and [{k},{k + 1}] "
-                                f"share a run in {self.partition}")
-        for k, i in zip(rafts, at):
-            if i + 2 < n and parts[i + 2] == k + 2:
-                raise RaftError("raft-not-terminal",
-                                f"raft [{k},{k + 1}] has {k + 2} present in {self.partition}")
+        object.__setattr__(self, "rafts", _valid_rafts(self.partition, self.rafts))
 
     # -- conveniences -------------------------------------------------------
 
@@ -132,15 +115,16 @@ class RaftedPartition:
     def __str__(self) -> str:
         return render_rafted_text(self.partition.parts, self.rafts)
 
-    def _require_raft(self, k: int) -> None:
+    def _rank(self, k: int) -> int:
+        """Index of designated raft k in self.rafts; MoveError when k is not one."""
         if k not in self.rafts:
             raise MoveError(f"move-not-applicable: {k} is not a designated raft of {self}")
+        return self.rafts.index(k)
 
-    def _with_raft_moved(self, k: int, new_parts: tuple[int, ...],
-                         new_raft: int) -> "RaftedPartition":
-        j = self.rafts.index(k)
-        rafts = self.rafts[:j] + (new_raft,) + self.rafts[j + 1:]
-        return RaftedPartition(Partition(new_parts), rafts)
+    def _moved(self, rank: int, new_parts: tuple[int, ...],
+               new_raft: int) -> "RaftedPartition":
+        rafts = self.rafts
+        return _checked_state(new_parts, rafts[:rank] + (new_raft,) + rafts[rank + 1:])
 
     # -- forward move -------------------------------------------------------
 
@@ -159,17 +143,21 @@ class RaftedPartition:
                               f"raft [{e - 1},{e}] at the end of the run ahead")
         return i, e - 1, None
 
+    def _forward_at(self, rank: int) -> "RaftedPartition":
+        """The forward move of the raft at this rank; MoveError when refused."""
+        k = self.rafts[rank]
+        i, new_raft, refusal = self._forward_step(k)
+        if refusal:
+            raise MoveError(f"move-not-applicable: {refusal}")
+        parts = self.partition.parts
+        return self._moved(rank, parts[:i] + (k + 1, k + 2) + parts[i + 2:], new_raft)
+
     def can_forward(self, k: int) -> bool:
         return k in self.rafts and self._forward_step(k)[2] is None
 
     def forward(self, k: int) -> "RaftedPartition":
         """Move raft k up, gaining weight 2: remove k, add k+2."""
-        self._require_raft(k)
-        i, new_raft, refusal = self._forward_step(k)
-        if refusal:
-            raise MoveError(f"move-not-applicable: {refusal}")
-        parts = self.partition.parts
-        return self._with_raft_moved(k, parts[:i] + (k + 1, k + 2) + parts[i + 2:], new_raft)
+        return self._forward_at(self._rank(k))
 
     # -- backward move ------------------------------------------------------
 
@@ -187,27 +175,92 @@ class RaftedPartition:
                         f"raft [{a - 3},{a - 2}] just below its run")
         return ia, None
 
-    def _backward_from(self, k: int, ia: int) -> "RaftedPartition":
+    def _backward_from(self, rank: int, ia: int) -> "RaftedPartition":
         parts = self.partition.parts
         a = parts[ia]
-        return self._with_raft_moved(k, parts[:ia] + (a - 1, a) + parts[ia + 2:], a - 1)
+        return self._moved(rank, parts[:ia] + (a - 1, a) + parts[ia + 2:], a - 1)
 
     def can_backward(self, k: int) -> bool:
         return k in self.rafts and self._backward_step(k)[1] is None
 
     def backward(self, k: int) -> "RaftedPartition":
         """Move raft k down, losing weight 2: remove a+1, add a-1 (a = run start)."""
-        self._require_raft(k)
+        rank = self._rank(k)
         ia, refusal = self._backward_step(k)
         if refusal:
             raise MoveError(f"move-not-applicable: {refusal}")
-        return self._backward_from(k, ia)
+        return self._backward_from(rank, ia)
 
     # -- minimality ---------------------------------------------------------
 
     def is_minimal(self) -> bool:
         """No designated raft admits a backward move."""
         return all(not self.can_backward(k) for k in self.rafts)
+
+
+def _valid_rafts(partition: Partition, rafts) -> tuple[int, ...]:
+    """rafts as a sorted tuple, once every raft rule holds in partition.
+
+    A sorted tuple is decided in one loop: each raft above the one before
+    it, its pair present, no shared run with the raft before it, and k+2
+    absent.  A designation that fails there, or that is not a sorted tuple,
+    is sorted and walked again one rule at a time, so the RaftError names
+    the first broken rule in this order: pair-broken, then colliding (a
+    repeated raft, then a shared run), then not-terminal.
+    """
+    parts = partition.parts
+    n = len(parts)
+    if type(rafts) is tuple:
+        # parts strictly increase from 1, so k - i >= 1 at each raft and the
+        # (0, 0) start never reads as a shared run
+        prev_k = prev_i = 0
+        for k in rafts:
+            i = bisect_left(parts, k)
+            if (k <= prev_k or i + 1 >= n or parts[i] != k or parts[i + 1] != k + 1
+                    or i - prev_i == k - prev_k or (i + 2 < n and parts[i + 2] == k + 2)):
+                break
+            prev_k, prev_i = k, i
+        else:
+            return rafts
+    rafts = tuple(sorted(rafts))
+    at = []  # index of each raft's smaller member in parts
+    for k in rafts:
+        i = bisect_left(parts, k)
+        if i + 1 >= n or parts[i] != k or parts[i + 1] != k + 1:
+            raise RaftError("raft-pair-broken",
+                            f"raft [{k},{k + 1}] needs both members in {partition}")
+        at.append(i)
+    if any(map(eq, rafts, rafts[1:])):
+        raise RaftError("colliding-rafts", f"repeated raft in {rafts}")
+    # parts strictly increase, so a < b share a run exactly when the index
+    # gap equals the value gap
+    for j in range(1, len(rafts)):
+        if at[j] - at[j - 1] == rafts[j] - rafts[j - 1]:
+            lo, k = rafts[j - 1], rafts[j]
+            raise RaftError("colliding-rafts",
+                            f"rafts [{lo},{lo + 1}] and [{k},{k + 1}] "
+                            f"share a run in {partition}")
+    for k, i in zip(rafts, at):
+        if i + 2 < n and parts[i + 2] == k + 2:
+            raise RaftError("raft-not-terminal",
+                            f"raft [{k},{k + 1}] has {k + 2} present in {partition}")
+    return rafts
+
+
+def _checked_state(parts: tuple[int, ...], rafts: tuple[int, ...]) -> RaftedPartition:
+    """RaftedPartition(Partition(parts), rafts), built without the dataclass calls.
+
+    Every state a move makes comes from here.  Partition's part rule and
+    every raft rule still run; only the __init__ and __post_init__ dispatch
+    of the two frozen dataclasses is skipped.
+    """
+    _check_parts(parts)
+    p = object.__new__(Partition)
+    object.__setattr__(p, "parts", parts)
+    rp = object.__new__(RaftedPartition)
+    object.__setattr__(rp, "partition", p)
+    object.__setattr__(rp, "rafts", _valid_rafts(p, rafts))
+    return rp
 
 
 def is_minimal_structural(rp: RaftedPartition) -> bool:
@@ -254,7 +307,7 @@ def decompose_with_trace(
             ia, refusal = current._backward_step(k)
             if refusal:
                 break
-            nxt = current._backward_from(k, ia)
+            nxt = current._backward_from(rank, ia)
             moves.append((current, k, nxt))
             current = nxt
             n += 1
@@ -289,9 +342,8 @@ def compose_with_trace(
     for i, amount in enumerate(eta.parts):
         rank = k - 1 - i  # largest raft first
         for _ in range(amount // 2):
-            r = current.rafts[rank]
-            nxt = current.forward(r)
-            moves.append((current, r, nxt))
+            nxt = current._forward_at(rank)
+            moves.append((current, current.rafts[rank], nxt))
             current = nxt
     return current, moves
 
@@ -334,6 +386,8 @@ class MinimalProfile:
             raise ValueError(f"mu parts must lie in [0, {bound}], got {self.mu}")
         if any(p < r[-1] + 3 for p in self.tail):
             raise ValueError(f"tail parts must be >= {r[-1] + 3}, got {self.tail}")
+        if not all(map(lt, self.tail, self.tail[1:])):
+            raise ValueError(f"tail parts must be strictly increasing, got {self.tail}")
 
     @classmethod
     def from_positions(cls, raft_positions, tail=()) -> "MinimalProfile":
@@ -401,6 +455,8 @@ def enumerate_rafted(k: int, max_weight: int) -> Iterator[RaftedPartition]:
     Filter route: every distinct-part partition crossed with every size-k
     subset of its eligible rafts.  Ordered by (weight, parts, rafts).
     """
+    if k < 0:
+        raise ValueError(f"raft count must be >= 0, got {k}")
     found: list[tuple[int, tuple[int, ...], tuple[int, ...], Partition]] = []
     for parts in iter_distinct_parts(max_weight):
         elig = _eligible_rafts(parts)

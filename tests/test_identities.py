@@ -336,6 +336,9 @@ class TestDomains:
             idn.staircase_gf(-1, 10, 10)
         with pytest.raises(ValueError):
             next(enumerate_minimal(0, 10))
+        with pytest.raises(ValueError, match=r"raft count must be >= 0, got -1"):
+            next(enumerate_rafted(-1, 5))
+        assert [str(rp) for rp in enumerate_rafted(0, 3)] == ["()", "1", "2", "1,2", "3"]
         with pytest.raises(ValueError):
             idn.no_kseq_oracle(0, 10, 10)
         for d in (0, -1):  # a walk over distinct parts has no gap-0 count

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from qrafts.rafts import (
     enumerate_rafted,
     is_minimal_structural,
     minimal_profile,
+    _checked_state,
 )
 
 from raft_reference import ReferenceRafted
@@ -160,6 +162,22 @@ def _outcome(make):
     return rp.partition.parts, rp.rafts
 
 
+def _built(make):
+    """A construction's state and hash, or its exception's type, reason and message."""
+    try:
+        rp = make()
+    except ValueError as exc:
+        return type(exc), getattr(exc, "reason", None), str(exc)
+    return rp, hash(rp)
+
+
+def _assert_same_as_rebuilt(out):
+    """A move's output equals, and hashes as, the same state built through __init__."""
+    assert type(out) is RaftedPartition and type(out.partition) is Partition
+    rebuilt = RaftedPartition(Partition(out.partition.parts), out.rafts)
+    assert out == rebuilt and hash(out) == hash(rebuilt), str(out)
+
+
 class TestAgainstReference:
     """The index engine against the set-based validator and moves it replaced."""
 
@@ -174,18 +192,32 @@ class TestAgainstReference:
                     assert rp.can_backward(k) == ref.can_backward(k), (str(rp), k)
                     assert _outcome(lambda: rp.forward(k)) == _outcome(lambda: ref.forward(k))
                     assert _outcome(lambda: rp.backward(k)) == _outcome(lambda: ref.backward(k))
+                    if rp.can_forward(k):
+                        _assert_same_as_rebuilt(rp.forward(k))
+                    if rp.can_backward(k):
+                        _assert_same_as_rebuilt(rp.backward(k))
                     moved += rp.can_forward(k) + rp.can_backward(k)
         assert moved > 300
 
     def test_validation_matches_reference(self):
         reasons = set()
         for p in enumerate_distinct(14):
-            top = max(p.parts, default=0)
+            parts = p.parts
+            top = max(parts, default=0)
+            # the move path's constructor checks parts as Partition does
+            bad_parts = [(0, *parts), parts + parts[-1:]] if parts else [(0,)]
+            if len(parts) > 1:
+                bad_parts.append(parts[::-1])
             for r in range(4):
                 for rafts in itertools.combinations_with_replacement(range(1, top + 1), r):
                     got = _outcome(lambda: RaftedPartition(p, rafts))
                     assert got == _outcome(lambda: ReferenceRafted(p, rafts)), (str(p), rafts)
                     reasons.add(got[1] if len(got) == 3 else "ok")
+                    for given in (rafts, rafts[::-1], list(rafts)):
+                        for q in (parts, *bad_parts):
+                            assert (_built(lambda: _checked_state(q, given))
+                                    == _built(lambda: RaftedPartition(Partition(q), given))), \
+                                (q, given)
         assert reasons == {"ok", "raft-pair-broken", "colliding-rafts", "raft-not-terminal"}
 
 
@@ -228,6 +260,10 @@ class TestMinimality:
     def test_invalid_profile_construction(self):
         with pytest.raises(ValueError):
             MinimalProfile(raft_positions=(1, 3), mu=(0,), tail=())
+        for tail in ((9, 5), (5, 5)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"tail parts must be strictly increasing, got {tail}")):
+                MinimalProfile((1,), (), tail)
 
 
 class TestBijection:
