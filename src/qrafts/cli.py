@@ -1,10 +1,11 @@
 """Command-line front end: verify identities, enumerate objects, trace moves.
 
 Exit codes: 0 all good, 1 at least one check failed (a builder that raises
-fails its own check, and the other checks still report), 2 usage error.  Output is
-deterministic for a fixed invocation; the text and CSV report formats omit
-timings so repeated runs are byte-identical (JSON keeps the millis field from
-the report schema).
+fails its own check, and the other checks still report), 2 usage error,
+an --output path that cannot be written included.  Output is deterministic
+for a fixed invocation; the text and CSV report formats omit timings so
+repeated runs are byte-identical (JSON keeps the millis field from the report
+schema).
 """
 
 from __future__ import annotations
@@ -126,12 +127,18 @@ def _report_csv(reports: list[CheckReport]) -> str:
     return buf.getvalue()
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(text: str, path: str | None) -> bool:
+    """Write to stdout or ``path``; False, after an error message, if it cannot."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return True
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"qrafts: error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _cmd_verify(args, parser) -> int:
@@ -143,7 +150,8 @@ def _cmd_verify(args, parser) -> int:
         print(f"qrafts: error: {exc}", file=sys.stderr)
         return 2
     render = {"text": _report_text, "json": _report_json, "csv": _report_csv}
-    _emit(render[args.format](reports), args.output)
+    if not _emit(render[args.format](reports), args.output):
+        return 2
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -215,11 +223,9 @@ def _cmd_enumerate(args, parser) -> int:
         writer.writerow(["weight", "count"])
         for w in weights:
             writer.writerow([w, counts[w]])
-        _emit(buf.getvalue(), args.output)
-        return 0
+        return 0 if _emit(buf.getvalue(), args.output) else 2
     lines = [text + "\n" for _, text in _iter_target(args, parser)]
-    _emit("".join(lines), args.output)
-    return 0
+    return 0 if _emit("".join(lines), args.output) else 2
 
 
 def _eta_text(eta) -> str:

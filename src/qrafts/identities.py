@@ -17,9 +17,11 @@ its x-degree and q-shift.
 
 Oracle sides count partitions into distinct parts from their definitions,
 by one transfer-matrix walk, ``_walk``, over the 0/1 word that says which of
-1..N are parts, with one small transition per family.  The walk does its own
-list arithmetic and takes only the containers from ``series``, so no oracle
-shares code with a formula side.
+1..N are parts, with one small transition per family.  The walk packs each
+state's counts by weight into one int, a fixed-width slot per weight, so a
+step is one big-int shift and add, and it unpacks them once per output
+series.  It takes only the containers from ``series``, so no oracle shares
+code with a formula side.
 """
 
 from __future__ import annotations
@@ -351,6 +353,11 @@ def staircase_gf(d: int, x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSerie
 # enumeration oracles: one transfer-matrix walk
 
 
+def _width(n: int) -> int:
+    """Bits per weight slot in a walk over 1..n; ``_walk`` proves they suffice."""
+    return 2 * n + 4
+
+
 def _walk(n: int, start, step) -> dict:
     """Count the 0/1 words over positions 1..n by final state and weight.
 
@@ -358,25 +365,64 @@ def _walk(n: int, start, step) -> dict:
     weight.  ``step(state, taken)`` lists the (next state, multiplier) pairs
     of one letter, and an empty list refuses the word.  One more 0 after
     position n, of no weight, closes the last open run.  Returns the counts
-    by weight 0..n of every final state with a nonzero count.
+    by weight 0..n of every final state with a nonzero count, packed into one
+    int (Kronecker substitution): the count for weight e is the signed w-bit
+    slot at bit e*w, w = ``_width(n)``, and ``_unpack`` reads them back.
+
+    A 0 letter adds a state's packed counts as they are.  A 1 letter at p
+    keeps slots 0..n-p, the low (n+1-p)*w bits read as a signed residue, and
+    shifts them up by p slots, so no slot past n is ever kept.  A multiplier
+    of +1 or -1 is an add or a subtract.  All of this is exact while every
+    count fits its slot, |count| < 2^(w-1).  Proof: a step lists at most two
+    moves per letter, each with multiplier +1 or -1, or the walk raises
+    ValueError.  So the n+1 letters of a word make at most 4^n * 2 < 4^(n+1)
+    signed paths, and every count, a sum of +-1 over some of them, has
+    |count| < 2^(2n+2) < 2^(w-1).  The same holds for a sum over several
+    final states, since each path ends in one state.
     """
-    layer = {start: [1] + [0] * n}
+    w = _width(n)
+    layer = {start: 1}
     for p in range(1, n + 2):
         nxt: dict = {}
-        for state, counts in layer.items():
+        full = 1 << ((n + 1 - p) * w)  # slots 0..n-p, those that stay within n at q^p
+        mask, half = full - 1, full >> 1
+        for state, packed in layer.items():
             for taken in (False, True) if p <= n else (False,):
-                for new, mult in step(state, taken):
-                    buf = nxt.setdefault(new, [0] * (n + 1))
-                    lo = p if taken else 0
-                    buf[lo:] = [a + mult * c for a, c in zip(buf[lo:], counts)]
-        layer = {s: c for s, c in nxt.items() if any(c)}
+                moves = step(state, taken)
+                if not moves:
+                    continue
+                if len(moves) > 2:
+                    raise ValueError(f"a walk step lists at most 2 moves, got {len(moves)}")
+                if taken:
+                    packed_p = (((packed + half) & mask) - half) << (w * p)
+                else:
+                    packed_p = packed
+                for new, mult in moves:
+                    if mult == 1:
+                        nxt[new] = nxt.get(new, 0) + packed_p
+                    elif mult == -1:
+                        nxt[new] = nxt.get(new, 0) - packed_p
+                    else:
+                        raise ValueError(f"a walk multiplier must be +1 or -1, got {mult}")
+        layer = {s: c for s, c in nxt.items() if c}
     return layer
+
+
+def _unpack(packed: int, n: int) -> list[int]:
+    """The counts by weight 0..n that ``_walk`` packed into one int."""
+    w = _width(n)
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    counts = []
+    for _ in range(n + 1):
+        c = ((packed + half) & mask) - half  # the lowest slot, as a signed residue
+        counts.append(c)
+        packed = (packed - c) >> w
+    return counts
 
 
 def _q(trunc: int, layer: dict, keep=lambda state: True) -> QSeries:
     """The walk's counts summed over the final states that ``keep`` accepts."""
-    lists = [c for s, c in layer.items() if keep(s)]
-    return QSeries(trunc, tuple(map(sum, zip([0] * (trunc + 1), *lists))))
+    return QSeries(trunc, tuple(_unpack(sum(c for s, c in layer.items() if keep(s)), trunc)))
 
 
 def _xq(x_trunc: int, q_trunc: int, layer: dict) -> XQSeries:

@@ -127,6 +127,14 @@ class TestVerify:
         (rep,) = json.loads(path.read_text())
         assert rep["passed"] is True
 
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "no-such-dir" / "report.txt"
+        code, out, err = run(capsys, "verify", "--identity", "slater-19",
+                             "--order", "5", "--output", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"qrafts: error: cannot write {path}: No such file or directory\n"
+
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         import qrafts.identities as idn
         from qrafts.identities import IdentityCheck
@@ -196,6 +204,14 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--target", "2-distinct",
                            "--weight", "10", "--counts")
         assert (code, out) == (0, "weight,count\n10,6\n")
+
+    @pytest.mark.parametrize("counts", [(), ("--counts",)])
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path, counts):
+        code, out, err = run(capsys, "enumerate", "--target", "2-distinct",
+                             "--weight", "10", *counts, "--output", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"qrafts: error: cannot write {tmp_path}: ")
 
     def test_counts_max_weight_includes_all_rows(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--target", "distinct",

@@ -24,6 +24,7 @@ from qrafts.rafts import enumerate_minimal, enumerate_rafted
 from qrafts.series import QSeries, XQSeries
 
 import product_forms as ref
+from walk_reference import reference_walk
 
 
 def _by_parts(partitions, x_trunc, q_trunc):
@@ -152,12 +153,94 @@ class TestSignedDesignations:
             for Nx in {N, N // 3}:
                 assert idn.d_distinct_xq(d, Nx, N) == _by_parts(counted, Nx, N), (Nx, N)
 
-    def test_rafted_oracle_k4_matches_formula(self):
-        assert idn.rafted_oracle(4, 60) == idn.rafted_gf(4, 60)
 
-    @pytest.mark.parametrize("k", [5, 6])
-    def test_no_kseq_oracle_matches_bmn(self, k):
-        assert idn.no_kseq_oracle(k, 30, 30) == idn.bmn_gf(k, 30, 30)
+def _walk_args(build) -> tuple:
+    """The (n, start, step) that ``build()`` hands to ``identities._walk``."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(idn, "_walk", lambda *args: seen.append(args) or {})
+        build()
+    (args,) = seen
+    return args
+
+
+def _oracle_walks(build, bivariate):
+    """The walks of one oracle family at orders 0..40, 100 and 200, x-orders N and N//3."""
+    for N in (*range(41), 100, 200):
+        for Nx in {N, N // 3} if bivariate else {N}:
+            yield _walk_args(lambda: build(Nx, N))
+
+
+def _bound_walks(mult):
+    """Two moves of multiplier ``mult`` on every letter: the most that _walk allows."""
+    def step(state, taken):
+        return [(state, mult), (1 - state, mult)]
+
+    return [(n, 0, step) for n in (*range(31), 150)]
+
+
+WALKS = {
+    **{f"gap-{d}": lambda d=d: _oracle_walks(
+        lambda Nx, N: idn.d_distinct_xq(d, Nx, N), True) for d in range(1, 8)},
+    **{f"no-kseq-{k}": lambda k=k: _oracle_walks(
+        lambda Nx, N: idn.no_kseq_oracle(k, Nx, N), True) for k in range(1, 7)},
+    **{f"rafted-{k}": lambda k=k: _oracle_walks(
+        lambda Nx, N: idn.rafted_oracle(k, N), False) for k in range(1, 5)},
+    **{f"minimal-{k}": lambda k=k: _oracle_walks(
+        lambda Nx, N: idn.minimal_oracle(k, N), False) for k in range(1, 5)},
+    "signed": lambda: _oracle_walks(lambda Nx, N: idn.signed_designation_oracle(N), False),
+    "bound-plus": lambda: _bound_walks(1),
+    "bound-minus": lambda: _bound_walks(-1),
+}
+
+
+@pytest.mark.parametrize("family", list(WALKS))
+def test_walk_matches_reference(family):
+    """The packed walk has the list walk's final states and counts.
+
+    Each packed int must also be exactly sum_e count_e * 2^(e*w): a walk that
+    kept a carry above slot n would still unpack right.
+    """
+    for n, start, step in WALKS[family]():
+        want = reference_walk(n, start, step)
+        got = idn._walk(n, start, step)
+        assert {s: idn._unpack(c, n) for s, c in got.items()} == want, n
+        w = idn._width(n)
+        assert got == {s: sum(c << (e * w) for e, c in enumerate(counts))
+                       for s, counts in want.items()}, n
+
+
+@pytest.mark.parametrize("moves", [
+    [(0, 1)] * 3,
+    [(0, 2)],
+    [(0, 1), (0, -2)],
+])
+def test_walk_refuses_steps_past_its_width_bound(moves):
+    with pytest.raises(ValueError):
+        idn._walk(5, 0, lambda state, taken: moves)
+
+
+# every k with 3k^2 <= N: k rafts weigh at least 3k^2
+RAFT_CASES = [(k, N) for N in (60, 200) for k in range(1, N) if 3 * k * k <= N]
+
+
+class TestForAnyParameter:
+    """The paper's families checked far past the registry's members."""
+
+    @pytest.mark.parametrize("N", [60, 200])
+    @pytest.mark.parametrize("d", range(11))
+    def test_staircase_counts_gap_parts(self, d, N):
+        assert idn.staircase_gf(d, N, N) == idn.d_distinct_xq(2 + d, N, N)
+
+    @pytest.mark.parametrize("N", [60, 200])
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_bmn_counts_no_kseq(self, k, N):
+        assert idn.bmn_gf(k, N, N) == idn.no_kseq_oracle(k, N, N)
+
+    @pytest.mark.parametrize("k, N", RAFT_CASES)
+    def test_raft_gfs_count_designations(self, k, N):
+        assert idn.minimal_gf(k, N) == idn.minimal_oracle(k, N)
+        assert idn.rafted_gf(k, N) == idn.rafted_oracle(k, N)
 
 
 class TestCutoffSlack:
