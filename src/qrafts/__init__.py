@@ -29,8 +29,6 @@ from .series import (
     QSeries,
     TruncationMismatchError,
     XQSeries,
-    pochhammer,
-    xq_pochhammer,
 )
 
 __version__ = "0.1.0"
@@ -61,8 +59,6 @@ __all__ = [
     "enumerate_rafted",
     "first_difference",
     "minimal_profile",
-    "pochhammer",
     "run_check",
     "run_many",
-    "xq_pochhammer",
 ]

@@ -152,8 +152,17 @@ def iter_distinct_parts(max_weight: int, min_part: int = 1) -> Iterator[tuple[in
     return iter_gap_parts(max_weight, 1, min_part)
 
 
+def _check_gap(gap: int, min_part: int) -> None:
+    """Parts are positive and strictly increase, so both bounds must be >= 1."""
+    if gap < 1:
+        raise ValueError(f"need gap >= 1, got {gap}")
+    if min_part < 1:
+        raise ValueError(f"need min_part >= 1, got {min_part}")
+
+
 def iter_gap_parts(max_weight: int, gap: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:
     """Distinct-part tuples with successive gaps >= gap and sum <= max_weight."""
+    _check_gap(gap, min_part)
     if max_weight < 0:
         return
     prefix: list[int] = []
@@ -181,6 +190,7 @@ def iter_gap_exact(weight: int, gap: int, min_part: int = 1) -> Iterator[tuple[i
     Feasibility prune: after taking p, the remainder must be 0 or >= p+gap
     (a single larger part always works, so the bound is tight).
     """
+    _check_gap(gap, min_part)
     if weight < 0:
         return
     if weight == 0:

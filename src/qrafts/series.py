@@ -1,36 +1,33 @@
-"""Exact truncated power-series arithmetic in q and in (x, q).
+"""Exact truncated power series in q and in (x, q), and the factor steps
+that build every product and quotient.
 
 Everything is integer-exact: coefficients are Python ints, and the identity
 checks downstream rely on exact cancellation, so no floating point appears
 anywhere.  A ``QSeries`` is a formal power series known modulo q^(trunc+1).
-Binary operations refuse to mix truncation orders; dropping precision is an
-explicit ``truncated`` call, never a silent coercion.
-
 ``XQSeries`` layers a second variable x on top, sparse in x-degree: absent
 degrees are the zero series, and every stored slice shares one q-truncation.
-Infinite Pochhammer products stop at the first factor whose lowest retained
-exponent exceeds the truncation order; every later factor is 1 modulo the
-truncation, so the stopping rule loses nothing.
+The containers add, subtract and negate, and refuse to mix truncation
+orders; they do not multiply.
 
 Products and quotients are built by in-place factor steps on raw coefficient
 lists: ``mul_factor``/``div_factor`` multiply or divide by (1 - s*q^a), and
 ``mul_x_factor``/``div_x_factor`` by (1 - s*x*q^a) on a table mapping
 x-degree to coefficient list.  Multiplying is one descending pass and dividing
-one ascending pass, so a step costs O(N), or O(Nx*Nq) in two variables, where
-a full series product costs O(N^2).
+one ascending pass, so a step costs O(N), or O(Nx*Nq) in two variables.
+``_product`` and ``_x_product`` apply one step per Pochhammer factor, and stop
+at the first factor whose exponent exceeds the truncation order; every later
+factor is 1 modulo the truncation, so the stopping rule loses nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 __all__ = [
     "QSeries",
     "XQSeries",
     "PochhammerSpec",
-    "pochhammer",
-    "xq_pochhammer",
     "mul_factor",
     "div_factor",
     "mul_x_factor",
@@ -45,7 +42,7 @@ class TruncationMismatchError(ValueError):
 
 
 class NonUnitConstantError(ValueError):
-    """Inversion was asked of a series whose constant term is not +1 or -1."""
+    """Division by a factor (1 - s*q^a) whose constant term is not a unit (a = 0)."""
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +110,7 @@ class QSeries:
                 f"truncation mismatch: {self.trunc} vs {other.trunc}"
             )
 
-    # -- ring operations ----------------------------------------------------
+    # -- linear operations --------------------------------------------------
 
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
@@ -130,62 +127,6 @@ class QSeries:
     def __neg__(self) -> "QSeries":
         return QSeries(self.trunc, tuple(-a for a in self.coeffs))
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QSeries(self.trunc, tuple(a * other for a in self.coeffs))
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        self._check(other)
-        n = self.trunc
-        out = [0] * (n + 1)
-        _mul_into(out, self.coeffs, other.coeffs, n)
-        return QSeries(n, tuple(out))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QSeries":
-        """Multiplicative inverse; requires constant term +1 or -1."""
-        c0 = self.coeffs[0]
-        if c0 not in (1, -1):
-            raise NonUnitConstantError(f"constant term {c0} is not a unit")
-        n = self.trunc
-        nz = [(i, ai) for i, ai in enumerate(self.coeffs) if ai and i > 0]
-        b = [0] * (n + 1)
-        b[0] = c0  # 1/c0 == c0 for c0 in {1, -1}
-        for m in range(1, n + 1):
-            s = 0
-            for i, ai in nz:
-                if i > m:
-                    break
-                s += ai * b[m - i]
-            b[m] = -c0 * s
-        return QSeries(n, tuple(b))
-
-    def truncated(self, new_trunc: int) -> "QSeries":
-        """Explicitly drop precision down to new_trunc <= trunc."""
-        if new_trunc > self.trunc:
-            raise TruncationMismatchError(
-                f"cannot raise truncation {self.trunc} to {new_trunc}"
-            )
-        return QSeries(new_trunc, self.coeffs[: new_trunc + 1])
-
-    # -- rendering ----------------------------------------------------------
-
-    def __str__(self) -> str:
-        pieces = []
-        for e, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if e == 0:
-                pieces.append(str(c))
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                var = "q" if e == 1 else f"q^{e}"
-                if c < 0:
-                    pieces.append(f"- {mag}{var}" if pieces else f"-{mag}{var}")
-                else:
-                    pieces.append(f"+ {mag}{var}" if pieces else f"{mag}{var}")
-        return " ".join(pieces) if pieces else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +248,6 @@ def _product(trunc: int, num: Sequence[PochhammerSpec] = (),
     return c
 
 
-def pochhammer(spec: PochhammerSpec, trunc: int) -> QSeries:
-    """Evaluate a PochhammerSpec modulo q^(trunc+1)."""
-    return QSeries(trunc, tuple(_product(trunc, [spec])))
-
-
 # ---------------------------------------------------------------------------
 # bivariate series
 
@@ -365,11 +301,6 @@ class XQSeries:
             return cls.zero(x_trunc, q_trunc)
         return cls(x_trunc, q_trunc, {x_deg: QSeries.monomial(q_exp, q_trunc, coeff)})
 
-    @classmethod
-    def from_q(cls, series: QSeries, x_trunc: int) -> "XQSeries":
-        """Embed a univariate series at x-degree 0."""
-        return cls(x_trunc, series.trunc, {0: series})
-
     # -- accessors ----------------------------------------------------------
 
     def slice(self, x_deg: int) -> QSeries:
@@ -378,9 +309,6 @@ class XQSeries:
             raise IndexError(f"x-degree {x_deg} outside [0, {self.x_trunc}]")
         s = self.terms.get(x_deg)
         return s if s is not None else QSeries.zero(self.q_trunc)
-
-    def x_degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(self.terms))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -392,7 +320,7 @@ class XQSeries:
                 f"({other.x_trunc}, {other.q_trunc})"
             )
 
-    # -- ring operations ----------------------------------------------------
+    # -- linear operations --------------------------------------------------
 
     def __add__(self, other: "XQSeries") -> "XQSeries":
         if not isinstance(other, XQSeries):
@@ -412,31 +340,6 @@ class XQSeries:
     def __neg__(self) -> "XQSeries":
         return XQSeries(self.x_trunc, self.q_trunc,
                         {deg: -s for deg, s in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return XQSeries(self.x_trunc, self.q_trunc,
-                            {d: s * other for d, s in self.terms.items()})
-        if isinstance(other, QSeries):
-            other = XQSeries.from_q(other, self.x_trunc)
-        if not isinstance(other, XQSeries):
-            return NotImplemented
-        self._check(other)
-        nq = self.q_trunc
-        acc: dict[int, list[int]] = {}
-        for da, sa in self.terms.items():
-            for db, sb in other.terms.items():
-                deg = da + db
-                if deg > self.x_trunc:
-                    continue
-                buf = acc.get(deg)
-                if buf is None:
-                    buf = [0] * (nq + 1)
-                    acc[deg] = buf
-                _mul_into(buf, sa.coeffs, sb.coeffs, nq)
-        return _from_buffers(self.x_trunc, nq, acc)
-
-    __rmul__ = __mul__
 
     # -- substitutions ------------------------------------------------------
 
@@ -463,25 +366,6 @@ class XQSeries:
                     out[base + e] += c
         return QSeries(nq, tuple(out))
 
-    # -- rendering ----------------------------------------------------------
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"x^{deg}*({self.terms[deg]})" for deg in sorted(self.terms)
-        )
-
-
-def _mul_into(buf: list[int], a, b, trunc: int) -> None:
-    """buf += a*b truncated at trunc, all raw coefficient tuples."""
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(trunc - i + 1):
-                bj = b[j]
-                if bj:
-                    buf[i + j] += ai * bj
-
 
 def _from_buffers(x_trunc: int, q_trunc: int, acc: Mapping[int, list[int]]) -> XQSeries:
     return XQSeries(x_trunc, q_trunc,
@@ -495,21 +379,3 @@ def _x_product(sign: int, base: int, step: int, count: int | None,
     for a in _exponents(base, step, count, q_trunc):
         mul_x_factor(table, sign, a, x_trunc)
     return table
-
-
-def xq_pochhammer(sign: int, base_exp: int, step_exp: int, count: int | None,
-                  x_trunc: int, q_trunc: int) -> XQSeries:
-    """Product of factors (1 - sign * x * q^(base_exp + j*step_exp)).
-
-    base_exp = 0 is allowed because each factor carries x (e.g. products of
-    (1 + x q^j) starting at j = 0); the q-exponent still increases with j, so
-    the infinite-product stopping rule applies as usual.
-    """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if base_exp < 0 or step_exp < 1:
-        raise ValueError("need base_exp >= 0 and step_exp >= 1")
-    if count is not None and count < 0:
-        raise ValueError(f"count must be >= 0 or None, got {count}")
-    return _from_buffers(x_trunc, q_trunc,
-                         _x_product(sign, base_exp, step_exp, count, x_trunc, q_trunc))

@@ -129,6 +129,22 @@ class TestGenerators:
         for parts in iter_distinct_parts(12, min_part=4):
             assert not parts or parts[0] >= 4
 
+    @pytest.mark.parametrize("gen", [iter_gap_parts, iter_gap_exact])
+    @pytest.mark.parametrize("gap, min_part", [(0, 1), (-1, 1), (1, 0), (2, -3)])
+    def test_gap_and_min_part_below_one_rejected(self, gen, gap, min_part):
+        # gap 0 repeats a part, min_part 0 yields a zero part, gap -1 never ends;
+        # the check fires at the first next(), even when the weight is negative
+        for weight in (2, -1):
+            it = gen(weight, gap, min_part)
+            with pytest.raises(ValueError):
+                next(it)
+
+    def test_distinct_wrappers_reject_min_part_below_one(self):
+        with pytest.raises(ValueError):
+            next(iter_distinct_parts(2, min_part=0))
+        with pytest.raises(ValueError):
+            next(iter_distinct_exact(2, min_part=0))
+
     def test_enumerate_distinct_ordering(self):
         seen = list(enumerate_distinct(8))
         keys = [(p.weight, p.parts) for p in seen]
