@@ -9,6 +9,7 @@ Usage:
 import sys
 
 from qrafts.identities import minimal_gf, rafted_gf
+from qrafts.partitions import runs_of
 from qrafts.rafts import (
     RaftedPartition,
     compose_with_trace,
@@ -22,7 +23,7 @@ def main() -> int:
     text = sys.argv[1] if len(sys.argv) > 1 else "1,[2,3],5,7,[8,9]"
     rp = RaftedPartition.parse(text)
     print(f"partition      {rp}  (weight {rp.weight})")
-    print(f"runs           {[(r.start, r.end) for r in rp.partition.runs()]}")
+    print(f"runs           {[(s, s + n - 1) for s, n in runs_of(rp.partition.parts)]}")
     print(f"eligible rafts {rp.partition.eligible_rafts()}")
     print(f"designated     {rp.rafts}")
     print()

@@ -11,7 +11,7 @@ from .identities import (
     run_check,
     run_many,
 )
-from .partitions import EvenPartition, Partition, Run
+from .partitions import EvenPartition, Partition
 from .rafts import (
     MinimalProfile,
     MoveError,
@@ -48,7 +48,6 @@ __all__ = [
     "REGISTRY",
     "RaftError",
     "RaftedPartition",
-    "Run",
     "TruncationMismatchError",
     "XQSeries",
     "__version__",

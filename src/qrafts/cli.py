@@ -19,7 +19,13 @@ import sys
 
 from .identities import PROFILES, REGISTRY, CheckReport, run_many
 from .partitions import Partition, iter_gap_exact
-from .rafts import RaftedPartition, compose_with_trace, decompose_with_trace
+from .rafts import (
+    RaftedPartition,
+    compose_with_trace,
+    decompose_with_trace,
+    enumerate_minimal,
+    enumerate_rafted,
+)
 
 PROFILE_ENV = "QRAFTS_PROFILE"
 
@@ -200,7 +206,6 @@ def _iter_target(args, parser):
     if target in ("minimal-rafted", "rafted"):
         if args.k is None or args.k < 1:
             parser.error(f"target {target!r} needs --k >= 1")
-        from .rafts import enumerate_minimal, enumerate_rafted
         it = enumerate_minimal if target == "minimal-rafted" else enumerate_rafted
         wanted = set(weights)
         for rp in it(args.k, top):

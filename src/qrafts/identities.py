@@ -619,12 +619,13 @@ def all_names() -> list[str]:
 
 def run_many(names, q_trunc: int, x_trunc: int | None = None) -> list[CheckReport]:
     """Run the named checks in registry order; unknown names raise ValueError."""
-    wanted = list(names)
-    for n in wanted:
+    names = list(names)
+    for n in names:
         if n not in REGISTRY:
             raise ValueError(f"unknown-identity: {n}")
+    wanted = set(names)
     return [run_check(REGISTRY[n], q_trunc, x_trunc)
-            for n in REGISTRY if n in set(wanted)]
+            for n in REGISTRY if n in wanted]
 
 
 def _rr1(trunc: int) -> QSeries:

@@ -1,14 +1,10 @@
-"""Partitions into distinct parts: enumeration, runs, and raft designations.
+"""Partitions into distinct parts: the model, runs and eligible rafts, one
+exact-weight generator, and the bracketed text format.
 
 Parts are kept strictly increasing.  A run is a maximal block of consecutive
 parts; the top pair of any run of length >= 2 is an eligible raft, named by
 its smaller member.  A designation picks an arbitrary subset of the eligible
 rafts, so a partition with R qualifying runs has exactly 2^R designations.
-
-The enumeration generators come in two flavours: ordered (weight ascending,
-then lexicographic, for user-facing listings) and tree-order (each partition
-exactly once, for the constructive enumerators and the tests' brute counts,
-where order is irrelevant).
 """
 
 from __future__ import annotations
@@ -20,29 +16,11 @@ from typing import Iterator
 
 __all__ = [
     "Partition",
-    "Run",
     "EvenPartition",
-    "enumerate_distinct",
-    "iter_distinct_parts",
-    "iter_distinct_exact",
-    "iter_gap_parts",
     "iter_gap_exact",
-    "enumerate_designations",
     "parse_rafted_text",
     "render_rafted_text",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class Run:
-    """Maximal consecutive block start, start+1, ..., start+length-1."""
-
-    start: int
-    length: int
-
-    @property
-    def end(self) -> int:
-        return self.start + self.length - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,22 +44,9 @@ class Partition:
     def length(self) -> int:
         return len(self.parts)
 
-    def runs(self) -> tuple[Run, ...]:
-        return tuple(Run(s, l) for s, l in runs_of(self.parts))
-
     def eligible_rafts(self) -> tuple[int, ...]:
         """Smaller members of the top pairs of all runs of length >= 2."""
         return _eligible_rafts(self.parts)
-
-    def is_d_distinct(self, d: int) -> bool:
-        """All gaps between successive parts >= d (1-distinct = distinct)."""
-        return all(b - a >= d for a, b in zip(self.parts, self.parts[1:]))
-
-    def has_k_sequence(self, k: int) -> bool:
-        """Whether some run has length >= k."""
-        if k <= 1:
-            return bool(self.parts) or k <= 0
-        return any(l >= k for _, l in runs_of(self.parts))
 
     def __str__(self) -> str:
         return render_rafted_text(self.parts, ())
@@ -143,15 +108,6 @@ def _eligible_rafts(parts: tuple[int, ...]) -> tuple[int, ...]:
 # enumeration
 
 
-def iter_distinct_parts(max_weight: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:
-    """All distinct-part tuples with sum <= max_weight, each exactly once.
-
-    Tree order (prefix-extension), not sorted by weight; meant for oracle
-    accumulation where only coverage matters.
-    """
-    return iter_gap_parts(max_weight, 1, min_part)
-
-
 def _check_gap(gap: int, min_part: int) -> None:
     """Parts are positive and strictly increase, so both bounds must be >= 1."""
     if gap < 1:
@@ -160,35 +116,12 @@ def _check_gap(gap: int, min_part: int) -> None:
         raise ValueError(f"need min_part >= 1, got {min_part}")
 
 
-def iter_gap_parts(max_weight: int, gap: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:
-    """Distinct-part tuples with successive gaps >= gap and sum <= max_weight."""
-    _check_gap(gap, min_part)
-    if max_weight < 0:
-        return
-    prefix: list[int] = []
-
-    def rec(budget: int, low: int) -> Iterator[tuple[int, ...]]:
-        yield tuple(prefix)
-        p = low
-        while p <= budget:
-            prefix.append(p)
-            yield from rec(budget - p, p + gap)
-            prefix.pop()
-            p += 1
-
-    yield from rec(max_weight, min_part)
-
-
-def iter_distinct_exact(weight: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:
-    """Distinct-part tuples of exact weight, lexicographically ascending."""
-    return iter_gap_exact(weight, 1, min_part)
-
-
 def iter_gap_exact(weight: int, gap: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:
     """Gap->= gap partitions of exact weight, lexicographically ascending.
 
-    Feasibility prune: after taking p, the remainder must be 0 or >= p+gap
-    (a single larger part always works, so the bound is tight).
+    A part p either is the last one (p = remaining) or leaves a rest of at
+    least p + gap, so p <= (remaining - gap) // 2; every p in that range has
+    at least the one-part tail, and the last part sorts after all of them.
     """
     _check_gap(gap, min_part)
     if weight < 0:
@@ -197,34 +130,17 @@ def iter_gap_exact(weight: int, gap: int, min_part: int = 1) -> Iterator[tuple[i
         yield ()
         return
 
+    prefix: list[int] = []
+
     def rec(remaining: int, low: int) -> Iterator[tuple[int, ...]]:
-        for p in range(low, remaining + 1):
-            rest = remaining - p
-            if rest == 0:
-                yield (p,)
-            elif rest >= p + gap:
-                for tail in rec(rest, p + gap):
-                    yield (p,) + tail
+        for p in range(low, (remaining - gap) // 2 + 1):
+            prefix.append(p)
+            yield from rec(remaining - p, p + gap)
+            prefix.pop()
+        if remaining >= low:
+            yield (*prefix, remaining)
 
     yield from rec(weight, min_part)
-
-
-def enumerate_distinct(max_weight: int) -> Iterator[Partition]:
-    """All distinct-part partitions, weight ascending then lexicographic."""
-    for w in range(max_weight + 1):
-        for parts in iter_distinct_exact(w):
-            yield Partition(parts)
-
-
-def enumerate_designations(p: Partition) -> Iterator[tuple[int, ...]]:
-    """All 2^R subsets of the eligible rafts, in binary counting order.
-
-    Bit i of the counter toggles the i-th smallest eligible raft, so the
-    order is deterministic: (), smallest alone, next alone, both, ...
-    """
-    elig = p.eligible_rafts()
-    for mask in range(1 << len(elig)):
-        yield tuple(r for i, r in enumerate(elig) if mask >> i & 1)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from .partitions import (
     Partition,
     _check_parts,
     _eligible_rafts,
-    iter_distinct_parts,
+    iter_gap_exact,
     parse_rafted_text,
     render_rafted_text,
 )
@@ -66,7 +66,6 @@ __all__ = [
     "enumerate_minimal",
     "enumerate_rafted",
     "minimal_profile",
-    "is_minimal_structural",
 ]
 
 
@@ -263,27 +262,6 @@ def _checked_state(parts: tuple[int, ...], rafts: tuple[int, ...]) -> RaftedPart
     return rp
 
 
-def is_minimal_structural(rp: RaftedPartition) -> bool:
-    """Shape test for minimality, independent of the move rules.
-
-    With rafts r_1 < ... < r_k: every part 1..r_k+1 is present except exactly
-    r_j+2 for j < k (forcing r_{j+1} >= r_j + 3), and the remaining parts all
-    sit at r_k + 3 or higher.
-    """
-    if not rp.rafts:
-        return True
-    r = rp.rafts
-    missing = {rj + 2 for rj in r[:-1]}
-    expected_low = set(range(1, r[-1] + 2)) - missing
-    parts = set(rp.partition.parts)
-    low = {p for p in parts if p <= r[-1] + 1}
-    if low != expected_low:
-        return False
-    if any(b - a < 3 for a, b in zip(r, r[1:])):
-        return False
-    return all(p >= r[-1] + 3 for p in parts - low)
-
-
 # ---------------------------------------------------------------------------
 # decomposition into (minimal, even partition)
 
@@ -417,8 +395,8 @@ def enumerate_minimal(k: int, max_weight: int) -> Iterator[RaftedPartition]:
     """All minimal configurations with exactly k rafts and weight <= max_weight.
 
     Constructive: choose raft positions climbing by >= 3, fill in the forced
-    prefix, then append any distinct-part tail at r_k + 3 or above.  Ordered
-    by (weight, parts, rafts).
+    prefix, then append any distinct-part tail at r_k + 3 or above, drawn
+    weight by weight.  Ordered by (weight, parts, rafts).
     """
     if k < 1:
         raise ValueError(f"raft count must be >= 1, got {k}")
@@ -442,9 +420,10 @@ def enumerate_minimal(k: int, max_weight: int) -> Iterator[RaftedPartition]:
 
     found: list[RaftedPartition] = []
     for r in vectors(()):
-        w0 = prefix_weight(r)
-        for tail in iter_distinct_parts(max_weight - w0, min_part=r[-1] + 3):
-            found.append(MinimalProfile.from_positions(r, tail).to_rafted())
+        low = r[-1] + 3
+        for w in range(max_weight - prefix_weight(r) + 1):
+            for tail in iter_gap_exact(w, 1, low):
+                found.append(MinimalProfile.from_positions(r, tail).to_rafted())
     found.sort(key=lambda rp: (rp.weight, rp.partition.parts, rp.rafts))
     yield from found
 
@@ -452,19 +431,17 @@ def enumerate_minimal(k: int, max_weight: int) -> Iterator[RaftedPartition]:
 def enumerate_rafted(k: int, max_weight: int) -> Iterator[RaftedPartition]:
     """All configurations with exactly k designated rafts, weight <= max_weight.
 
-    Filter route: every distinct-part partition crossed with every size-k
-    subset of its eligible rafts.  Ordered by (weight, parts, rafts).
+    Filter route, streamed weight by weight: each distinct-part partition of
+    that weight, in lexicographic order, crossed with every size-k subset of
+    its eligible rafts, in lexicographic order.  So the stream is ordered by
+    (weight, parts, rafts), and nothing heavier than the last item is drawn.
     """
     if k < 0:
         raise ValueError(f"raft count must be >= 0, got {k}")
-    found: list[tuple[int, tuple[int, ...], tuple[int, ...], Partition]] = []
-    for parts in iter_distinct_parts(max_weight):
-        elig = _eligible_rafts(parts)
-        if len(elig) < k:
-            continue
-        p, w = Partition(parts), sum(parts)
-        for combo in itertools.combinations(elig, k):
-            found.append((w, parts, combo, p))
-    found.sort()  # (parts, combo) is unique, so the Partition is never compared
-    for _, _, combo, p in found:
-        yield RaftedPartition(p, combo)
+    for w in range(max_weight + 1):
+        for parts in iter_gap_exact(w, 1):
+            elig = _eligible_rafts(parts)
+            if len(elig) >= k:
+                p = Partition(parts)
+                for combo in itertools.combinations(elig, k):
+                    yield RaftedPartition(p, combo)

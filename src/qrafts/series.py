@@ -75,23 +75,6 @@ class QSeries:
     def one(cls, trunc: int) -> "QSeries":
         return cls(trunc, (1,) + (0,) * trunc)
 
-    @classmethod
-    def monomial(cls, exponent: int, trunc: int, coeff: int = 1) -> "QSeries":
-        """coeff * q^exponent; the zero series when the exponent overflows."""
-        if exponent < 0:
-            raise ValueError("negative exponents are not representable")
-        c = [0] * (trunc + 1)
-        if exponent <= trunc:
-            c[exponent] = coeff
-        return cls(trunc, tuple(c))
-
-    @classmethod
-    def from_coeffs(cls, coeffs, trunc: int) -> "QSeries":
-        """Truncate (or zero-pad, for exact polynomials) a coefficient list."""
-        c = list(coeffs[: trunc + 1])
-        c += [0] * (trunc + 1 - len(c))
-        return cls(trunc, tuple(c))
-
     # -- accessors ----------------------------------------------------------
 
     def coefficient(self, exponent: int) -> int:
@@ -290,16 +273,6 @@ class XQSeries:
     @classmethod
     def one(cls, x_trunc: int, q_trunc: int) -> "XQSeries":
         return cls(x_trunc, q_trunc, {0: QSeries.one(q_trunc)})
-
-    @classmethod
-    def monomial(cls, x_deg: int, q_exp: int, x_trunc: int, q_trunc: int,
-                 coeff: int = 1) -> "XQSeries":
-        """coeff * x^x_deg * q^q_exp, zero if either exponent overflows."""
-        if x_deg < 0 or q_exp < 0:
-            raise ValueError("negative exponents are not representable")
-        if x_deg > x_trunc:
-            return cls.zero(x_trunc, q_trunc)
-        return cls(x_trunc, q_trunc, {x_deg: QSeries.monomial(q_exp, q_trunc, coeff)})
 
     # -- accessors ----------------------------------------------------------
 

@@ -149,14 +149,15 @@ def gaussian_binomial(n, k, trunc):
     """[n choose k]_q as a QSeries; zero when k < 0 or k > n."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return QSeries.from_coeffs(_gauss_coeffs(n, k), trunc)
+    c = _gauss_coeffs(n, k)[: trunc + 1]
+    return QSeries(trunc, c + (0,) * (trunc + 1 - len(c)))
 
 
 def rr_product(residues, modulus, trunc):
     prod = [1] + [0] * trunc
     for r in residues:
         prod = _mul(_inv_poch(1, r, modulus, None, trunc), prod)
-    return QSeries.from_coeffs(prod, trunc)
+    return QSeries(trunc, tuple(prod))
 
 
 def slater_sum(shift, extra_len, trunc):
@@ -166,7 +167,7 @@ def slater_sum(shift, extra_len, trunc):
         term = _mul(_inv_poch(1, 2, 2, j, trunc), _inv_poch(-1, 1, 1, 2 * j + extra_len, trunc))
         _add(total, term, 3 * j * j + shift * j, (-1) ** j)
         j += 1
-    return QSeries.from_coeffs(_mul(_poch(-1, 1, 1, None, trunc), total), trunc)
+    return QSeries(trunc, tuple(_mul(_poch(-1, 1, 1, None, trunc), total)))
 
 
 def minimal_exponent(k, m):
@@ -181,12 +182,12 @@ def minimal_gf(k, trunc):
         _add(total, _mul(gauss, _poch(-1, 3 * k + m + 1, 1, None, trunc)),
              minimal_exponent(k, m))
         m += 1
-    return QSeries.from_coeffs(total, trunc)
+    return QSeries(trunc, tuple(total))
 
 
 def rafted_gf(k, trunc):
-    return QSeries.from_coeffs(_mul(minimal_gf(k, trunc).coeffs, _inv_poch(1, 2, 2, k, trunc)),
-                               trunc)
+    return QSeries(trunc, tuple(_mul(minimal_gf(k, trunc).coeffs,
+                                     _inv_poch(1, 2, 2, k, trunc))))
 
 
 def no_raft_gf(trunc):
@@ -195,7 +196,7 @@ def no_raft_gf(trunc):
     while 3 * k * k <= trunc:
         _add(total, rafted_gf(k, trunc).coeffs, 0, (-1) ** k)
         k += 1
-    return QSeries.from_coeffs(total, trunc)
+    return QSeries(trunc, tuple(total))
 
 
 def qgauss_lhs(a_exp, b_exp, c_exp, trunc):
@@ -207,14 +208,14 @@ def qgauss_lhs(a_exp, b_exp, c_exp, trunc):
         den = _mul(_inv_poch(1, 1, 1, n, trunc), _inv_poch(1, c_exp, 1, n, trunc))
         _add(total, _mul(num, den), gap * n)
         n += 1
-    return QSeries.from_coeffs(total, trunc)
+    return QSeries(trunc, tuple(total))
 
 
 def qgauss_rhs(a_exp, b_exp, c_exp, trunc):
     gap = c_exp - a_exp - b_exp
     num = _mul(_poch(1, c_exp - a_exp, 1, None, trunc), _poch(1, c_exp - b_exp, 1, None, trunc))
     den = _mul(_inv_poch(1, c_exp, 1, None, trunc), _inv_poch(1, gap, 1, None, trunc))
-    return QSeries.from_coeffs(_mul(num, den), trunc)
+    return QSeries(trunc, tuple(_mul(num, den)))
 
 
 def gauss_step_lhs(k, trunc):
@@ -224,13 +225,12 @@ def gauss_step_lhs(k, trunc):
         den = _mul(_inv_poch(1, 1, 1, m, trunc), _inv_poch(-1, 3 * k + 1, 1, m, trunc))
         _add(total, _mul(_poch(1, k, 1, m, trunc), den), _b2(m) + (2 * k + 1) * m)
         m += 1
-    return QSeries.from_coeffs(total, trunc)
+    return QSeries(trunc, tuple(total))
 
 
 def gauss_step_rhs(k, trunc):
-    return QSeries.from_coeffs(
-        _mul(_poch(-1, 2 * k + 1, 1, None, trunc), _inv_poch(-1, 3 * k + 1, 1, None, trunc)),
-        trunc)
+    return QSeries(trunc, tuple(
+        _mul(_poch(-1, 2 * k + 1, 1, None, trunc), _inv_poch(-1, 3 * k + 1, 1, None, trunc))))
 
 
 def master_lhs(x_trunc, q_trunc):

@@ -14,7 +14,7 @@ import pytest
 
 from qrafts import identities as idn
 from qrafts.identities import REGISTRY, run_check
-from qrafts.partitions import EvenPartition, enumerate_designations, enumerate_distinct
+from qrafts.partitions import EvenPartition, runs_of
 from qrafts.rafts import (
     RaftedPartition,
     compose_with_trace,
@@ -22,9 +22,11 @@ from qrafts.rafts import (
     enumerate_minimal,
 )
 
+from brute import all_distinct, enumerate_designations
+
 
 def _rafted_upto(max_weight):
-    for p in enumerate_distinct(max_weight):
+    for p in all_distinct(max_weight):
         for rafts in enumerate_designations(p):
             if rafts:
                 yield RaftedPartition(p, rafts)
@@ -61,9 +63,10 @@ def test_criterion_03_raft_counting_formulas_to_weight_40():
 
 
 def test_criterion_04_signed_designations_collapse():
-    for p in enumerate_distinct(30):
+    for p in all_distinct(30):
         signed = sum((-1) ** len(d) for d in enumerate_designations(p))
-        assert signed == (0 if p.has_k_sequence(2) else 1), p.parts
+        has_run = any(n >= 2 for _, n in runs_of(p.parts))
+        assert signed == (0 if has_run else 1), p.parts
     rr1 = idn.rr_product((1, 4), 5, 60)
     assert idn.no_raft_gf(60) == rr1
     assert idn.signed_designation_oracle(60) == rr1

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, formats, enumeration, tracing."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -141,7 +142,7 @@ class TestVerify:
         from qrafts.series import QSeries
         broken = IdentityCheck(
             "slater-19", False,
-            lambda N: idn.slater19_sum(N) + QSeries.monomial(4, N),
+            lambda N: idn.slater19_sum(N) + QSeries(N, tuple(int(i == 4) for i in range(N + 1))),
             lambda N: idn.rr_product((1, 4), 5, N),
             "fixture",
         )
@@ -255,6 +256,20 @@ class TestEnumerate:
                            "--weight", "12")
         assert code == 0
         assert len(out.strip().splitlines()) == d_distinct_q(3, 12).coefficient(12)
+
+    # digests of whole listings: a change to any line, or to their order, shows here
+    @pytest.mark.parametrize("target, max_weight, lines, digest", [
+        ("distinct", "30", 2035,
+         "b3e975fe3bac1546d3bcfcd5358c0c5569a50b0d8416f08c2c578f2a2080ce7e"),
+        ("3-distinct", "45", 3070,
+         "c05f30f8750d388bdd5c619e3691730b80bdfa7c3450c8a612a572c04f36de20"),
+    ], ids=["distinct", "3-distinct"])
+    def test_distinct_listing_digest(self, capsys, target, max_weight, lines, digest):
+        code, out, _ = run(capsys, "enumerate", "--target", target,
+                           "--max-weight", max_weight)
+        assert code == 0
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestTrace:

@@ -13,17 +13,12 @@ from qrafts.identities import (
     run_check,
     run_many,
 )
-from qrafts.partitions import (
-    Partition,
-    enumerate_designations,
-    enumerate_distinct,
-    iter_distinct_parts,
-    iter_gap_parts,
-)
+from qrafts.partitions import Partition, iter_gap_exact, runs_of
 from qrafts.rafts import enumerate_minimal, enumerate_rafted
 from qrafts.series import QSeries, XQSeries
 
 import product_forms as ref
+from brute import all_distinct, enumerate_designations
 from walk_reference import reference_walk
 
 
@@ -105,9 +100,9 @@ class TestFrozenValues:
 
 class TestSignedDesignations:
     def test_per_partition_indicator(self):
-        for p in enumerate_distinct(18):
+        for p in all_distinct(18):
             total = sum((-1) ** len(d) for d in enumerate_designations(p))
-            expect = 0 if p.has_k_sequence(2) else 1
+            expect = 0 if any(n >= 2 for _, n in runs_of(p.parts)) else 1
             assert total == expect, p.parts
 
     def test_examples(self):
@@ -139,15 +134,15 @@ class TestSignedDesignations:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_no_kseq_oracle_matches_filter(self, k):
-        counted = [parts for parts in iter_distinct_parts(36)
-                   if not Partition(parts).has_k_sequence(k)]
+        counted = [parts for w in range(37) for parts in iter_gap_exact(w, 1)
+                   if all(n < k for _, n in runs_of(parts))]
         for N in range(37):
             for Nx in {N, N // 3}:
                 assert idn.no_kseq_oracle(k, Nx, N) == _by_parts(counted, Nx, N), (Nx, N)
 
     @pytest.mark.parametrize("d", range(1, 8))
     def test_d_distinct_q_counts_gap_parts(self, d):
-        counted = list(iter_gap_parts(40, d))
+        counted = [parts for w in range(41) for parts in iter_gap_exact(w, d)]
         for N in range(41):
             assert idn.d_distinct_q(d, N) == _by_parts(counted, N, N).substitute_x_power(0)
             for Nx in {N, N // 3}:
@@ -441,22 +436,23 @@ class TestDomains:
 
 class TestReports:
     def test_first_difference_none(self):
-        a = QSeries.from_coeffs([1, 2, 3], 5)
+        a = QSeries(5, (1, 2, 3, 0, 0, 0))
         assert first_difference(a, a) is None
 
     def test_first_difference_univariate(self):
-        a = QSeries.from_coeffs([1, 2, 3], 5)
-        b = QSeries.from_coeffs([1, 2, 4, 9], 5)
+        a = QSeries(5, (1, 2, 3, 0, 0, 0))
+        b = QSeries(5, (1, 2, 4, 9, 0, 0))
         fd = first_difference(a, b)
         assert fd == FirstDiff(x=None, q=2, lhs="3", rhs="4")
 
     def test_first_difference_bivariate_scans_q_first(self):
-        a = XQSeries.monomial(0, 3, 4, 6) + XQSeries.monomial(3, 1, 4, 6)
-        b = XQSeries.monomial(0, 3, 4, 6)
+        q1, q3, q5 = (QSeries(6, tuple(int(i == e) for i in range(7))) for e in (1, 3, 5))
+        a = XQSeries(4, 6, {0: q3, 3: q1})
+        b = XQSeries(4, 6, {0: q3})
         fd = first_difference(a, b)
         assert (fd.x, fd.q, fd.lhs, fd.rhs) == (3, 1, "1", "0")
         # a difference at lower q wins even on a higher x-degree
-        c = b + XQSeries.monomial(1, 5, 4, 6)
+        c = XQSeries(4, 6, {0: q3, 1: q5})
         fd2 = first_difference(a, c)
         assert (fd2.x, fd2.q) == (3, 1)
 
@@ -468,7 +464,7 @@ class TestReports:
 
     def test_swap_symmetry(self):
         a = idn.slater19_sum(15)
-        b = a + QSeries.monomial(7, 15)
+        b = a + QSeries(15, tuple(int(i == 7) for i in range(16)))
         fd = first_difference(a, b)
         swapped = first_difference(b, a)
         assert (fd.x, fd.q) == (swapped.x, swapped.q)
@@ -477,7 +473,7 @@ class TestReports:
     def test_perturbed_check_fails_with_location(self):
         broken = IdentityCheck(
             "broken", False,
-            lambda N: idn.slater19_sum(N) + QSeries.monomial(9, N),
+            lambda N: idn.slater19_sum(N) + QSeries(N, tuple(int(i == 9) for i in range(N + 1))),
             lambda N: idn.rr_product((1, 4), 5, N),
             "fixture",
         )
@@ -489,7 +485,8 @@ class TestReports:
     def test_perturbed_bivariate_check(self):
         broken = IdentityCheck(
             "broken-xq", True,
-            lambda Nx, Nq: idn.master_lhs(Nx, Nq) + XQSeries.monomial(2, 9, Nx, Nq),
+            lambda Nx, Nq: idn.master_lhs(Nx, Nq) + XQSeries(
+                Nx, Nq, {2: QSeries(Nq, tuple(int(i == 9) for i in range(Nq + 1)))}),
             idn.master_rhs,
             "fixture",
         )

@@ -9,16 +9,13 @@ from hypothesis import strategies as st
 from qrafts.partitions import (
     EvenPartition,
     Partition,
-    enumerate_designations,
-    enumerate_distinct,
-    iter_distinct_exact,
-    iter_distinct_parts,
     iter_gap_exact,
-    iter_gap_parts,
     parse_rafted_text,
     render_rafted_text,
     runs_of,
 )
+
+from brute import enumerate_designations
 
 parts_strategy = st.builds(
     lambda s: tuple(sorted(s)),
@@ -44,29 +41,19 @@ class TestPartition:
 
     def test_runs_example(self):
         p = Partition.of(1, 2, 3, 5, 7, 8)
-        assert [(r.start, r.length, r.end) for r in p.runs()] \
-            == [(1, 3, 3), (5, 1, 5), (7, 2, 8)]
+        assert runs_of(p.parts) == [(1, 3), (5, 1), (7, 2)]
         assert p.eligible_rafts() == (2, 7)
-
-    def test_gap_predicates(self):
-        p = Partition.of(1, 3, 6)
-        assert p.is_d_distinct(2)
-        assert not p.is_d_distinct(3)
-        assert not p.has_k_sequence(2)
-        assert Partition.of(4, 5, 6).has_k_sequence(3)
-        assert not Partition.of(4, 5, 6).has_k_sequence(4)
 
     @given(parts_strategy)
     def test_runs_cover_parts_exactly(self, parts):
-        p = Partition(parts)
         covered = []
-        for r in p.runs():
-            assert r.length >= 1
-            covered.extend(range(r.start, r.end + 1))
+        for start, length in runs_of(parts):
+            assert length >= 1
+            covered.extend(range(start, start + length))
         assert tuple(covered) == parts
         # consecutive runs are separated by a genuine gap
-        for a, b in itertools.pairwise(p.runs()):
-            assert b.start > a.end + 1
+        for (a, n), (b, _) in itertools.pairwise(runs_of(parts)):
+            assert b > a + n
 
     @given(parts_strategy)
     def test_eligible_rafts_shape(self, parts):
@@ -74,13 +61,6 @@ class TestPartition:
         s = set(parts)
         for k in p.eligible_rafts():
             assert k in s and k + 1 in s and k + 2 not in s
-
-    @given(parts_strategy)
-    def test_k_sequence_matches_longest_run(self, parts):
-        p = Partition(parts)
-        longest = max((r.length for r in p.runs()), default=0)
-        for k in range(1, 6):
-            assert p.has_k_sequence(k) == (longest >= k)
 
 
 class TestEvenPartition:
@@ -96,18 +76,27 @@ class TestEvenPartition:
         assert len(eta) == 4
 
 
+def _brute_gap_exact(weight, gap, min_part):
+    """Sorted n-subsets of min_part..weight with sum weight and gaps >= gap."""
+    found = []
+    n = 0
+    while n * (n + 1) // 2 <= weight:  # n distinct positive parts sum to at least this
+        found += [c for c in itertools.combinations(range(min_part, weight + 1), n)
+                  if sum(c) == weight and all(b - a >= gap for a, b in zip(c, c[1:]))]
+        n += 1
+    return sorted(found)
+
+
 class TestGenerators:
     def test_distinct_counts(self):
-        counts = [0] * 11
-        for parts in iter_distinct_parts(10):
-            counts[sum(parts)] += 1
+        counts = [sum(1 for _ in iter_gap_exact(w, 1)) for w in range(11)]
         assert counts == [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10]
 
     def test_exact_weight_matches_prefix_generator(self):
+        # every distinct partition of weight <= 14 is a subset of 1..14
+        prefix = [c for n in range(6) for c in itertools.combinations(range(1, 15), n)]
         for w in range(15):
-            a = sorted(iter_distinct_exact(w))
-            b = sorted(p for p in iter_distinct_parts(14) if sum(p) == w)
-            assert a == b
+            assert list(iter_gap_exact(w, 1)) == sorted(c for c in prefix if sum(c) == w)
 
     def test_exact_weight_is_lex_sorted(self):
         for w in (9, 12):
@@ -115,21 +104,22 @@ class TestGenerators:
             assert got == sorted(got)
 
     def test_gap_generator_matches_filter(self):
-        for gap in (2, 3):
-            a = sorted(iter_gap_parts(16, gap))
-            b = sorted(p for p in iter_distinct_parts(16)
-                       if Partition(p).is_d_distinct(gap))
-            assert a == b
+        for w in range(25):
+            for gap in range(1, 5):
+                for min_part in range(1, 5):
+                    assert list(iter_gap_exact(w, gap, min_part)) \
+                        == _brute_gap_exact(w, gap, min_part), (w, gap, min_part)
 
     def test_known_gap_counts(self):
         assert sum(1 for _ in iter_gap_exact(10, 2)) == 6
         assert sum(1 for _ in iter_gap_exact(10, 3)) == 4
 
     def test_min_part_bound(self):
-        for parts in iter_distinct_parts(12, min_part=4):
-            assert not parts or parts[0] >= 4
+        for w in range(13):
+            for parts in iter_gap_exact(w, 1, min_part=4):
+                assert not parts or parts[0] >= 4
 
-    @pytest.mark.parametrize("gen", [iter_gap_parts, iter_gap_exact])
+    @pytest.mark.parametrize("gen", [iter_gap_exact])
     @pytest.mark.parametrize("gap, min_part", [(0, 1), (-1, 1), (1, 0), (2, -3)])
     def test_gap_and_min_part_below_one_rejected(self, gen, gap, min_part):
         # gap 0 repeats a part, min_part 0 yields a zero part, gap -1 never ends;
@@ -140,16 +130,9 @@ class TestGenerators:
                 next(it)
 
     def test_distinct_wrappers_reject_min_part_below_one(self):
-        with pytest.raises(ValueError):
-            next(iter_distinct_parts(2, min_part=0))
-        with pytest.raises(ValueError):
-            next(iter_distinct_exact(2, min_part=0))
-
-    def test_enumerate_distinct_ordering(self):
-        seen = list(enumerate_distinct(8))
-        keys = [(p.weight, p.parts) for p in seen]
-        assert keys == sorted(keys)
-        assert len(seen) == len(set(seen))
+        for min_part in (0, -1):
+            with pytest.raises(ValueError):
+                next(iter_gap_exact(2, 1, min_part=min_part))
 
     def test_designations_binary_order(self):
         p = Partition.of(1, 2, 4, 5, 8, 9)
@@ -196,14 +179,16 @@ class TestTextFormat:
         assert parse_rafted_text(text) == (parts, chosen)
 
 
-@settings(max_examples=60)
 @given(parts_strategy)
 def test_runs_of_matches_method(parts):
-    assert runs_of(parts) == [(r.start, r.length) for r in Partition(parts).runs()]
+    # a run is a maximal block on which part - index is constant
+    blocks = [[p for _, p in g] for _, g in
+              itertools.groupby(enumerate(parts), key=lambda ip: ip[1] - ip[0])]
+    assert runs_of(parts) == [(b[0], len(b)) for b in blocks]
 
 
 @settings(max_examples=60)
 @given(parts_strategy)
 def test_eligible_rafts_are_run_tops(parts):
-    runs = Partition(parts).runs()
-    assert Partition(parts).eligible_rafts() == tuple(r.end - 1 for r in runs if r.length >= 2)
+    assert Partition(parts).eligible_rafts() \
+        == tuple(s + n - 2 for s, n in runs_of(parts) if n >= 2)

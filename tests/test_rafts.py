@@ -8,12 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrafts.partitions import (
-    EvenPartition,
-    Partition,
-    enumerate_designations,
-    enumerate_distinct,
-)
+from qrafts.partitions import EvenPartition, Partition, iter_gap_exact
 from qrafts.rafts import (
     MinimalProfile,
     MoveError,
@@ -25,16 +20,16 @@ from qrafts.rafts import (
     decompose_with_trace,
     enumerate_minimal,
     enumerate_rafted,
-    is_minimal_structural,
     minimal_profile,
     _checked_state,
 )
 
+from brute import all_distinct, enumerate_designations, is_minimal_structural
 from raft_reference import ReferenceRafted
 
 
 def all_rafted(max_weight):
-    for p in enumerate_distinct(max_weight):
+    for p in all_distinct(max_weight):
         for rafts in enumerate_designations(p):
             if rafts:
                 yield RaftedPartition(p, rafts)
@@ -183,7 +178,7 @@ class TestAgainstReference:
 
     def test_moves_match_reference(self):
         moved = 0
-        for p in enumerate_distinct(20):
+        for p in all_distinct(20):
             for rafts in enumerate_designations(p):
                 rp, ref = RaftedPartition(p, rafts), ReferenceRafted(p, rafts)
                 # every designated raft, and every part or 0 as a non-raft
@@ -201,7 +196,7 @@ class TestAgainstReference:
 
     def test_validation_matches_reference(self):
         reasons = set()
-        for p in enumerate_distinct(14):
+        for p in all_distinct(14):
             parts = p.parts
             top = max(parts, default=0)
             # the move path's constructor checks parts as Partition does
@@ -391,9 +386,22 @@ class TestEnumeration:
             assert list(enumerate_rafted(k, 16)) == brute
 
     def test_ordering(self):
-        seq = list(enumerate_minimal(2, 30))
-        keys = [(rp.weight, rp.partition.parts, rp.rafts) for rp in seq]
-        assert keys == sorted(keys)
+        for seq in (enumerate_minimal(2, 30), *(enumerate_rafted(k, 30) for k in range(4))):
+            keys = [(rp.weight, rp.partition.parts, rp.rafts) for rp in seq]
+            assert keys and keys == sorted(set(keys))
+
+    def test_rafted_streams_weight_by_weight(self, monkeypatch):
+        drawn = []
+
+        def spy(weight, gap, min_part=1):
+            for parts in iter_gap_exact(weight, gap, min_part):
+                drawn.append(weight)
+                yield parts
+
+        monkeypatch.setattr("qrafts.rafts.iter_gap_exact", spy)
+        first = list(itertools.islice(enumerate_rafted(1, 80), 50))
+        assert len(first) == 50 and drawn
+        assert max(drawn) <= first[-1].weight
 
 
 @settings(max_examples=100, deadline=None)
