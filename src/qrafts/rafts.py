@@ -391,12 +391,14 @@ def minimal_profile(rp: RaftedPartition) -> MinimalProfile:
     return MinimalProfile.from_positions(rp.rafts, tail)
 
 
-def enumerate_minimal(k: int, max_weight: int) -> Iterator[RaftedPartition]:
-    """All minimal configurations with exactly k rafts and weight <= max_weight.
+def enumerate_minimal(k: int, max_weight: int,
+                      min_weight: int = 0) -> Iterator[RaftedPartition]:
+    """All minimal configurations with exactly k rafts, weight in [min_weight, max_weight].
 
     Constructive: choose raft positions climbing by >= 3, fill in the forced
     prefix, then append any distinct-part tail at r_k + 3 or above, drawn
-    weight by weight.  Ordered by (weight, parts, rafts).
+    weight by weight, only at the tail weights that reach min_weight.
+    Ordered by (weight, parts, rafts).
     """
     if k < 1:
         raise ValueError(f"raft count must be >= 1, got {k}")
@@ -421,15 +423,17 @@ def enumerate_minimal(k: int, max_weight: int) -> Iterator[RaftedPartition]:
     found: list[RaftedPartition] = []
     for r in vectors(()):
         low = r[-1] + 3
-        for w in range(max_weight - prefix_weight(r) + 1):
+        base = prefix_weight(r)
+        for w in range(max(0, min_weight - base), max_weight - base + 1):
             for tail in iter_gap_exact(w, 1, low):
                 found.append(MinimalProfile.from_positions(r, tail).to_rafted())
     found.sort(key=lambda rp: (rp.weight, rp.partition.parts, rp.rafts))
     yield from found
 
 
-def enumerate_rafted(k: int, max_weight: int) -> Iterator[RaftedPartition]:
-    """All configurations with exactly k designated rafts, weight <= max_weight.
+def enumerate_rafted(k: int, max_weight: int,
+                     min_weight: int = 0) -> Iterator[RaftedPartition]:
+    """All configurations with exactly k designated rafts, weight in [min_weight, max_weight].
 
     Filter route, streamed weight by weight: each distinct-part partition of
     that weight, in lexicographic order, crossed with every size-k subset of
@@ -438,7 +442,7 @@ def enumerate_rafted(k: int, max_weight: int) -> Iterator[RaftedPartition]:
     """
     if k < 0:
         raise ValueError(f"raft count must be >= 0, got {k}")
-    for w in range(max_weight + 1):
+    for w in range(min_weight, max_weight + 1):
         for parts in iter_gap_exact(w, 1):
             elig = _eligible_rafts(parts)
             if len(elig) >= k:

@@ -8,6 +8,7 @@ import pytest
 
 from qrafts.cli import main
 from qrafts.identities import REGISTRY
+from qrafts.rafts import RaftedPartition
 
 
 def run(capsys, *argv):
@@ -26,6 +27,15 @@ class TestVerify:
         assert rep["passed"] is True
         assert rep["first_diff"] is None
         assert rep["q_trunc"] == 30 and rep["x_trunc"] is None
+
+    def test_json_times_each_side(self, capsys):
+        code, out, _ = run(capsys, "verify", "--all", "--order", "20", "--format", "json")
+        assert code == 0
+        reports = json.loads(out)
+        assert len(reports) == len(REGISTRY)
+        for rep in reports:
+            for key in ("lhs_ms", "rhs_ms"):
+                assert type(rep[key]) is int and rep[key] >= 0, (rep["name"], key)
 
     def test_unknown_identity(self, capsys):
         code, out, err = run(capsys, "verify", "--identity", "no-such",
@@ -227,6 +237,19 @@ class TestEnumerate:
         lines = out.strip().splitlines()
         assert lines[0] == "[1,2]"
         assert "[3,4]" in lines and "1,[2,3]" in lines
+
+    @pytest.mark.parametrize("target", ["rafted", "minimal-rafted"])
+    def test_weight_is_the_weight_rows_of_max_weight(self, capsys, target):
+        for k in (1, 2, 3):
+            for w in range(31):
+                args = ("enumerate", "--target", target, "--k", str(k))
+                code, single, _ = run(capsys, *args, "--weight", str(w))
+                assert code == 0
+                code, upto, _ = run(capsys, *args, "--max-weight", str(w))
+                assert code == 0
+                heaviest = [line for line in upto.splitlines(keepends=True)
+                            if RaftedPartition.parse(line.rstrip("\n")).weight == w]
+                assert single == "".join(heaviest), (k, w)
 
     def test_rafted_needs_k(self, capsys):
         with pytest.raises(SystemExit) as e:

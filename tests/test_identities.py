@@ -1,5 +1,7 @@
 """Formula builders vs enumeration oracles, report machinery, the registry."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -225,7 +227,8 @@ class TestForAnyParameter:
     @pytest.mark.parametrize("N", [60, 200])
     @pytest.mark.parametrize("d", range(11))
     def test_staircase_counts_gap_parts(self, d, N):
-        assert idn.staircase_gf(d, N, N) == idn.d_distinct_xq(2 + d, N, N)
+        for nx in (N, N // 3):
+            assert idn.staircase_gf(d, nx, N) == idn.d_distinct_xq(2 + d, nx, N), nx
 
     @pytest.mark.parametrize("N", [60, 200])
     @pytest.mark.parametrize("k", range(2, 11))
@@ -269,6 +272,22 @@ class TestCutoffSlack:
     ])
     def test_bivariate_sums(self, build, param):
         assert build(param, 18, 18) == build(param, 18, 18, _slack=2)
+
+    def test_staircase_retires_rows_at_x_trunc(self, monkeypatch):
+        """No row of the (k, m) table is divided and filed once n + j > x_trunc."""
+        overshoot = []
+        add_term = idn._add_term
+
+        def spy(acc, x_trunc, xd, e, sign, term):
+            overshoot.append(xd - x_trunc)
+            add_term(acc, x_trunc, xd, e, sign, term)
+
+        monkeypatch.setattr(idn, "_add_term", spy)
+        for d in (0, 1, 3):
+            for nx in (5, 20, 60):
+                overshoot.clear()
+                idn.staircase_gf(d, nx, 60)
+                assert overshoot and max(overshoot) <= 0, (d, nx)
 
 
 ORDERS = range(41)
@@ -498,10 +517,11 @@ class TestReports:
         rep = run_check(REGISTRY["bmn-k2"], 10)
         d = rep.to_json_dict()
         assert set(d) == {"name", "q_trunc", "x_trunc", "passed", "first_diff",
-                          "millis"}
+                          "millis", "lhs_ms", "rhs_ms"}
         assert d["passed"] is True and d["first_diff"] is None
         assert d["x_trunc"] == 10
-        assert isinstance(d["millis"], int)
+        for key in ("millis", "lhs_ms", "rhs_ms"):
+            assert isinstance(d[key], int)
 
     def test_run_many_validates_and_orders(self):
         with pytest.raises(ValueError):
@@ -509,6 +529,23 @@ class TestReports:
         assert run_many([], 5) == []
         reps = run_many(["slater-15", "slater-19"], 10)
         assert [r.name for r in reps] == ["slater-19", "slater-15"]
+
+    def test_run_check_times_each_side(self):
+        def slow(N):
+            time.sleep(0.03)
+            return idn.slater19_sum(N)
+
+        rep = run_check(IdentityCheck("slow-lhs", False, slow, idn._rr1, "fixture"), 10)
+        assert rep.passed and rep.lhs_ms >= 30 and rep.rhs_ms >= 0
+        assert rep.millis >= rep.lhs_ms + rep.rhs_ms
+
+    def test_run_check_times_a_raising_side_as_zero(self):
+        def broken(N):
+            raise ValueError("boom")
+
+        rep = run_check(IdentityCheck("broken", False, idn.slater19_sum, broken, "fixture"), 10)
+        assert not rep.passed and rep.error == ("ValueError", "boom")
+        assert rep.rhs_ms == 0
 
     def test_run_check_x_order_override(self):
         rep = run_check(REGISTRY["master-identity"], 12, x_trunc=4)

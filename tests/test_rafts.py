@@ -360,6 +360,19 @@ def _minimal_pool(k):
     return _POOLS[k]
 
 
+def _record_drawn_weights(monkeypatch) -> list[int]:
+    """Make ``rafts`` log the weight of every part tuple it draws from the generator."""
+    drawn = []
+
+    def spy(weight, gap, min_part=1):
+        for parts in iter_gap_exact(weight, gap, min_part):
+            drawn.append(weight)
+            yield parts
+
+    monkeypatch.setattr("qrafts.rafts.iter_gap_exact", spy)
+    return drawn
+
+
 class TestEnumeration:
     def test_minimal_leading_weights(self):
         for k, lead in ((1, 3), (2, 12), (3, 27)):
@@ -391,17 +404,26 @@ class TestEnumeration:
             assert keys and keys == sorted(set(keys))
 
     def test_rafted_streams_weight_by_weight(self, monkeypatch):
-        drawn = []
-
-        def spy(weight, gap, min_part=1):
-            for parts in iter_gap_exact(weight, gap, min_part):
-                drawn.append(weight)
-                yield parts
-
-        monkeypatch.setattr("qrafts.rafts.iter_gap_exact", spy)
+        drawn = _record_drawn_weights(monkeypatch)
         first = list(itertools.islice(enumerate_rafted(1, 80), 50))
         assert len(first) == 50 and drawn
         assert max(drawn) <= first[-1].weight
+
+    @pytest.mark.parametrize("enum", [enumerate_minimal, enumerate_rafted])
+    def test_min_weight_drops_only_lighter_items(self, enum):
+        for k in (1, 2, 3):
+            full = list(enum(k, 30))
+            for low in (0, 3, 12, 27, 30, 31):
+                assert list(enum(k, 30, min_weight=low)) == \
+                    [rp for rp in full if rp.weight >= low], (k, low)
+
+    def test_min_weight_draws_nothing_lighter(self, monkeypatch):
+        drawn = _record_drawn_weights(monkeypatch)
+        assert list(enumerate_rafted(1, 30, min_weight=25)) and min(drawn) == 25
+        for k in (1, 2, 3):
+            drawn.clear()
+            kept = list(enumerate_minimal(k, 40, min_weight=36))
+            assert len(kept) == len(drawn) > 0  # every tail drawn is kept
 
 
 @settings(max_examples=100, deadline=None)
