@@ -55,9 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=("text", "json", "csv"),
                           default="text",
                           help="json adds per-check timings in ms: millis for the "
-                               "check, lhs_ms and rhs_ms for each side's build; a "
-                               "side that reuses master_lhs's cached build reads "
-                               "near 0 (default: text)")
+                               "check, lhs_ms and rhs_ms for each side's build "
+                               "(default: text)")
     p_verify.add_argument("--output", metavar="PATH",
                           help="write the report here instead of stdout")
 

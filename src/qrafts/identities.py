@@ -10,10 +10,11 @@ through one iterator, ``_upto``, which stops where the summand's lowest
 exponent passes the truncation order.  Its ``slack`` argument, exposed as
 each builder's ``_slack`` test hook, runs a few indices further so the tests
 can confirm no retained coefficient changes.  Each sum keeps one running term
-as a coefficient list (a table of them when x is tracked), starts it with
-``_product`` where it carries an infinite product, and advances it by the
-summand ratio, term_{i+1} = term_i * ratio; ``_add_term`` files each term at
-its x-degree and q-shift.
+as a coefficient list, starts it with ``_product`` where it carries an
+infinite product, and advances it by the summand ratio,
+term_{i+1} = term_i * ratio; ``_add_term`` files each term at its x-degree
+and q-shift.  ``master_lhs`` and ``bmn_gf`` share one double-sum loop,
+``_signed_double_sum``, each with its own exponents.
 
 Oracle sides count partitions into distinct parts from their definitions,
 by one transfer-matrix walk, ``_walk``, over the 0/1 word that says which of
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import count, islice
 from typing import Callable, Iterator
 
@@ -39,9 +39,7 @@ from .series import (
     _add_shifted,
     _from_buffers,
     _product,
-    _x_product,
     div_factor,
-    div_x_factor,
     mul_factor,
 )
 
@@ -245,24 +243,45 @@ def gauss_step_rhs(k: int, trunc: int) -> QSeries:
 # bivariate formula sides
 
 
-@lru_cache(maxsize=8)
+def _signed_double_sum(b: int, x_trunc: int, q_trunc: int, slack: int,
+                       x_deg: Callable[[int, int], int],
+                       q_exp: Callable[[int, int], int]) -> XQSeries:
+    """sum over j, r of (-1)^j x^x_deg(j, r) q^q_exp(j, r) / ((q^b;q^b)_j (q;q)_r).
+
+    Both exponents must increase in j and in r, so each loop stops at the
+    first summand past either truncation.
+    """
+    def past(j, r=0):
+        return q_exp(j, r) > q_trunc or x_deg(j, r) > x_trunc
+
+    acc: dict[int, list[int]] = {}
+    inv_j = _unit(q_trunc)  # running 1 / (q^b;q^b)_j
+    for j in _upto(past, slack):
+        if j:
+            div_factor(inv_j, 1, b * j)
+        sign = -1 if j % 2 else 1
+        term = inv_j[:]  # running 1 / ((q^b;q^b)_j (q;q)_r)
+        for r in _upto(lambda r: past(j, r), slack):
+            if r:
+                div_factor(term, 1, r)
+            _add_term(acc, x_trunc, x_deg(j, r), q_exp(j, r), sign, term)
+    return _from_buffers(x_trunc, q_trunc, acc)
+
+
 def master_lhs(x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSeries:
     """(-xq;q)_inf * sum_k (-1)^k q^(3k^2) x^(2k) / ((q^2;q^2)_k (-xq;q)_{2k}).
 
-    The prefactor cancels each denominator's head, so the running term is
-    (-xq^(2k+1);q)_inf / (q^2;q^2)_k.
+    The prefactor cancels each denominator's head, leaving the summand
+    (-1)^k q^(3k^2) x^(2k) (-xq^(2k+1);q)_inf / (q^2;q^2)_k.  Euler's identity
+    (-xq^a;q)_inf = sum_r x^r q^(binom(r,2) + a r) / (q;q)_r, at a = 2k+1,
+    expands that into the double sum over k, r of
+    (-1)^k x^(2k+r) q^(3k^2 + binom(r,2) + (2k+1)r) / ((q^2;q^2)_k (q;q)_r).
+    Term by term this is C_2(x;q) of ``bmn_gf``, since
+    3k^2 + binom(r,2) + (2k+1)r = binom(2k+r+1,2) + 2 binom(k,2).
     """
-    term = _x_product(-1, 1, 1, None, x_trunc, q_trunc)  # the k = 0 term, (-xq;q)_inf
-    acc: dict[int, list[int]] = {}
-    for k in _upto(lambda k: 3 * k * k > q_trunc or 2 * k > x_trunc, _slack):
-        if k:
-            div_x_factor(term, -1, 2 * k - 1, x_trunc)
-            div_x_factor(term, -1, 2 * k, x_trunc)
-            for row in term.values():
-                div_factor(row, 1, 2 * k)
-        for d, row in term.items():
-            _add_term(acc, x_trunc, 2 * k + d, 3 * k * k, -1 if k % 2 else 1, row)
-    return _from_buffers(x_trunc, q_trunc, acc)
+    return _signed_double_sum(2, x_trunc, q_trunc, _slack,
+                              lambda k, r: 2 * k + r,
+                              lambda k, r: 3 * k * k + _b2(r) + (2 * k + 1) * r)
 
 
 def master_rhs(x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSeries:
@@ -284,25 +303,9 @@ def bmn_gf(k: int, x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSeries:
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-
-    def q_exp(j, r):
-        return _b2(k * j + r + 1) + k * _b2(j)
-
-    def past(j, r=0):
-        return q_exp(j, r) > q_trunc or k * j + r > x_trunc
-
-    acc: dict[int, list[int]] = {}
-    inv_j = _unit(q_trunc)  # running 1 / (q^k;q^k)_j
-    for j in _upto(past, _slack):
-        if j:
-            div_factor(inv_j, 1, k * j)
-        sign = -1 if j % 2 else 1
-        term = inv_j[:]  # running 1 / ((q^k;q^k)_j (q;q)_r)
-        for r in _upto(lambda r: past(j, r), _slack):
-            if r:
-                div_factor(term, 1, r)
-            _add_term(acc, x_trunc, k * j + r, q_exp(j, r), sign, term)
-    return _from_buffers(x_trunc, q_trunc, acc)
+    return _signed_double_sum(k, x_trunc, q_trunc, _slack,
+                              lambda j, r: k * j + r,
+                              lambda j, r: _b2(k * j + r + 1) + k * _b2(j))
 
 
 def staircase_gf(d: int, x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSeries:
@@ -614,7 +617,6 @@ def run_check(check: IdentityCheck, q_trunc: int, x_trunc: int | None = None) ->
 
     An exception from a builder or the comparison fails this check alone: the
     report carries its type and message, so the other checks still report.
-    A side served from a builder's cache (``master_lhs``) times as a lookup.
     """
     t0 = time.perf_counter()
     xt = (q_trunc if x_trunc is None else x_trunc) if check.bivariate else None

@@ -10,13 +10,13 @@ The containers add, subtract and negate, and refuse to mix truncation
 orders; they do not multiply.
 
 Products and quotients are built by in-place factor steps on raw coefficient
-lists: ``mul_factor``/``div_factor`` multiply or divide by (1 - s*q^a), and
-``mul_x_factor``/``div_x_factor`` by (1 - s*x*q^a) on a table mapping
-x-degree to coefficient list.  Multiplying is one descending pass and dividing
-one ascending pass, so a step costs O(N), or O(Nx*Nq) in two variables.
-``_product`` and ``_x_product`` apply one step per Pochhammer factor, and stop
-at the first factor whose exponent exceeds the truncation order; every later
-factor is 1 modulo the truncation, so the stopping rule loses nothing.
+lists: ``mul_factor``/``div_factor`` multiply or divide by (1 - s*q^a).
+Multiplying is one descending pass and dividing one ascending pass, so a step
+costs O(N).  ``_product`` applies one step per Pochhammer factor, and stops at
+the first factor whose exponent exceeds the truncation order; every later
+factor is 1 modulo the truncation, so the stopping rule loses nothing.  A
+bivariate builder keeps one coefficient list per x-degree and files them
+with ``_from_buffers``.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ __all__ = [
     "PochhammerSpec",
     "mul_factor",
     "div_factor",
-    "mul_x_factor",
-    "div_x_factor",
     "TruncationMismatchError",
     "NonUnitConstantError",
 ]
@@ -146,38 +144,6 @@ def _add_shifted(dst: list[int], src, coeff: int, a: int) -> None:
             dst[i + a] += coeff * src[i]
 
 
-def _x_step(table: dict[int, list[int]], d: int, coeff: int, a: int) -> None:
-    """table[d+1] += coeff * q^a * table[d], adding the row only when nonzero."""
-    src = table[d]
-    dst = table.get(d + 1)
-    if dst is None:
-        if a >= len(src) or not any(src[: len(src) - a]):
-            return
-        dst = table[d + 1] = [0] * len(src)
-    _add_shifted(dst, src, coeff, a)
-
-
-def mul_x_factor(table: dict[int, list[int]], sign: int, a: int, x_trunc: int) -> None:
-    """table *= (1 - sign*x*q^a) in place, modulo x^(x_trunc+1).
-
-    ``table`` maps x-degree to a coefficient list; absent degrees are zero.
-    Descends in x-degree, so every row is read before the step rewrites it.
-    """
-    for d in sorted(table, reverse=True):
-        if d < x_trunc:
-            _x_step(table, d, -sign, a)
-
-
-def div_x_factor(table: dict[int, list[int]], sign: int, a: int, x_trunc: int) -> None:
-    """table /= (1 - sign*x*q^a) in place, modulo x^(x_trunc+1); any a >= 0.
-
-    Ascends in x-degree, so every row read is already divided.
-    """
-    for d in range(min(table, default=x_trunc), x_trunc):
-        if d in table:
-            _x_step(table, d, sign, a)
-
-
 # ---------------------------------------------------------------------------
 # Pochhammer products
 
@@ -207,26 +173,21 @@ class PochhammerSpec:
             raise ValueError(f"count must be >= 0 or None, got {self.count}")
 
 
-def _exponents(base: int, step: int, count: int | None, trunc: int) -> range:
-    """Exponents base + j*step, j < count (every j if count is None), up to trunc.
-
-    Exponents increase, so every later factor is 1 modulo q^(trunc+1) and the
-    stopping rule loses nothing, for finite and infinite counts alike.
-    """
-    stop = trunc + 1 if count is None else min(trunc + 1, base + count * step)
-    return range(base, stop, step)
-
-
 def _product(trunc: int, num: Sequence[PochhammerSpec] = (),
              den: Sequence[PochhammerSpec] = ()) -> list[int]:
     """prod(num) / prod(den) as a coefficient list modulo q^(trunc+1).
 
     Each family is a PochhammerSpec; one in-place factor step per factor.
+    Exponents increase, so the steps stop at the first one past trunc: every
+    later factor is 1 modulo q^(trunc+1), for finite and infinite counts alike.
     """
     c = [1] + [0] * trunc
     for families, apply in ((num, mul_factor), (den, div_factor)):
         for f in families:
-            for a in _exponents(f.base_exp, f.step_exp, f.count, trunc):
+            stop = trunc + 1
+            if f.count is not None:
+                stop = min(stop, f.base_exp + f.count * f.step_exp)
+            for a in range(f.base_exp, stop, f.step_exp):
                 apply(c, f.sign, a)
     return c
 
@@ -343,12 +304,3 @@ class XQSeries:
 def _from_buffers(x_trunc: int, q_trunc: int, acc: Mapping[int, list[int]]) -> XQSeries:
     return XQSeries(x_trunc, q_trunc,
                     {d: QSeries(q_trunc, tuple(buf)) for d, buf in acc.items()})
-
-
-def _x_product(sign: int, base: int, step: int, count: int | None,
-               x_trunc: int, q_trunc: int) -> dict[int, list[int]]:
-    """prod_j (1 - sign*x*q^(base + j*step)) as an x-degree -> list table."""
-    table = {0: [1] + [0] * q_trunc}
-    for a in _exponents(base, step, count, q_trunc):
-        mul_x_factor(table, sign, a, x_trunc)
-    return table

@@ -173,6 +173,18 @@ class TestVerify:
                              "--order", "10")
         assert (code1, out1) == (code2, out2)
 
+    # the deep report's text and CSV are timing-free, so any change to a
+    # check's name, verdict, order or line format shows in these digests
+    @pytest.mark.parametrize("fmt, digest", [
+        ("text", "4e24f2ff5b725a9efaadecaa260caf4c2424a7bf2ec1aa94be82dd04fc0e4ff8"),
+        ("csv", "e8019174657657add80181c6a5b69becefaf31e05c57a3f20d8500d912c8879d"),
+    ])
+    def test_deep_report_digest(self, capsys, fmt, digest):
+        code, out, _ = run(capsys, "verify", "--all", "--profile", "deep",
+                           "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestList:
     def test_text(self, capsys):

@@ -358,25 +358,6 @@ class TestAgainstProductForms:
             assert build(N) == reference(N), N
 
 
-def _build_registry(N):
-    for check in REGISTRY.values():
-        args = (N, N) if check.bivariate else (N,)
-        check.lhs(*args)
-        check.rhs(*args)
-
-
-class TestCaches:
-    def test_bounded_and_hold_one_registry_run(self):
-        for N in (8, 12, 16, 20):
-            _build_registry(N)
-            info = idn.master_lhs.cache_info()
-            assert info.maxsize is not None
-            assert info.currsize <= info.maxsize
-        misses = idn.master_lhs.cache_info().misses
-        _build_registry(20)
-        assert idn.master_lhs.cache_info().misses == misses
-
-
 class TestCrossWeb:
     def test_three_way_product(self):
         N = 40

@@ -4,7 +4,7 @@ list reference and Gaussian binomials."""
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from qrafts.partitions import iter_gap_exact
@@ -16,11 +16,8 @@ from qrafts.series import (
     XQSeries,
     _from_buffers,
     _product,
-    _x_product,
     div_factor,
-    div_x_factor,
     mul_factor,
-    mul_x_factor,
 )
 
 from product_forms import (
@@ -29,7 +26,6 @@ from product_forms import (
     _inv_poch,
     _mul,
     _xadd,
-    _xmul,
     _xq_poch,
     gaussian_binomial,
 )
@@ -221,8 +217,12 @@ class TestXQSeries:
 
 
 class TestXQPochhammer:
+    """The tests' reference (x, q)-products, ``product_forms._xq_poch``, against
+    brute force and the classical expansions; ``product_forms.master_lhs``
+    builds on it, and ``identities.master_lhs`` rests on the Euler form."""
+
     def test_tracks_distinct_partitions_by_length(self):
-        got = _from_buffers(8, 16, _x_product(-1, 1, 1, None, 8, 16))
+        got = _from_buffers(8, 16, _xq_poch(-1, 1, 1, None, 8, 16))
         acc = {}
         for w in range(17):
             for parts in iter_gap_exact(w, 1):
@@ -232,22 +232,21 @@ class TestXQPochhammer:
         assert got == want
 
     def test_euler_distinct_form(self):
-        # (-xq; q)_inf = sum_n x^n q^(n(n+1)/2) / (q;q)_n
+        # (-xq^a; q)_inf = sum_r x^r q^(r(r-1)/2 + a*r) / (q;q)_r
         xt, qt = 10, 18
-        lhs = _x_product(-1, 1, 1, None, xt, qt)
-        rhs = {}
-        n = 0
-        while n * (n + 1) // 2 <= qt and n <= xt:
-            _xadd(rhs, {0: _inv_poch(1, 1, 1, n, qt)}, n, n * (n + 1) // 2, 1, xt)
-            n += 1
-        assert _from_buffers(xt, qt, lhs) == _from_buffers(xt, qt, rhs)
+        for a in range(1, 6):
+            lhs = _xq_poch(-1, a, 1, None, xt, qt)
+            rhs = {}
+            r = 0
+            while r * (r - 1) // 2 + a * r <= qt and r <= xt:
+                _xadd(rhs, {0: _inv_poch(1, 1, 1, r, qt)}, r, r * (r - 1) // 2 + a * r, 1, xt)
+                r += 1
+            assert _from_buffers(xt, qt, lhs) == _from_buffers(xt, qt, rhs), f"a={a}"
 
     def test_euler_geometric_form(self):
         # 1/(xq; q)_inf = sum_n x^n q^n / (q;q)_n
         xt, qt = 10, 18
-        table = {0: [1] + [0] * qt}
-        for a in range(1, qt + 1):
-            div_x_factor(table, 1, a, xt)
+        table = _xq_poch(1, 1, 1, None, xt, qt, inverse=True)
         rhs = {}
         for n in range(min(xt, qt) + 1):
             _xadd(rhs, {0: _inv_poch(1, 1, 1, n, qt)}, n, n, 1, xt)
@@ -257,7 +256,7 @@ class TestXQPochhammer:
         # (-xq; q)_n = sum_k q^(k(k+1)/2) [n choose k]_q x^k
         xt, qt = 8, 24
         for n in range(7):
-            lhs = _x_product(-1, 1, 1, n, xt, qt)
+            lhs = _xq_poch(-1, 1, 1, n, xt, qt)
             rhs = {}
             for k in range(n + 1):
                 _xadd(rhs, {0: gaussian_binomial(n, k, qt).coeffs}, k, k * (k + 1) // 2, 1, xt)
@@ -265,7 +264,7 @@ class TestXQPochhammer:
 
     def test_base_zero_needs_x_degree(self):
         # base 0 is allowed because every factor carries x: the (x; q)-style product
-        got = _from_buffers(4, 4, _x_product(1, 0, 1, 1, 4, 4))
+        got = _from_buffers(4, 4, _xq_poch(1, 0, 1, 1, 4, 4))
         assert got == XQSeries(4, 4, {0: QSeries.one(4), 1: -QSeries.one(4)})
 
 
@@ -311,38 +310,3 @@ class TestFactorSteps:
         c = [1, 2, 3]
         mul_factor(c, 1, 0)  # times (1 - 1) is zero, which is fine
         assert c == [0, 0, 0]
-
-    @pytest.mark.parametrize("sign, base, count", [
-        (-1, 1, None), (1, 1, None), (-1, 0, 4), (1, 2, 3), (-1, 3, None),
-    ])
-    def test_x_steps_match_xq_pochhammer_and_its_inverse(self, sign, base, count):
-        xt, qt = 7, 16
-        prod = _x_product(sign, base, 1, count, xt, qt)
-        mul_table = {0: [1] + [0] * qt}
-        div_table = {0: [1] + [0] * qt}
-        j = 0
-        while (count is None or j < count) and base + j <= qt:
-            mul_x_factor(mul_table, sign, base + j, xt)
-            div_x_factor(div_table, sign, base + j, xt)
-            j += 1
-        want = _from_buffers(xt, qt, _xq_poch(sign, base, 1, count, xt, qt))
-        assert _from_buffers(xt, qt, mul_table) == _from_buffers(xt, qt, prod) == want
-        inverse = _xq_poch(sign, base, 1, count, xt, qt, inverse=True)
-        assert _from_buffers(xt, qt, div_table) == _from_buffers(xt, qt, inverse)
-        assert _from_buffers(xt, qt, _xmul(div_table, prod, xt)) == XQSeries.one(xt, qt)
-
-    @settings(max_examples=30)
-    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 8), st.integers(-3, 3)),
-                    max_size=6),
-           st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(0, 10)), max_size=4))
-    def test_x_mul_then_div_restores(self, terms, steps):
-        xt, qt = 4, 8
-        table = {0: [0] * (qt + 1)}
-        for d, e, c in terms:
-            table.setdefault(d, [0] * (qt + 1))[e] += c
-        before = _from_buffers(xt, qt, table)
-        for sign, e in steps:
-            mul_x_factor(table, sign, e, xt)
-        for sign, e in reversed(steps):
-            div_x_factor(table, sign, e, xt)
-        assert _from_buffers(xt, qt, table) == before
