@@ -6,7 +6,6 @@ from .identities import (
     CheckReport,
     FirstDiff,
     IdentityCheck,
-    all_names,
     first_difference,
     run_check,
     run_many,
@@ -51,7 +50,6 @@ __all__ = [
     "TruncationMismatchError",
     "XQSeries",
     "__version__",
-    "all_names",
     "compose",
     "decompose",
     "enumerate_minimal",

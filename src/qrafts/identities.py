@@ -49,7 +49,6 @@ __all__ = [
     "IdentityCheck",
     "PROFILES",
     "REGISTRY",
-    "all_names",
     "first_difference",
     "run_check",
     "run_many",
@@ -646,10 +645,6 @@ REGISTRY: dict[str, IdentityCheck] = {}
 
 def _register(name: str, bivariate: bool, lhs, rhs, description: str) -> None:
     REGISTRY[name] = IdentityCheck(name, bivariate, lhs, rhs, description)
-
-
-def all_names() -> list[str]:
-    return list(REGISTRY)
 
 
 def run_many(names, q_trunc: int, x_trunc: int | None = None) -> list[CheckReport]:

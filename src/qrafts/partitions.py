@@ -40,10 +40,6 @@ class Partition:
     def weight(self) -> int:
         return sum(self.parts)
 
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
     def eligible_rafts(self) -> tuple[int, ...]:
         """Smaller members of the top pairs of all runs of length >= 2."""
         return _eligible_rafts(self.parts)

@@ -339,14 +339,11 @@ def compose(beta: RaftedPartition, eta: EvenPartition) -> RaftedPartition:
 class MinimalProfile:
     """Coordinates of a minimal configuration.
 
-    raft_positions r_1 < ... < r_k; mu_j = r_{k-j} + 2 - 3(k-j) lists the
-    offsets of the k-1 missing parts against the tightest staircase 3, 6, ...,
-    3(k-1), largest offset first (non-increasing, each <= r_k - 3k + 2); tail
-    holds the free parts at r_k + 3 and above.
+    raft_positions r_1 < ... < r_k; tail holds the free parts at r_k + 3 and
+    above.  The property ``mu`` is computed from the positions.
     """
 
     raft_positions: tuple[int, ...]
-    mu: tuple[int, ...]
     tail: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -355,24 +352,26 @@ class MinimalProfile:
             raise ValueError("a profile needs at least one raft")
         if any(b - a < 3 for a, b in zip(r, r[1:])) or r[0] < 1:
             raise ValueError(f"raft positions must climb by >= 3 from >= 1, got {r}")
-        k = len(r)
-        expected = tuple(r[k - 1 - j] + 2 - 3 * (k - j) for j in range(1, k))
-        if self.mu != expected:
-            raise ValueError(f"mu {self.mu} does not match raft positions {r}")
-        bound = r[-1] - 3 * k + 2
-        if any(m < 0 or m > bound for m in self.mu):
-            raise ValueError(f"mu parts must lie in [0, {bound}], got {self.mu}")
         if any(p < r[-1] + 3 for p in self.tail):
             raise ValueError(f"tail parts must be >= {r[-1] + 3}, got {self.tail}")
         if not all(map(lt, self.tail, self.tail[1:])):
             raise ValueError(f"tail parts must be strictly increasing, got {self.tail}")
 
+    @property
+    def mu(self) -> tuple[int, ...]:
+        """mu_j = r_{k-j} + 2 - 3(k-j): the offsets of the k-1 missing parts
+        against the tightest staircase 3, 6, ..., 3(k-1), largest first.
+
+        Non-increasing, and each lies in [0, r_k - 3k + 2]: positions from >= 1
+        climbing by >= 3 give r_i >= 3i - 2 and r_k - r_i >= 3(k - i).
+        """
+        r = self.raft_positions
+        k = len(r)
+        return tuple(r[k - 1 - j] + 2 - 3 * (k - j) for j in range(1, k))
+
     @classmethod
     def from_positions(cls, raft_positions, tail=()) -> "MinimalProfile":
-        r = tuple(sorted(raft_positions))
-        k = len(r)
-        mu = tuple(r[k - 1 - j] + 2 - 3 * (k - j) for j in range(1, k))
-        return cls(r, mu, tuple(sorted(tail)))
+        return cls(tuple(sorted(raft_positions)), tuple(sorted(tail)))
 
     def to_rafted(self) -> RaftedPartition:
         r = self.raft_positions

@@ -6,8 +6,8 @@ checks downstream rely on exact cancellation, so no floating point appears
 anywhere.  A ``QSeries`` is a formal power series known modulo q^(trunc+1).
 ``XQSeries`` layers a second variable x on top, sparse in x-degree: absent
 degrees are the zero series, and every stored slice shares one q-truncation.
-The containers add, subtract and negate, and refuse to mix truncation
-orders; they do not multiply.
+The containers are read-only values: they validate on construction, read
+coefficients, slice and substitute, but compute nothing from one another.
 
 Products and quotients are built by in-place factor steps on raw coefficient
 lists: ``mul_factor``/``div_factor`` multiply or divide by (1 - s*q^a).
@@ -36,7 +36,7 @@ __all__ = [
 
 
 class TruncationMismatchError(ValueError):
-    """A binary operation mixed two different truncation orders."""
+    """An ``XQSeries`` slice whose q-truncation differs from the container's."""
 
 
 class NonUnitConstantError(ValueError):
@@ -69,10 +69,6 @@ class QSeries:
     def zero(cls, trunc: int) -> "QSeries":
         return cls(trunc, (0,) * (trunc + 1))
 
-    @classmethod
-    def one(cls, trunc: int) -> "QSeries":
-        return cls(trunc, (1,) + (0,) * trunc)
-
     # -- accessors ----------------------------------------------------------
 
     def coefficient(self, exponent: int) -> int:
@@ -84,30 +80,6 @@ class QSeries:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def _check(self, other: "QSeries") -> None:
-        if self.trunc != other.trunc:
-            raise TruncationMismatchError(
-                f"truncation mismatch: {self.trunc} vs {other.trunc}"
-            )
-
-    # -- linear operations --------------------------------------------------
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        self._check(other)
-        return QSeries(self.trunc, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        self._check(other)
-        return QSeries(self.trunc, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "QSeries":
-        return QSeries(self.trunc, tuple(-a for a in self.coeffs))
-
 
 
 # ---------------------------------------------------------------------------
@@ -150,17 +122,15 @@ def _add_shifted(dst: list[int], src, coeff: int, a: int) -> None:
 
 @dataclass(frozen=True, slots=True)
 class PochhammerSpec:
-    """Product of factors (1 - sign * q^(base_exp + j*step_exp)), j = 0..count-1.
+    """Infinite product of factors (1 - sign * q^(base_exp + j*step_exp)), j >= 0.
 
     ``sign`` is the constant multiplying the monomial inside each factor, so
-    sign=+1 describes (q^s; q^t)-type products and sign=-1 the (-q^s; q^t)
-    kind.  ``count`` None means the infinite product.
+    sign=+1 describes (q^s; q^t)_inf and sign=-1 (-q^s; q^t)_inf.
     """
 
     sign: int
     base_exp: int
     step_exp: int
-    count: int | None = None
 
     def __post_init__(self) -> None:
         if self.sign not in (1, -1):
@@ -169,8 +139,6 @@ class PochhammerSpec:
             raise ValueError(f"base exponent must be >= 1, got {self.base_exp}")
         if self.step_exp < 1:
             raise ValueError(f"step exponent must be >= 1, got {self.step_exp}")
-        if self.count is not None and self.count < 0:
-            raise ValueError(f"count must be >= 0 or None, got {self.count}")
 
 
 def _product(trunc: int, num: Sequence[PochhammerSpec] = (),
@@ -179,15 +147,12 @@ def _product(trunc: int, num: Sequence[PochhammerSpec] = (),
 
     Each family is a PochhammerSpec; one in-place factor step per factor.
     Exponents increase, so the steps stop at the first one past trunc: every
-    later factor is 1 modulo q^(trunc+1), for finite and infinite counts alike.
+    later factor is 1 modulo q^(trunc+1).
     """
     c = [1] + [0] * trunc
     for families, apply in ((num, mul_factor), (den, div_factor)):
         for f in families:
-            stop = trunc + 1
-            if f.count is not None:
-                stop = min(stop, f.base_exp + f.count * f.step_exp)
-            for a in range(f.base_exp, stop, f.step_exp):
+            for a in range(f.base_exp, trunc + 1, f.step_exp):
                 apply(c, f.sign, a)
     return c
 
@@ -225,16 +190,6 @@ class XQSeries:
                 clean[deg] = s
         object.__setattr__(self, "terms", clean)
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, x_trunc: int, q_trunc: int) -> "XQSeries":
-        return cls(x_trunc, q_trunc, {})
-
-    @classmethod
-    def one(cls, x_trunc: int, q_trunc: int) -> "XQSeries":
-        return cls(x_trunc, q_trunc, {0: QSeries.one(q_trunc)})
-
     # -- accessors ----------------------------------------------------------
 
     def slice(self, x_deg: int) -> QSeries:
@@ -243,37 +198,6 @@ class XQSeries:
             raise IndexError(f"x-degree {x_deg} outside [0, {self.x_trunc}]")
         s = self.terms.get(x_deg)
         return s if s is not None else QSeries.zero(self.q_trunc)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "XQSeries") -> None:
-        if self.x_trunc != other.x_trunc or self.q_trunc != other.q_trunc:
-            raise TruncationMismatchError(
-                f"truncation mismatch: ({self.x_trunc}, {self.q_trunc}) vs "
-                f"({other.x_trunc}, {other.q_trunc})"
-            )
-
-    # -- linear operations --------------------------------------------------
-
-    def __add__(self, other: "XQSeries") -> "XQSeries":
-        if not isinstance(other, XQSeries):
-            return NotImplemented
-        self._check(other)
-        merged = dict(self.terms)
-        for deg, s in other.terms.items():
-            cur = merged.get(deg)
-            merged[deg] = s if cur is None else cur + s
-        return XQSeries(self.x_trunc, self.q_trunc, merged)
-
-    def __sub__(self, other: "XQSeries") -> "XQSeries":
-        if not isinstance(other, XQSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "XQSeries":
-        return XQSeries(self.x_trunc, self.q_trunc,
-                        {deg: -s for deg, s in self.terms.items()})
 
     # -- substitutions ------------------------------------------------------
 

@@ -152,7 +152,8 @@ class TestVerify:
         from qrafts.series import QSeries
         broken = IdentityCheck(
             "slater-19", False,
-            lambda N: idn.slater19_sum(N) + QSeries(N, tuple(int(i == 4) for i in range(N + 1))),
+            lambda N: QSeries(N, tuple(c + (i == 4)
+                                       for i, c in enumerate(idn.slater19_sum(N).coeffs))),
             lambda N: idn.rr_product((1, 4), 5, N),
             "fixture",
         )

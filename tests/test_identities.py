@@ -382,7 +382,7 @@ class TestCrossWeb:
 
     def test_master_slice_structure(self):
         f = idn.master_rhs(12, 12)
-        assert f.slice(0) == QSeries.one(12)
+        assert f.slice(0) == QSeries(12, (1,) + (0,) * 12)
         # slice n starts at q^(n^2)
         for n in (1, 2, 3):
             s = f.slice(n)
@@ -458,13 +458,13 @@ class TestReports:
 
     def test_first_difference_type_mismatch(self):
         with pytest.raises(TypeError):
-            first_difference(QSeries.one(3), XQSeries.one(3, 3))
+            first_difference(QSeries.zero(3), XQSeries(3, 3, {}))
         with pytest.raises(ValueError):
-            first_difference(QSeries.one(3), QSeries.one(4))
+            first_difference(QSeries.zero(3), QSeries.zero(4))
 
     def test_swap_symmetry(self):
         a = idn.slater19_sum(15)
-        b = a + QSeries(15, tuple(int(i == 7) for i in range(16)))
+        b = QSeries(15, tuple(c + (i == 7) for i, c in enumerate(a.coeffs)))
         fd = first_difference(a, b)
         swapped = first_difference(b, a)
         assert (fd.x, fd.q) == (swapped.x, swapped.q)
@@ -473,7 +473,8 @@ class TestReports:
     def test_perturbed_check_fails_with_location(self):
         broken = IdentityCheck(
             "broken", False,
-            lambda N: idn.slater19_sum(N) + QSeries(N, tuple(int(i == 9) for i in range(N + 1))),
+            lambda N: QSeries(N, tuple(c + (i == 9)
+                                       for i, c in enumerate(idn.slater19_sum(N).coeffs))),
             lambda N: idn.rr_product((1, 4), 5, N),
             "fixture",
         )
@@ -483,10 +484,14 @@ class TestReports:
         assert int(rep.first_diff.lhs) == int(rep.first_diff.rhs) + 1
 
     def test_perturbed_bivariate_check(self):
+        def bumped_lhs(Nx, Nq):
+            f = idn.master_lhs(Nx, Nq)
+            row = tuple(c + (i == 9) for i, c in enumerate(f.slice(2).coeffs))
+            return XQSeries(Nx, Nq, {**f.terms, 2: QSeries(Nq, row)})
+
         broken = IdentityCheck(
             "broken-xq", True,
-            lambda Nx, Nq: idn.master_lhs(Nx, Nq) + XQSeries(
-                Nx, Nq, {2: QSeries(Nq, tuple(int(i == 9) for i in range(Nq + 1)))}),
+            bumped_lhs,
             idn.master_rhs,
             "fixture",
         )

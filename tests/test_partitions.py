@@ -37,7 +37,7 @@ class TestPartition:
         p = Partition.of(5, 1, 3)
         assert p.parts == (1, 3, 5)
         assert p.weight == 9
-        assert p.length == 3
+        assert len(p.parts) == 3
 
     def test_runs_example(self):
         p = Partition.of(1, 2, 3, 5, 7, 8)

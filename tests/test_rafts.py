@@ -254,11 +254,11 @@ class TestMinimality:
 
     def test_invalid_profile_construction(self):
         with pytest.raises(ValueError):
-            MinimalProfile(raft_positions=(1, 3), mu=(0,), tail=())
+            MinimalProfile(raft_positions=(1, 3), tail=())
         for tail in ((9, 5), (5, 5)):
             with pytest.raises(ValueError, match=re.escape(
                     f"tail parts must be strictly increasing, got {tail}")):
-                MinimalProfile((1,), (), tail)
+                MinimalProfile((1,), tail)
 
 
 class TestBijection:

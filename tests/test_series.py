@@ -46,10 +46,10 @@ small_series = st.builds(
 
 class TestQSeriesBasics:
     def test_zero_one_monomial(self):
-        assert QSeries.zero(3).coeffs == (0, 0, 0, 0)
-        assert QSeries.one(3).coeffs == (1, 0, 0, 0)
+        assert QSeries.zero(3).coeffs == (0, 0, 0, 0) and QSeries.zero(3).is_zero()
+        assert poly(1, trunc=3) == QSeries(3, (1, 0, 0, 0))
         q2 = QSeries(3, (0, 0, 1, 0))
-        assert q2[2] == 1 and not q2.is_zero() and (q2 - q2).is_zero()
+        assert q2[2] == 1 and not q2.is_zero()
 
     def test_negative_trunc_rejected(self):
         with pytest.raises(ValueError):
@@ -63,55 +63,19 @@ class TestQSeriesBasics:
         with pytest.raises(IndexError):
             s.coefficient(N + 1)
 
-    def test_add_mul_small(self):
-        a = poly(1, 1)
-        b = poly(1, -1)
-        assert (a + b).coeffs[:3] == (2, 0, 0)
-        assert (a - b).coeffs[:3] == (0, 2, 0)
-        assert (-a).coeffs[:2] == (-1, -1)
-
-    def test_mixed_trunc_rejected(self):
-        a = QSeries.one(3)
-        b = QSeries.one(4)
-        with pytest.raises(TruncationMismatchError):
-            a + b
-        with pytest.raises(TruncationMismatchError):
-            a - b
-
-
-class TestQSeriesAlgebra:
-    @given(small_series, small_series, small_series)
-    def test_ring_axioms(self, a, b, c):
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-        assert a - (b + c) == (a - b) - c
-
-    @given(small_series)
-    def test_identities_and_negation(self, a):
-        assert a + QSeries.zero(N) == a
-        assert a - a == QSeries.zero(N)
-        assert -(-a) == a
-
 
 class TestPochhammer:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            PochhammerSpec(0, 1, 1, None)
+            PochhammerSpec(0, 1, 1)
         with pytest.raises(ValueError):
-            PochhammerSpec(1, 0, 1, None)
+            PochhammerSpec(1, 0, 1)
         with pytest.raises(ValueError):
-            PochhammerSpec(1, 1, 0, None)
-        with pytest.raises(ValueError):
-            PochhammerSpec(1, 1, 1, -1)
-
-    def test_finite_product(self):
-        # (1 - q)(1 - q^2) = 1 - q - q^2 + q^3
-        assert _product(6, [PochhammerSpec(1, 1, 1, 2)]) == [1, -1, -1, 1, 0, 0, 0]
-        assert _product(6, [PochhammerSpec(1, 1, 1, 0)]) == [1, 0, 0, 0, 0, 0, 0]
+            PochhammerSpec(1, 1, 0)
 
     def test_euler_pentagonal(self):
         # (q;q)_inf has coefficient (-1)^j at j(3j-1)/2 and j(3j+1)/2, else 0
-        got = _product(30, [PochhammerSpec(1, 1, 1, None)])
+        got = _product(30, [PochhammerSpec(1, 1, 1)])
         want = [0] * 31
         want[0] = 1
         j = 1
@@ -124,7 +88,7 @@ class TestPochhammer:
         assert got == want
 
     def test_distinct_part_counts(self):
-        got = _product(10, [PochhammerSpec(-1, 1, 1, None)])
+        got = _product(10, [PochhammerSpec(-1, 1, 1)])
         assert got == [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10]
 
     def test_all_partition_counts(self):
@@ -134,18 +98,19 @@ class TestPochhammer:
         for part in range(1, M + 1):
             for w in range(part, M + 1):
                 dp[w] += dp[w - part]
-        assert _product(M, den=[PochhammerSpec(1, 1, 1, None)]) == dp
+        assert _product(M, den=[PochhammerSpec(1, 1, 1)]) == dp
 
     def test_infinite_product_steps(self):
         # (1 - q^2)(1 - q^7)(1 - q^12) modulo q^13; the factor at q^17 is 1 there
-        got = _product(12, [PochhammerSpec(1, 2, 5, None)])
+        got = _product(12, [PochhammerSpec(1, 2, 5)])
         assert got == [1, 0, -1, 0, 0, 0, 0, -1, 0, 1, 0, 0, -1]
 
 
 class TestGaussianBinomial:
     def test_edges(self):
-        assert gaussian_binomial(5, 0, 8) == QSeries.one(8)
-        assert gaussian_binomial(5, 5, 8) == QSeries.one(8)
+        one = QSeries(8, (1,) + (0,) * 8)
+        assert gaussian_binomial(5, 0, 8) == one
+        assert gaussian_binomial(5, 5, 8) == one
         assert gaussian_binomial(3, 5, 8).is_zero()
 
     def test_four_choose_two(self):
@@ -164,8 +129,8 @@ class TestGaussianBinomial:
         big = 90
         lhs = gaussian_binomial(n, k, big)
         shifted = ((0,) * k + gaussian_binomial(n - 1, k, big).coeffs)[: big + 1]
-        rhs = gaussian_binomial(n - 1, k - 1, big) + QSeries(big, shifted)
-        assert lhs == rhs
+        rhs = tuple(map(sum, zip(gaussian_binomial(n - 1, k - 1, big).coeffs, shifted)))
+        assert lhs == QSeries(big, rhs)
 
     @given(st.integers(0, 8), st.integers(0, 8))
     def test_palindrome(self, a, b):
@@ -190,17 +155,15 @@ class TestGaussianBinomial:
 
 class TestXQSeries:
     def test_normalization_drops_zero_slices(self):
-        a = XQSeries(3, 5, {1: QSeries.zero(5), 2: QSeries.one(5)})
+        a = XQSeries(3, 5, {1: QSeries.zero(5), 2: poly(1, trunc=5)})
         assert list(a.terms) == [2]
-        assert a == XQSeries(3, 5, {2: QSeries.one(5)})
+        assert a == XQSeries(3, 5, {2: poly(1, trunc=5)})
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            XQSeries(3, 5, {4: QSeries.one(5)})
+            XQSeries(3, 5, {4: poly(1, trunc=5)})
         with pytest.raises(TruncationMismatchError):
-            XQSeries(3, 5, {1: QSeries.one(4)})
-        with pytest.raises(TruncationMismatchError):
-            XQSeries.one(2, 5) + XQSeries.one(3, 5)
+            XQSeries(3, 5, {1: poly(1, trunc=4)})
 
     def test_monomial_and_slice(self):
         m = XQSeries(3, 5, {1: poly(0, 0, 1, trunc=5)})  # x q^2
@@ -265,7 +228,7 @@ class TestXQPochhammer:
     def test_base_zero_needs_x_degree(self):
         # base 0 is allowed because every factor carries x: the (x; q)-style product
         got = _from_buffers(4, 4, _xq_poch(1, 0, 1, 1, 4, 4))
-        assert got == XQSeries(4, 4, {0: QSeries.one(4), 1: -QSeries.one(4)})
+        assert got == XQSeries(4, 4, {0: poly(1, trunc=4), 1: poly(-1, trunc=4)})
 
 
 factor_steps = st.lists(
