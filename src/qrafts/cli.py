@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 
 from .identities import PROFILES, REGISTRY, CheckReport, run_many
@@ -197,7 +198,7 @@ def _iter_target(args, parser):
             gap = 1
         else:
             head = target[: -len("-distinct")]
-            if not head.isdigit() or int(head) < 1:
+            if not re.fullmatch("[0-9]+", head) or int(head) < 1:
                 parser.error(f"bad target {target!r}: want <d>-distinct with d >= 1")
             gap = int(head)
         if args.k is not None:

@@ -10,13 +10,15 @@ The containers are read-only values: they validate on construction, read
 coefficients, slice and substitute, but compute nothing from one another.
 
 Products and quotients are built by in-place factor steps on raw coefficient
-lists: ``mul_factor``/``div_factor`` multiply or divide by (1 - s*q^a).
-Multiplying is one descending pass and dividing one ascending pass, so a step
-costs O(N).  ``_product`` applies one step per Pochhammer factor, and stops at
-the first factor whose exponent exceeds the truncation order; every later
-factor is 1 modulo the truncation, so the stopping rule loses nothing.  A
-bivariate builder keeps one coefficient list per x-degree and files them
-with ``_from_buffers``.
+lists: ``mul_factor``/``div_factor`` multiply or divide by (1 - s*q^a)
+modulo q^len(c).  Multiplying is one descending pass and dividing one
+ascending pass, so a step costs O(len(c)), and a list cut to its first L
+coefficients stays exact on them.  ``_product`` counts the factors of each
+side up to the truncation order (every later factor is 1 modulo it), cancels
+the factors the numerator and denominator share, and steps only the rest:
+each factor is a unit modulo the truncation and the steps commute, so the
+cancellation is exact.  A bivariate builder keeps one coefficient list per
+x-degree and files them with ``_from_buffers``.
 """
 
 from __future__ import annotations
@@ -110,8 +112,8 @@ def div_factor(c: list[int], sign: int, a: int) -> None:
 
 
 def _add_shifted(dst: list[int], src, coeff: int, a: int) -> None:
-    """dst += coeff * q^a * src, modulo q^len(dst)."""
-    for i in range(len(dst) - a):
+    """dst += coeff * q^a * src, modulo q^len(dst); src may be shorter than len(dst) - a."""
+    for i in range(min(len(src), len(dst) - a)):
         if src[i]:
             dst[i + a] += coeff * src[i]
 
@@ -145,15 +147,21 @@ def _product(trunc: int, num: Sequence[PochhammerSpec] = (),
              den: Sequence[PochhammerSpec] = ()) -> list[int]:
     """prod(num) / prod(den) as a coefficient list modulo q^(trunc+1).
 
-    Each family is a PochhammerSpec; one in-place factor step per factor.
-    Exponents increase, so the steps stop at the first one past trunc: every
-    later factor is 1 modulo q^(trunc+1).
+    Each family is a PochhammerSpec.  Exponents increase, so a family's
+    factors stop at the first one past trunc: every later factor is 1 modulo
+    q^(trunc+1).  A factor (1 - sign*q^a) on both sides cancels, and one step
+    is applied per factor left over.
     """
-    c = [1] + [0] * trunc
-    for families, apply in ((num, mul_factor), (den, div_factor)):
+    power: dict[tuple[int, int], int] = {}
+    for families, side in ((num, 1), (den, -1)):
         for f in families:
             for a in range(f.base_exp, trunc + 1, f.step_exp):
-                apply(c, f.sign, a)
+                power[f.sign, a] = power.get((f.sign, a), 0) + side
+    c = [1] + [0] * trunc
+    for (sign, a), p in power.items():
+        apply = mul_factor if p > 0 else div_factor
+        for _ in range(abs(p)):
+            apply(c, sign, a)
     return c
 
 

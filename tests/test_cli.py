@@ -280,6 +280,16 @@ class TestEnumerate:
             main(["enumerate", "--target", "weird", "--weight", "5"])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("target", ["\u00b2-distinct", "\u0663-distinct", "0-distinct",
+                                        "+3-distinct"],
+                             ids=["superscript-two", "arabic-indic-three", "zero", "plus-sign"])
+    def test_gap_must_be_ascii_digits(self, capsys, target):
+        # str.isdigit accepts the superscript two and int() the Arabic-Indic three
+        with pytest.raises(SystemExit) as e:
+            main(["enumerate", "--target", target, "--weight", "5"])
+        assert e.value.code == 2
+        assert "want <d>-distinct" in capsys.readouterr().err
+
     def test_weight_and_max_weight_conflict(self, capsys):
         with pytest.raises(SystemExit) as e:
             main(["enumerate", "--target", "distinct", "--weight", "3",

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrafts import identities as idn
+from qrafts import series as ser
 from qrafts.identities import (
     REGISTRY,
     FirstDiff,
@@ -278,9 +279,9 @@ class TestCutoffSlack:
         overshoot = []
         add_term = idn._add_term
 
-        def spy(acc, x_trunc, xd, e, sign, term):
+        def spy(acc, x_trunc, size, xd, e, sign, term):
             overshoot.append(xd - x_trunc)
-            add_term(acc, x_trunc, xd, e, sign, term)
+            add_term(acc, x_trunc, size, xd, e, sign, term)
 
         monkeypatch.setattr(idn, "_add_term", spy)
         for d in (0, 1, 3):
@@ -288,6 +289,103 @@ class TestCutoffSlack:
                 overshoot.clear()
                 idn.staircase_gf(d, nx, 60)
                 assert overshoot and max(overshoot) <= 0, (d, nx)
+
+
+class TestCoefficientCuts:
+    """Every running term is cut to the coefficients its sum can still file.
+
+    Full-length terms give the same coefficients, so only these tests keep
+    the cuts in place.
+    """
+
+    @pytest.mark.parametrize("build", [
+        *[lambda nx, nq, d=d: idn.staircase_gf(d, nx, nq) for d in (0, 1, 2, 3)],
+        *[lambda nx, nq, k=k: idn.bmn_gf(k, nx, nq) for k in (2, 3, 4)],
+        idn.master_lhs, idn.master_rhs,
+    ], ids=[*[f"staircase_gf-{d}" for d in (0, 1, 2, 3)],
+            *[f"bmn_gf-{k}" for k in (2, 3, 4)], "master_lhs", "master_rhs"])
+    def test_terms_are_cut_to_their_buffers(self, monkeypatch, build):
+        """No term is filed past q_trunc, or longer than its buffer less its shift."""
+        filed = []
+        add_term = idn._add_term
+
+        def spy(acc, x_trunc, size, xd, e, sign, term):
+            filed.append((size, e, len(term)))
+            add_term(acc, x_trunc, size, xd, e, sign, term)
+
+        monkeypatch.setattr(idn, "_add_term", spy)
+        for nx, nq in ((5, 30), (20, 20), (30, 60), (60, 60), (60, 25)):
+            filed.clear()
+            build(nx, nq)
+            assert filed, (nx, nq)
+            for size, e, length in filed:
+                assert size <= nq + 1 and 0 <= e < size, (nx, nq, size, e)
+                assert length <= size - e, (nx, nq, size, e, length)
+
+    @pytest.mark.parametrize("build", [
+        idn.slater19_sum, idn.slater15_sum, idn.slater15_alt_sum, idn.no_raft_gf,
+        *[lambda N, k=k: idn.minimal_gf(k, N) for k in (1, 2, 3)],
+        *[lambda N, t=t: idn.qgauss_lhs(*t, N) for t in ((1, 1, 3), (2, 3, 7))],
+        *[lambda N, k=k: idn.gauss_step_lhs(k, N) for k in (1, 3)],
+    ], ids=["slater19_sum", "slater15_sum", "slater15_alt_sum", "no_raft_gf",
+            *[f"minimal_gf-{k}" for k in (1, 2, 3)], "qgauss_lhs-1-1-3",
+            "qgauss_lhs-2-3-7", "gauss_step_lhs-1", "gauss_step_lhs-3"])
+    def test_univariate_terms_fit_their_shift(self, monkeypatch, build):
+        """A univariate sum adds no term longer than its total less the shift."""
+        added = []
+        add_shifted = idn._add_shifted
+
+        def spy(dst, src, coeff, a):
+            added.append((len(dst), a, len(src)))
+            add_shifted(dst, src, coeff, a)
+
+        monkeypatch.setattr(idn, "_add_shifted", spy)
+        for N in (0, 1, 9, 30, 60):
+            added.clear()
+            build(N)
+            for size, e, length in added:
+                assert size == N + 1 and 0 <= e < size, (N, size, e)
+                assert length <= size - e, (N, size, e, length)
+
+    @pytest.mark.parametrize("build, work", [
+        (lambda: idn.slater19_sum(85), 4716),
+        (lambda: idn.minimal_gf(2, 85), 3513),
+        (lambda: idn.qgauss_lhs(1, 1, 3, 85), 10881),
+        (lambda: idn.qgauss_rhs(1, 1, 3, 85), 169),
+        (lambda: idn.gauss_step_lhs(2, 85), 1623),
+        (lambda: idn.gauss_step_rhs(2, 85), 161),
+        (lambda: idn.master_lhs(85, 85), 3850),
+        (lambda: idn.master_rhs(85, 85), 1023),
+        (lambda: idn.bmn_gf(3, 85, 85), 2897),
+        (lambda: idn.staircase_gf(0, 85, 85), 61721),
+        (lambda: idn.staircase_gf(2, 85, 85), 6083),
+    ], ids=["slater19_sum", "minimal_gf-2", "qgauss_lhs", "qgauss_rhs", "gauss_step_lhs",
+            "gauss_step_rhs", "master_lhs", "master_rhs", "bmn_gf-3", "staircase_gf-0",
+            "staircase_gf-2"])
+    def test_work_counts(self, monkeypatch, build, work):
+        """Coefficients touched at order 85: len(c) - a per factor step, plus
+        every element ``_add_shifted`` adds.  A cut taken out, even one whose
+        term is cut again before it is filed, raises the count."""
+        done = [0]
+        add_shifted = ser._add_shifted
+
+        def counted(step):
+            def count_step(c, sign, a):
+                done[0] += max(len(c) - a, 0)
+                step(c, sign, a)
+            return count_step
+
+        def count_add(dst, src, coeff, a):
+            done[0] += max(min(len(src), len(dst) - a), 0)
+            add_shifted(dst, src, coeff, a)
+
+        count_mul, count_div = counted(ser.mul_factor), counted(ser.div_factor)
+        for module in (ser, idn):
+            monkeypatch.setattr(module, "mul_factor", count_mul)
+            monkeypatch.setattr(module, "div_factor", count_div)
+            monkeypatch.setattr(module, "_add_shifted", count_add)
+        build()
+        assert done[0] == work
 
 
 ORDERS = range(41)

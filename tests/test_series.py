@@ -1,6 +1,7 @@
 """Truncated series containers, factor steps, Pochhammer products, and the tests'
 list reference and Gaussian binomials."""
 
+import itertools
 import math
 
 import pytest
@@ -104,6 +105,48 @@ class TestPochhammer:
         # (1 - q^2)(1 - q^7)(1 - q^12) modulo q^13; the factor at q^17 is 1 there
         got = _product(12, [PochhammerSpec(1, 2, 5)])
         assert got == [1, 0, -1, 0, 0, 0, 0, -1, 0, 1, 0, 0, -1]
+
+
+def _stepped(trunc, num, den):
+    """prod(num) / prod(den) with every factor stepped and nothing cancelled."""
+    c = [1] + [0] * trunc
+    for families, apply in ((num, mul_factor), (den, div_factor)):
+        for f in families:
+            for a in range(f.base_exp, trunc + 1, f.step_exp):
+                apply(c, f.sign, a)
+    return c
+
+
+SPECS = [PochhammerSpec(s, b, t) for s in (1, -1) for b in range(1, 5) for t in range(1, 4)]
+SMALL_SPECS = [f for f in SPECS if f.base_exp <= 2 and f.step_exp <= 2]
+
+
+class TestProductCancellation:
+    """``_product`` cancels the factors its two sides share; that changes no coefficient."""
+
+    def test_one_family_per_side(self):
+        for num in SPECS:
+            for den in SPECS:
+                for trunc in range(26):
+                    assert _product(trunc, [num], [den]) == _stepped(trunc, [num], [den]), \
+                        (num, den, trunc)
+
+    def test_two_families_per_side(self):
+        pairs = list(itertools.combinations_with_replacement(SMALL_SPECS, 2))
+        for num in pairs:
+            for den in pairs:
+                want = _stepped(25, num, den)
+                for trunc in range(26):
+                    assert _product(trunc, num, den) == want[:trunc + 1], (num, den, trunc)
+
+    def test_full_cancellation_and_signs(self):
+        q_q, mq_q = PochhammerSpec(1, 1, 1), PochhammerSpec(-1, 1, 1)
+        assert _product(25, [q_q], [q_q]) == [1] + [0] * 25
+        # (q;q)_inf / (-q;q)_inf: the same exponents with other signs never cancel
+        got = _product(25, [q_q], [mq_q])
+        assert got == _stepped(25, [q_q], [mq_q]) and got[1] == -2
+        # one factor of (q;q)_inf^2 left over
+        assert _product(25, [q_q, q_q], [q_q]) == _product(25, [q_q])
 
 
 class TestGaussianBinomial:
