@@ -27,10 +27,12 @@ than its buffer minus its shift.
 Oracle sides count partitions into distinct parts from their definitions,
 by one transfer-matrix walk, ``_walk``, over the 0/1 word that says which of
 1..N are parts, with one small transition per family.  The walk packs each
-state's counts by weight into one int, a fixed-width slot per weight, so a
-step is one big-int shift and add, and it unpacks them once per output
-series.  It takes only the containers from ``series``, so no oracle shares
-code with a formula side.
+state's counts by weight into one int, a w-bit slot per weight, so a step is
+one big-int shift and add, and it unpacks them once per output series with
+that w.  A transition lists two moves only on a taken letter, so every count
+of weight e is at most A(e) = [q^e] prod_{p<=N} (1 + 2q^p), and w is one sign
+bit over the largest of them, computed once per walk.  It takes only the
+containers from ``series``, so no oracle shares code with a formula side.
 """
 
 from __future__ import annotations
@@ -417,45 +419,74 @@ def staircase_gf(d: int, x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSerie
 
 
 def _width(n: int) -> int:
-    """Bits per weight slot in a walk over 1..n; ``_walk`` proves they suffice."""
-    return 2 * n + 4
+    """Bits per weight slot in a walk over 1..n: a sign bit over max A(e).
+
+    A(e) = [q^e] prod_{p<=n} (1 + 2q^p), e <= n, bounds every count of the
+    walk, as ``_walk`` proves.  An O(n^2) knapsack over small ints, run once
+    per walk.
+    """
+    a = [1] + [0] * n
+    for p in range(1, n + 1):
+        a[p:] = [c + 2 * b for c, b in zip(a[p:], a)]
+    return max(a).bit_length() + 1
 
 
-def _walk(n: int, start, step) -> dict:
+def _moves(step, state, taken: bool) -> list:
+    """``step(state, taken)``, refused past the bound that ``_walk`` proves."""
+    moves = step(state, taken)
+    if len(moves) > 2:
+        raise ValueError(f"a walk step lists at most 2 moves, got {len(moves)}")
+    if len(moves) > 1 and not taken:
+        raise ValueError(f"a walk step lists at most 1 move on a 0 letter, got {len(moves)}")
+    for _, mult in moves:
+        if mult not in (1, -1):
+            raise ValueError(f"a walk multiplier must be +1 or -1, got {mult}")
+    return moves
+
+
+def _walk(n: int, start, step) -> tuple[dict, int]:
     """Count the 0/1 words over positions 1..n by final state and weight.
 
     A word says which of 1..n are parts; a 1 at position p adds p to the
     weight.  ``step(state, taken)`` lists the (next state, multiplier) pairs
     of one letter, and an empty list refuses the word.  One more 0 after
     position n, of no weight, closes the last open run.  Returns the counts
-    by weight 0..n of every final state with a nonzero count, packed into one
-    int (Kronecker substitution): the count for weight e is the signed w-bit
-    slot at bit e*w, w = ``_width(n)``, and ``_unpack`` reads them back.
+    by weight 0..n of every final state with a nonzero count, each packed
+    into one int (Kronecker substitution), and the slot width w =
+    ``_width(n)``: the count for weight e is the signed w-bit slot at bit
+    e*w, and ``_unpack`` reads them back with that w.  The walk looks up,
+    and checks, each state's moves on each letter once.
 
     A 0 letter adds a state's packed counts as they are.  A 1 letter at p
     keeps slots 0..n-p, the low (n+1-p)*w bits read as a signed residue, and
     shifts them up by p slots, so no slot past n is ever kept.  A multiplier
     of +1 or -1 is an add or a subtract.  All of this is exact while every
     count fits its slot, |count| < 2^(w-1).  Proof: a step lists at most two
-    moves per letter, each with multiplier +1 or -1, or the walk raises
-    ValueError.  So the n+1 letters of a word make at most 4^n * 2 < 4^(n+1)
-    signed paths, and every count, a sum of +-1 over some of them, has
-    |count| < 2^(2n+2) < 2^(w-1).  The same holds for a sum over several
-    final states, since each path ends in one state.
+    moves on a 1 letter and at most one on a 0 letter, each with multiplier
+    +1 or -1, or the walk raises ValueError.  So a word whose parts form the
+    set S has at most 2^|S| signed paths, and a count of weight e, a sum of
+    +-1 over paths of words of weight e, has |count| at most the sum of 2^|S|
+    over the sets S of distinct parts <= n that sum to e.  That sum is
+    A(e) = [q^e] prod_{p<=n} (1 + 2q^p), and max A(e) < 2^(w-1).  After
+    position p the words run over 1..p, and the same sum over parts <= p is
+    no larger.  A sum over several final states obeys the same bound, since
+    each path ends in one state.
     """
     w = _width(n)
+    letters = ((False, {}), (True, {}))  # each letter's table: state -> its checked moves
     layer = {start: 1}
     for p in range(1, n + 2):
         nxt: dict = {}
         full = 1 << ((n + 1 - p) * w)  # slots 0..n-p, those that stay within n at q^p
         mask, half = full - 1, full >> 1
+        here = letters if p <= n else letters[:1]
         for state, packed in layer.items():
-            for taken in (False, True) if p <= n else (False,):
-                moves = step(state, taken)
+            for taken, table in here:
+                moves = table.get(state)
+                if moves is None:
+                    moves = table[state] = _moves(step, state, taken)
                 if not moves:
                     continue
-                if len(moves) > 2:
-                    raise ValueError(f"a walk step lists at most 2 moves, got {len(moves)}")
                 if taken:
                     packed_p = (((packed + half) & mask) - half) << (w * p)
                 else:
@@ -463,17 +494,14 @@ def _walk(n: int, start, step) -> dict:
                 for new, mult in moves:
                     if mult == 1:
                         nxt[new] = nxt.get(new, 0) + packed_p
-                    elif mult == -1:
-                        nxt[new] = nxt.get(new, 0) - packed_p
                     else:
-                        raise ValueError(f"a walk multiplier must be +1 or -1, got {mult}")
+                        nxt[new] = nxt.get(new, 0) - packed_p
         layer = {s: c for s, c in nxt.items() if c}
-    return layer
+    return layer, w
 
 
-def _unpack(packed: int, n: int) -> list[int]:
-    """The counts by weight 0..n that ``_walk`` packed into one int."""
-    w = _width(n)
+def _unpack(packed: int, n: int, w: int) -> list[int]:
+    """The counts by weight 0..n that ``_walk`` packed into w-bit slots."""
     mask, half = (1 << w) - 1, 1 << (w - 1)
     counts = []
     for _ in range(n + 1):
@@ -483,18 +511,23 @@ def _unpack(packed: int, n: int) -> list[int]:
     return counts
 
 
-def _q(trunc: int, layer: dict, keep=lambda state: True) -> QSeries:
+def _q(trunc: int, walked: tuple[dict, int], keep=lambda state: True) -> QSeries:
     """The walk's counts summed over the final states that ``keep`` accepts."""
-    return QSeries(trunc, tuple(_unpack(sum(c for s, c in layer.items() if keep(s)), trunc)))
+    layer, w = walked
+    return QSeries(trunc, tuple(_unpack(sum(c for s, c in layer.items() if keep(s)), trunc, w)))
 
 
-def _xq(x_trunc: int, q_trunc: int, layer: dict) -> XQSeries:
+def _xq(x_trunc: int, q_trunc: int, walked: tuple[dict, int]) -> XQSeries:
     """The walk's counts by (part count, weight); the part count ends each state."""
-    return XQSeries(x_trunc, q_trunc, {x: _q(q_trunc, layer, lambda s, x=x: s[-1] == x)
-                                       for x in {s[-1] for s in layer}})
+    layer, w = walked
+    by_parts: dict[int, int] = {}
+    for s, c in layer.items():
+        by_parts[s[-1]] = by_parts.get(s[-1], 0) + c
+    return XQSeries(x_trunc, q_trunc, {x: QSeries(q_trunc, tuple(_unpack(c, q_trunc, w)))
+                                       for x, c in by_parts.items()})
 
 
-def _gap_walk(d: int, x_trunc: int, q_trunc: int) -> dict:
+def _gap_walk(d: int, x_trunc: int, q_trunc: int) -> tuple[dict, int]:
     """Part gaps >= d; the state is (distance since the last part, capped at d; parts)."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
@@ -536,36 +569,40 @@ def no_kseq_oracle(k: int, x_trunc: int, q_trunc: int) -> XQSeries:
     return _xq(x_trunc, q_trunc, _walk(q_trunc, (0, 0), step))
 
 
-def _designation_walk(k: int, trunc: int, minimal: bool = False, sign: int = 1) -> dict:
+def _designation_walk(k: int, trunc: int, minimal: bool = False,
+                      sign: int = 1) -> tuple[dict, int]:
     """Designations of at most k rafts, each weighted sign^(number of rafts).
 
-    The state is (open run length, capped at 2; anchored; rafts so far).  A
-    run of length >= 2 may be designated as it closes, if it is anchored.
-    With ``minimal`` a run is anchored when it starts at 1, or exactly one
+    The state is (open run length, capped at 2; anchored; designated; rafts
+    so far).  An anchored run may be designated on the 1 letter that brings
+    it to length 2, so only a taken letter lists two moves; the designated
+    flag carries that choice to the 0 letter that closes the run.  With
+    ``minimal`` a run is anchored when it starts at 1, or exactly one
     missing part above a designated run: where ``RaftedPartition.can_backward``
     refuses the raft's move.  Otherwise every run is anchored.  With no run
-    open, the flag says whether a run starting at the next position would be.
+    open, the anchored flag says whether a run starting at the next position
+    would be.
     """
     def step(state, taken):
-        run, anchored, rafts = state
-        if taken:
-            return [((min(run + 1, 2), anchored, rafts), 1)]
-        out = [((0, not minimal, rafts), 1)]
-        if run == 2 and anchored and rafts < k:
-            out.append(((0, True, rafts + 1), sign))
+        run, anchored, designated, rafts = state
+        if not taken:
+            return [((0, designated or not minimal, False, rafts), 1)]
+        out = [((min(run + 1, 2), anchored, designated, rafts), 1)]
+        if run == 1 and anchored and rafts < k:
+            out.append(((2, anchored, True, rafts + 1), sign))
         return out
 
-    return _walk(trunc, (0, True, 0), step)
+    return _walk(trunc, (0, True, False, 0), step)
 
 
 def minimal_oracle(k: int, trunc: int) -> QSeries:
     """Minimal k-raft configurations by weight, counted from the definition."""
-    return _q(trunc, _designation_walk(k, trunc, minimal=True), lambda s: s[2] == k)
+    return _q(trunc, _designation_walk(k, trunc, minimal=True), lambda s: s[3] == k)
 
 
 def rafted_oracle(k: int, trunc: int) -> QSeries:
     """Count of designations with exactly k rafts, by weight."""
-    return _q(trunc, _designation_walk(k, trunc), lambda s: s[2] == k)
+    return _q(trunc, _designation_walk(k, trunc), lambda s: s[3] == k)
 
 
 def signed_designation_oracle(trunc: int) -> QSeries:

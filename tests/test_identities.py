@@ -17,11 +17,11 @@ from qrafts.identities import (
     run_many,
 )
 from qrafts.partitions import Partition, iter_gap_exact, runs_of
-from qrafts.rafts import enumerate_minimal, enumerate_rafted
+from qrafts.rafts import RaftedPartition, enumerate_minimal, enumerate_rafted
 from qrafts.series import QSeries, XQSeries
 
 import product_forms as ref
-from brute import all_distinct, enumerate_designations
+from brute import all_distinct, enumerate_designations, is_minimal_structural
 from walk_reference import reference_walk
 
 
@@ -135,6 +135,29 @@ class TestSignedDesignations:
         for n in range(41):
             assert idn.minimal_oracle(k, n).coeffs == tuple(want[: n + 1]), n
 
+    def test_designation_walk_matches_the_definitions(self):
+        """Every designation oracle against brute counts at order 30: the
+        designations of each distinct-part partition, and minimality decided
+        from the shape of the parts."""
+        N = 30
+        rafted = {k: [0] * (N + 1) for k in range(1, 5)}
+        minimal = {k: [0] * (N + 1) for k in range(1, 5)}
+        signed = [0] * (N + 1)
+        for p in all_distinct(N):
+            for d in enumerate_designations(p):
+                signed[p.weight] += (-1) ** len(d)
+                if len(d) in rafted:
+                    rafted[len(d)][p.weight] += 1
+                    if is_minimal_structural(RaftedPartition(p, d)):
+                        minimal[len(d)][p.weight] += 1
+        # k rafts weigh at least 3k^2, so k = 4 counts nothing at order 30
+        assert all(any(rafted[k]) and any(minimal[k]) for k in (1, 2, 3))
+        assert not any(rafted[4])
+        for k in range(1, 5):
+            assert idn.rafted_oracle(k, N).coeffs == tuple(rafted[k]), k
+            assert idn.minimal_oracle(k, N).coeffs == tuple(minimal[k]), k
+        assert idn.signed_designation_oracle(N).coeffs == tuple(signed)
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_no_kseq_oracle_matches_filter(self, k):
         counted = [parts for w in range(37) for parts in iter_gap_exact(w, 1)
@@ -156,7 +179,7 @@ def _walk_args(build) -> tuple:
     """The (n, start, step) that ``build()`` hands to ``identities._walk``."""
     seen = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(idn, "_walk", lambda *args: seen.append(args) or {})
+        mp.setattr(idn, "_walk", lambda *args: seen.append(args) or ({}, 2))
         build()
     (args,) = seen
     return args
@@ -170,11 +193,21 @@ def _oracle_walks(build, bivariate):
 
 
 def _bound_walks(mult):
-    """Two moves of multiplier ``mult`` on every letter: the most that _walk allows."""
+    """Two moves of multiplier ``mult`` on every 1 letter and one on every 0
+    letter: the most that _walk allows."""
     def step(state, taken):
-        return [(state, mult), (1 - state, mult)]
+        return [(state, mult), (1 - state, mult)] if taken else [(state, mult)]
 
     return [(n, 0, step) for n in (*range(31), 150)]
+
+
+def _bound_counts(n):
+    """A(e) = [q^e] prod_{p<=n} (1 + 2q^p) for e = 0..n, part by part."""
+    a = [1] + [0] * n
+    for p in range(1, n + 1):
+        for e in range(n, p - 1, -1):
+            a[e] += 2 * a[e - p]
+    return a
 
 
 WALKS = {
@@ -196,26 +229,38 @@ WALKS = {
 def test_walk_matches_reference(family):
     """The packed walk has the list walk's final states and counts.
 
-    Each packed int must also be exactly sum_e count_e * 2^(e*w): a walk that
-    kept a carry above slot n would still unpack right.
+    Each packed int must also be exactly sum_e count_e * 2^(e*w), with the
+    walk's own w: a walk that kept a carry above slot n would still unpack
+    right.  On ``bound-plus`` the counts summed over the final states are
+    A(e) exactly, the largest that the walk's bound allows.
     """
     for n, start, step in WALKS[family]():
         want = reference_walk(n, start, step)
-        got = idn._walk(n, start, step)
-        assert {s: idn._unpack(c, n) for s, c in got.items()} == want, n
-        w = idn._width(n)
+        got, w = idn._walk(n, start, step)
+        assert {s: idn._unpack(c, n, w) for s, c in got.items()} == want, n
         assert got == {s: sum(c << (e * w) for e, c in enumerate(counts))
                        for s, counts in want.items()}, n
+        if family == "bound-plus":
+            assert idn._unpack(sum(got.values()), n, w) == _bound_counts(n), n
 
 
+def test_width_is_a_sign_bit_over_the_largest_count():
+    a = _bound_counts(400)  # A(e) for e <= n takes no part past n, so one list serves
+    for n in range(401):
+        assert idn._width(n) == max(a[: n + 1]).bit_length() + 1, n
+
+
+# the moves on a 0 letter, the moves on a 1 letter, and the refusal
 @pytest.mark.parametrize("moves", [
-    [(0, 1)] * 3,
-    [(0, 2)],
-    [(0, 1), (0, -2)],
+    ([(0, 1)], [(0, 1)] * 3, "at most 2 moves"),
+    ([(0, 1)], [(0, 2)], "multiplier"),
+    ([(0, 1)], [(0, 1), (0, -2)], "multiplier"),
+    ([(0, 1), (1, 1)], [(0, 1)], "at most 1 move on a 0 letter"),
 ])
 def test_walk_refuses_steps_past_its_width_bound(moves):
-    with pytest.raises(ValueError):
-        idn._walk(5, 0, lambda state, taken: moves)
+    zero, one, refusal = moves
+    with pytest.raises(ValueError, match=refusal):
+        idn._walk(5, 0, lambda state, taken: one if taken else zero)
 
 
 # every k with 3k^2 <= N: k rafts weigh at least 3k^2
