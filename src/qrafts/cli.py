@@ -6,7 +6,11 @@ an --output path that cannot be written included.  Output is deterministic
 for a fixed invocation; the text and CSV report formats omit timings so
 repeated runs are byte-identical.  JSON adds each check's timings in whole
 milliseconds: millis for the whole check, lhs_ms and rhs_ms for each side's
-build.
+build.  A run builds a side that several checks share once, in the first of
+them; each later one reads 0 for it, bar its own x = q^t substitution, and
+names the check that built it in lhs_from or rhs_from, keys present only
+then.  A shared builder that raises fails every check that uses it, with its
+error.
 """
 
 from __future__ import annotations
@@ -56,7 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=("text", "json", "csv"),
                           default="text",
                           help="json adds per-check timings in ms: millis for the "
-                               "check, lhs_ms and rhs_ms for each side's build "
+                               "check, lhs_ms and rhs_ms for each side's build; a "
+                               "side reused from an earlier check reads about 0 "
+                               "and names that check in lhs_from/rhs_from "
                                "(default: text)")
     p_verify.add_argument("--output", metavar="PATH",
                           help="write the report here instead of stdout")

@@ -31,15 +31,23 @@ state's counts by weight into one int, a w-bit slot per weight, so a step is
 one big-int shift and add, and it unpacks them once per output series with
 that w.  A transition lists two moves only on a taken letter, so every count
 of weight e is at most A(e) = [q^e] prod_{p<=N} (1 + 2q^p), and w is one sign
-bit over the largest of them, computed once per walk.  It takes only the
+bit over the largest of them, A(N), computed once per walk.  It takes only the
 containers from ``series``, so no oracle shares code with a formula side.
+
+The registry names each side as a ``_Side``: a builder, its fixed leading
+arguments, and an optional x = q^t substitution.  ``run_many`` builds each
+distinct (builder, arguments, truncations) once per call and keeps it only
+until the last check that uses it.  ``master_lhs`` is ``bmn_gf(2, ...)`` term
+by term, so the master sum, C_2 and their specialisations share one build.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import count, islice
+from math import isqrt
 from typing import Callable, Iterator
 
 from .series import (
@@ -418,17 +426,32 @@ def staircase_gf(d: int, x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSerie
 # enumeration oracles: one transfer-matrix walk
 
 
+def _count_bits(n: int) -> int:
+    """A bound b with A(e) = [q^e] prod_{p<=n} (1 + 2q^p) < 2^(b-1) for e <= n.
+
+    Coefficientwise 1 + 2q^p <= (1 - q^p)^-2, so A(e) <= sum_i p(i) p(e-i) <=
+    (e+1) exp(2 pi sqrt(e/3)), by p(i) < exp(pi sqrt(2i/3)) for i >= 1
+    (Apostol, Introduction to Analytic Number Theory, ch. 14): at most
+    5.233 sqrt(n) + log2(n+1) bits, and 21/4 > 2 pi / (sqrt(3) ln 2).
+    """
+    return -(-21 * (isqrt(n) + 1) // 4) + (n + 1).bit_length() + 1
+
+
 def _width(n: int) -> int:
     """Bits per weight slot in a walk over 1..n: a sign bit over max A(e).
 
     A(e) = [q^e] prod_{p<=n} (1 + 2q^p), e <= n, bounds every count of the
-    walk, as ``_walk`` proves.  An O(n^2) knapsack over small ints, run once
-    per walk.
+    walk, as ``_walk`` proves.  The largest is A(n): raising the largest
+    part by 1 maps the sets of distinct parts of sum e >= 1 one-to-one into
+    those of sum e + 1, of the same size, and A(0) = 1.  A(n) is read off the
+    product packed into one int, in ``_count_bits(n)``-bit slots that no
+    coefficient fills, each factor keeping the slots that stay within n.
     """
-    a = [1] + [0] * n
+    b = _count_bits(n)
+    a = 1
     for p in range(1, n + 1):
-        a[p:] = [c + 2 * b for c, b in zip(a[p:], a)]
-    return max(a).bit_length() + 1
+        a += (a & ((1 << ((n + 1 - p) * b)) - 1)) << (p * b + 1)
+    return (a >> (n * b)).bit_length() + 1
 
 
 def _moves(step, state, taken: bool) -> list:
@@ -527,15 +550,17 @@ def _xq(x_trunc: int, q_trunc: int, walked: tuple[dict, int]) -> XQSeries:
                                        for x, c in by_parts.items()})
 
 
-def _gap_walk(d: int, x_trunc: int, q_trunc: int) -> tuple[dict, int]:
-    """Part gaps >= d; the state is (distance since the last part, capped at d; parts)."""
+def _gap_walk(d: int, q_trunc: int, x_trunc: int | None = None) -> tuple[dict, int]:
+    """Part gaps >= d; the state is (distance since the last part, capped at d;
+    parts), and parts stays 0 when no x_trunc asks for it."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
+    inc, cap = (0, 1) if x_trunc is None else (1, x_trunc)
 
     def step(state, taken):
         dist, parts = state
         if taken:
-            return [((1, parts + 1), 1)] if dist == d and parts < x_trunc else []
+            return [((1, parts + inc), 1)] if dist == d and parts < cap else []
         return [((min(dist + 1, d), parts), 1)]
 
     return _walk(q_trunc, (d, 0), step)
@@ -543,12 +568,12 @@ def _gap_walk(d: int, x_trunc: int, q_trunc: int) -> tuple[dict, int]:
 
 def d_distinct_q(d: int, trunc: int) -> QSeries:
     """Count of partitions with part gaps >= d, by weight."""
-    return _q(trunc, _gap_walk(d, trunc, trunc))
+    return _q(trunc, _gap_walk(d, trunc))
 
 
 def d_distinct_xq(d: int, x_trunc: int, q_trunc: int) -> XQSeries:
     """Partitions with part gaps >= d, by (number of parts, weight)."""
-    return _xq(x_trunc, q_trunc, _gap_walk(d, x_trunc, q_trunc))
+    return _xq(x_trunc, q_trunc, _gap_walk(d, q_trunc, x_trunc))
 
 
 def no_kseq_oracle(k: int, x_trunc: int, q_trunc: int) -> XQSeries:
@@ -633,7 +658,9 @@ class CheckReport:
     """One check's verdict; error holds (type name, message) when a builder raised.
 
     millis times the whole check; lhs_ms and rhs_ms time each side's build
-    alone, and read 0 for a side that raised or never ran.
+    alone, and read 0 for a side that raised or never ran.  A side reused
+    from an earlier check of the same run names that check in lhs_from or
+    rhs_from, and its time counts only this check's x-substitution of it.
     """
 
     name: str
@@ -645,6 +672,8 @@ class CheckReport:
     lhs_ms: int
     rhs_ms: int
     error: tuple[str, str] | None = None
+    lhs_from: str | None = None
+    rhs_from: str | None = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -657,6 +686,9 @@ class CheckReport:
             "lhs_ms": self.lhs_ms,
             "rhs_ms": self.rhs_ms,
         }
+        for key, source in (("lhs_from", self.lhs_from), ("rhs_from", self.rhs_from)):
+            if source is not None:
+                out[key] = source
         if self.error is not None:
             out["error"] = {"type": self.error[0], "message": self.error[1]}
         return out
@@ -671,6 +703,30 @@ class IdentityCheck:
     lhs: Callable
     rhs: Callable
     description: str
+
+
+@dataclass(frozen=True, slots=True)
+class _Side:
+    """A registry side, ``builder(*fixed, *truncations)``; with ``x_power``
+    set, a univariate side builds at (N, N) and substitutes x = q^x_power.
+
+    The builder is looked up by name in this module when the side is built,
+    so a rebound name (a test's spy, a tracer's span) is the one that runs.
+    """
+
+    builder: str
+    fixed: tuple = ()
+    x_power: int | None = None
+
+    def __call__(self, *truncs):
+        _, build, finish = _plan(self, truncs)
+        return finish(build())
+
+    def build(self, truncs: tuple):
+        return globals()[self.builder](*self.fixed, *truncs)
+
+    def finish(self, built):
+        return built if self.x_power is None else built.substitute_x_power(self.x_power)
 
 
 def first_difference(lhs, rhs) -> FirstDiff | None:
@@ -695,156 +751,131 @@ def first_difference(lhs, rhs) -> FirstDiff | None:
     raise TypeError(f"cannot compare {type(lhs).__name__} with {type(rhs).__name__}")
 
 
-def run_check(check: IdentityCheck, q_trunc: int, x_trunc: int | None = None) -> CheckReport:
-    """Build both sides, locate the first difference, time each side and the whole.
+def _plan(side, args: tuple):
+    """(memo key, build, finish) of one side at its check's truncations: a
+    ``_Side`` keyed by its computation, any other callable by its identity."""
+    if isinstance(side, _Side):
+        truncs = args if side.x_power is None else args * 2
+        return (side.builder, side.fixed, truncs), partial(side.build, truncs), side.finish
+    return (id(side), args), partial(side, *args), lambda built: built
 
-    An exception from a builder or the comparison fails this check alone: the
-    report carries its type and message, so the other checks still report.
+
+def _run_checks(checks: list[IdentityCheck], q_trunc: int,
+                x_trunc: int | None) -> list[CheckReport]:
+    """Run the checks in order, building each distinct side once.
+
+    A built side is kept only until the last check that uses it.  A builder
+    that raises keeps nothing, so it fails each check that uses it, with its
+    error; an exception from a builder or the comparison fails that check
+    alone, and the other checks still report.
     """
-    t0 = time.perf_counter()
-    xt = (q_trunc if x_trunc is None else x_trunc) if check.bivariate else None
-    args = (xt, q_trunc) if check.bivariate else (q_trunc,)
-    diff = error = None
-    lhs_ms = rhs_ms = 0
-    try:
-        lhs = check.lhs(*args)
-        t1 = time.perf_counter()
-        lhs_ms = _ms(t0, t1)
-        rhs = check.rhs(*args)
-        rhs_ms = _ms(t1, time.perf_counter())
-        diff = first_difference(lhs, rhs)
-    except Exception as exc:  # the run reports every check, so contain any fault
-        error = (type(exc).__name__, str(exc))
-    millis = _ms(t0, time.perf_counter())
-    return CheckReport(check.name, q_trunc, xt, diff is None and error is None, diff,
-                       millis, lhs_ms, rhs_ms, error)
+    plans = []
+    for check in checks:
+        xt = (q_trunc if x_trunc is None else x_trunc) if check.bivariate else None
+        args = (xt, q_trunc) if check.bivariate else (q_trunc,)
+        plans.append((xt, [_plan(check.lhs, args), _plan(check.rhs, args)]))
+    last = {key: i for i, (_, sides) in enumerate(plans) for key, _, _ in sides}
+    memo: dict = {}  # key -> (built side, name of the check that built it)
+    reports = []
+    for i, (check, (xt, sides)) in enumerate(zip(checks, plans)):
+        t0 = time.perf_counter()
+        diff = error = None
+        ms, source, values = [0, 0], [None, None], []
+        try:
+            for side, (key, build, finish) in enumerate(sides):
+                t1 = time.perf_counter()
+                if key in memo:
+                    built, source[side] = memo[key]
+                else:
+                    built = build()
+                    memo[key] = (built, check.name)
+                values.append(finish(built))
+                ms[side] = _ms(t1, time.perf_counter())
+            diff = first_difference(*values)
+        except Exception as exc:  # the run reports every check, so contain any fault
+            error = (type(exc).__name__, str(exc))
+        millis = _ms(t0, time.perf_counter())
+        reports.append(CheckReport(check.name, q_trunc, xt, diff is None and error is None,
+                                   diff, millis, *ms, error, *source))
+        for key, _, _ in sides:
+            if last[key] == i:
+                memo.pop(key, None)
+    return reports
 
 
 def _ms(start: float, stop: float) -> int:
     return int((stop - start) * 1000)
 
 
-REGISTRY: dict[str, IdentityCheck] = {}
+def run_check(check: IdentityCheck, q_trunc: int, x_trunc: int | None = None) -> CheckReport:
+    """Build both sides, locate the first difference, time each side and the whole.
 
-
-def _register(name: str, bivariate: bool, lhs, rhs, description: str) -> None:
-    REGISTRY[name] = IdentityCheck(name, bivariate, lhs, rhs, description)
+    An exception from a builder or the comparison fails this check: the
+    report carries its type and message.
+    """
+    return _run_checks([check], q_trunc, x_trunc)[0]
 
 
 def run_many(names, q_trunc: int, x_trunc: int | None = None) -> list[CheckReport]:
-    """Run the named checks in registry order; unknown names raise ValueError."""
+    """Run the named checks in registry order; unknown names raise ValueError.
+
+    A side that several of the checks name is built once, by the first of
+    them, and its later reports name that check (``CheckReport``).
+    """
     names = list(names)
     for n in names:
         if n not in REGISTRY:
             raise ValueError(f"unknown-identity: {n}")
     wanted = set(names)
-    return [run_check(REGISTRY[n], q_trunc, x_trunc)
-            for n in REGISTRY if n in wanted]
+    return _run_checks([c for n, c in REGISTRY.items() if n in wanted], q_trunc, x_trunc)
 
 
-def _rr1(trunc: int) -> QSeries:
-    return rr_product((1, 4), 5, trunc)
+# master_lhs is bmn_gf(2, ...) term by term (see its docstring), so the master
+# sum, C_2 and their x-specialisations all name one computation
+_MASTER = _Side("master_lhs")
+_S19, _S15_ALT = _Side("slater19_sum"), _Side("slater15_alt_sum")
+_RR1, _RR2 = _Side("rr_product", ((1, 4), 5)), _Side("rr_product", ((2, 3), 5))
+_NO_RAFT = _Side("no_raft_gf")
 
-
-def _rr2(trunc: int) -> QSeries:
-    return rr_product((2, 3), 5, trunc)
-
-
-_register(
-    "slater-19", False, slater19_sum, _rr1,
-    "alternating raft sum against the modulus-5 product for gaps >= 2",
-)
-_register(
-    "slater-15", False, slater15_sum, _rr2,
-    "shifted alternating raft sum against the complementary modulus-5 product",
-)
-_register(
-    "slater-15-alt", False, slater15_alt_sum, _rr2,
-    "companion form of slater-15 with the same product side (x = q in the master)",
-)
-for _k in (1, 2, 3):
-    _register(
-        f"minimal-gf-k{_k}", False,
-        (lambda N, k=_k: minimal_gf(k, N)),
-        (lambda N, k=_k: minimal_oracle(k, N)),
-        f"closed form vs definition count for minimal {_k}-raft configurations",
-    )
-    _register(
-        f"rafted-gf-k{_k}", False,
-        (lambda N, k=_k: rafted_gf(k, N)),
-        (lambda N, k=_k: rafted_oracle(k, N)),
-        f"closed form vs designation count for exactly {_k} rafts",
-    )
-_register(
-    "inclusion-exclusion", False, no_raft_gf, signed_designation_oracle,
-    "signed designation sum collapses to run-free partitions",
-)
-_register(
-    "inclusion-exclusion-2-distinct", False, no_raft_gf,
-    (lambda N: d_distinct_q(2, N)),
-    "the same signed sum counts partitions with gaps >= 2",
-)
-_register(
-    "inclusion-exclusion-rr1", False, no_raft_gf, _rr1,
-    "the same signed sum equals the modulus-5 product",
-)
-_register(
-    "master-identity", True, master_lhs, master_rhs,
-    "bivariate raft sum equals the classical gap->=2 double series in x, q",
-)
-_register(
-    "master-at-x-q", False,
-    (lambda N: master_lhs(N, N).substitute_x_power(1)),
-    slater15_alt_sum,
-    "x = q specialisation of the master identity hits the slater-15-alt sum",
-)
-_register(
-    "master-at-x-1", False,
-    (lambda N: master_lhs(N, N).substitute_x_power(0)),
-    slater19_sum,
-    "x = 1 specialisation of the master identity hits the slater-19 sum",
-)
-for _k in (2, 3, 4):
-    _register(
-        f"bmn-k{_k}", True,
-        (lambda Nx, Nq, k=_k: bmn_gf(k, Nx, Nq)),
-        (lambda Nx, Nq, k=_k: no_kseq_oracle(k, Nx, Nq)),
-        f"double sum vs direct count of partitions with no {_k}-sequence",
-    )
-_register(
-    "bmn-c2-slater-19", False,
-    (lambda N: bmn_gf(2, N, N).substitute_x_power(0)),
-    slater19_sum,
-    "C_2(1; q) agrees with the slater-19 sum side",
-)
-_register(
-    "bmn-c2-slater-15", False,
-    (lambda N: bmn_gf(2, N, N).substitute_x_power(1)),
-    slater15_sum,
-    "C_2(q; q) agrees with the slater-15 sum side",
-)
-for _d in (0, 1, 2, 3):
-    _register(
-        f"staircase-d{_d}", True,
-        (lambda Nx, Nq, d=_d: staircase_gf(d, Nx, Nq)),
-        (lambda Nx, Nq, d=_d: d_distinct_xq(2 + d, Nx, Nq)),
-        f"staircase triple sum vs direct count of gap->={2 + _d} partitions",
-    )
-_register(
-    "staircase-d0-master", True, (lambda Nx, Nq: staircase_gf(0, Nx, Nq)), master_lhs,
-    "the d = 0 triple sum re-expands the master identity's sum side",
-)
-for _t in ((1, 1, 3), (1, 2, 4), (2, 2, 5), (1, 1, 4), (2, 3, 7), (1, 3, 5)):
-    _register(
-        f"q-gauss-{_t[0]}-{_t[1]}-{_t[2]}", False,
-        (lambda N, t=_t: qgauss_lhs(*t, N)),
-        (lambda N, t=_t: qgauss_rhs(*t, N)),
-        f"summable hypergeometric case at (q^{_t[0]}, q^{_t[1]}, q^{_t[2]})",
-    )
-for _k in (1, 2, 3):
-    _register(
-        f"proof-gauss-step-k{_k}", False,
-        (lambda N, k=_k: gauss_step_lhs(k, N)),
-        (lambda N, k=_k: gauss_step_rhs(k, N)),
-        f"limiting summation step at k = {_k}",
-    )
+REGISTRY: dict[str, IdentityCheck] = {row[0]: IdentityCheck(*row) for row in [
+    ("slater-19", False, _S19, _RR1,
+     "alternating raft sum against the modulus-5 product for gaps >= 2"),
+    ("slater-15", False, _Side("slater15_sum"), _RR2,
+     "shifted alternating raft sum against the complementary modulus-5 product"),
+    ("slater-15-alt", False, _S15_ALT, _RR2,
+     "companion form of slater-15 with the same product side (x = q in the master)"),
+    *[row for k in (1, 2, 3) for row in [
+        (f"minimal-gf-k{k}", False, _Side("minimal_gf", (k,)), _Side("minimal_oracle", (k,)),
+         f"closed form vs definition count for minimal {k}-raft configurations"),
+        (f"rafted-gf-k{k}", False, _Side("rafted_gf", (k,)), _Side("rafted_oracle", (k,)),
+         f"closed form vs designation count for exactly {k} rafts"),
+    ]],
+    ("inclusion-exclusion", False, _NO_RAFT, _Side("signed_designation_oracle"),
+     "signed designation sum collapses to run-free partitions"),
+    ("inclusion-exclusion-2-distinct", False, _NO_RAFT, _Side("d_distinct_q", (2,)),
+     "the same signed sum counts partitions with gaps >= 2"),
+    ("inclusion-exclusion-rr1", False, _NO_RAFT, _RR1,
+     "the same signed sum equals the modulus-5 product"),
+    ("master-identity", True, _MASTER, _Side("master_rhs"),
+     "bivariate raft sum equals the classical gap->=2 double series in x, q"),
+    ("master-at-x-q", False, _Side("master_lhs", (), 1), _S15_ALT,
+     "x = q specialisation of the master identity hits the slater-15-alt sum"),
+    ("master-at-x-1", False, _Side("master_lhs", (), 0), _S19,
+     "x = 1 specialisation of the master identity hits the slater-19 sum"),
+    *[(f"bmn-k{k}", True, _MASTER if k == 2 else _Side("bmn_gf", (k,)),
+       _Side("no_kseq_oracle", (k,)),
+       f"double sum vs direct count of partitions with no {k}-sequence") for k in (2, 3, 4)],
+    ("bmn-c2-slater-19", False, _Side("master_lhs", (), 0), _S19,
+     "C_2(1; q) agrees with the slater-19 sum side"),
+    ("bmn-c2-slater-15", False, _Side("master_lhs", (), 1), _Side("slater15_sum"),
+     "C_2(q; q) agrees with the slater-15 sum side"),
+    *[(f"staircase-d{d}", True, _Side("staircase_gf", (d,)), _Side("d_distinct_xq", (2 + d,)),
+       f"staircase triple sum vs direct count of gap->={2 + d} partitions") for d in range(4)],
+    ("staircase-d0-master", True, _Side("staircase_gf", (0,)), _MASTER,
+     "the d = 0 triple sum re-expands the master identity's sum side"),
+    *[(f"q-gauss-{a}-{b}-{c}", False, _Side("qgauss_lhs", (a, b, c)),
+       _Side("qgauss_rhs", (a, b, c)), f"summable hypergeometric case at (q^{a}, q^{b}, q^{c})")
+      for a, b, c in ((1, 1, 3), (1, 2, 4), (2, 2, 5), (1, 1, 4), (2, 3, 7), (1, 3, 5))],
+    *[(f"proof-gauss-step-k{k}", False, _Side("gauss_step_lhs", (k,)),
+       _Side("gauss_step_rhs", (k,)), f"limiting summation step at k = {k}") for k in (1, 2, 3)],
+]}

@@ -1,11 +1,13 @@
 """Formula builders vs enumeration oracles, report machinery, the registry."""
 
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrafts import cli
 from qrafts import identities as idn
 from qrafts import series as ser
 from qrafts.identities import (
@@ -248,6 +250,17 @@ def test_width_is_a_sign_bit_over_the_largest_count():
     a = _bound_counts(400)  # A(e) for e <= n takes no part past n, so one list serves
     for n in range(401):
         assert idn._width(n) == max(a[: n + 1]).bit_length() + 1, n
+
+
+def test_largest_count_is_the_last_and_fits_the_packing_slots():
+    """A(e) does not decrease from e = 1, so _width reads A(n) alone, and
+    A(n) stays below 2^(b-1) with b = _count_bits(n), so the packed product
+    that computes it never carries between slots."""
+    a = _bound_counts(400)
+    assert all(x <= y for x, y in zip(a[1:], a[2:]))
+    for n in range(401):
+        assert max(a[: n + 1]) == a[n], n
+        assert a[n].bit_length() < idn._count_bits(n), n
 
 
 # the moves on a 0 letter, the moves on a 1 letter, and the refusal
@@ -517,6 +530,11 @@ class TestCrossWeb:
         got = idn.staircase_gf(0, N, N).substitute_x_power(0)
         assert got == idn.d_distinct_q(2, N)
 
+    @pytest.mark.parametrize("nx, nq", [(30, 30), (10, 30)])
+    def test_c2_is_the_master_sum(self, nx, nq):
+        """The registry builds bmn-k2's left side as master_lhs on this equality."""
+        assert idn.bmn_gf(2, nx, nq) == idn.master_lhs(nx, nq)
+
     def test_master_x1_equals_staircase0_x1(self):
         N = 24
         a = idn.master_lhs(N, N).substitute_x_power(0)
@@ -664,7 +682,8 @@ class TestReports:
             time.sleep(0.03)
             return idn.slater19_sum(N)
 
-        rep = run_check(IdentityCheck("slow-lhs", False, slow, idn._rr1, "fixture"), 10)
+        rep = run_check(IdentityCheck("slow-lhs", False, slow, REGISTRY["slater-19"].rhs,
+                                      "fixture"), 10)
         assert rep.passed and rep.lhs_ms >= 30 and rep.rhs_ms >= 0
         assert rep.millis >= rep.lhs_ms + rep.rhs_ms
 
@@ -679,6 +698,91 @@ class TestReports:
     def test_run_check_x_order_override(self):
         rep = run_check(REGISTRY["master-identity"], 12, x_trunc=4)
         assert rep.passed and rep.x_trunc == 4
+
+
+SPIED = ("staircase_gf", "master_lhs", "bmn_gf", "slater19_sum", "no_raft_gf", "rr_product")
+
+
+def _spy(monkeypatch, calls: Counter) -> None:
+    """Count each call of the SPIED builders, by (name, arguments)."""
+    for name in SPIED:
+        def spy(*args, _name=name, _build=getattr(idn, name)):
+            calls[_name, args] += 1
+            return _build(*args)
+        monkeypatch.setattr(idn, name, spy)
+
+
+class TestSharedSides:
+    @pytest.mark.parametrize("x_trunc", [None, 7])
+    def test_run_many_builds_each_distinct_side_once(self, monkeypatch, x_trunc):
+        """The registry names its builders, so a spy bound in their place runs."""
+        calls = Counter()
+        _spy(monkeypatch, calls)
+        assert all(r.passed for r in run_many(list(REGISTRY), 20, x_trunc))
+        xt = 20 if x_trunc is None else x_trunc
+        assert set(calls) == {
+            *[("staircase_gf", (d, xt, 20)) for d in range(4)],
+            ("master_lhs", (xt, 20)), ("master_lhs", (20, 20)),
+            ("bmn_gf", (3, xt, 20)), ("bmn_gf", (4, xt, 20)),
+            ("slater19_sum", (20,)), ("no_raft_gf", (20,)),
+            ("rr_product", ((1, 4), 5, 20)), ("rr_product", ((2, 3), 5, 20)),
+        }
+        assert set(calls.values()) == {1}
+
+    def test_each_check_alone_builds_its_own_sides(self, monkeypatch):
+        calls = Counter()
+        _spy(monkeypatch, calls)
+        for check in REGISTRY.values():
+            run_check(check, 12)
+        assert calls["master_lhs", (12, 12)] == 7
+        assert calls["slater19_sum", (12,)] == 3
+
+    @pytest.mark.parametrize("x_trunc", [None, 7])
+    def test_shared_run_renders_as_checks_run_alone(self, x_trunc):
+        shared = run_many(list(REGISTRY), 20, x_trunc)
+        alone = [run_check(check, 20, x_trunc) for check in REGISTRY.values()]
+        for render in (cli._report_text, cli._report_csv):
+            assert render(shared) == render(alone)
+        assert not any(r.lhs_from or r.rhs_from for r in alone)
+
+    def test_a_reused_side_names_the_check_that_built_it(self):
+        reports = run_many(list(REGISTRY), 20)
+        reused = {r.name: (r.lhs_from, r.rhs_from) for r in reports
+                  if r.lhs_from or r.rhs_from}
+        assert reused == {
+            "slater-15-alt": (None, "slater-15"),
+            "inclusion-exclusion-2-distinct": ("inclusion-exclusion", None),
+            "inclusion-exclusion-rr1": ("inclusion-exclusion", "slater-19"),
+            "master-at-x-q": ("master-identity", "slater-15-alt"),
+            "master-at-x-1": ("master-identity", "slater-19"),
+            "bmn-k2": ("master-identity", None),
+            "bmn-c2-slater-19": ("master-identity", "slater-19"),
+            "bmn-c2-slater-15": ("master-identity", "slater-15"),
+            "staircase-d0-master": ("staircase-d0", "master-identity"),
+        }
+        for r in reports:
+            d = r.to_json_dict()
+            assert ("lhs_from" in d, "rhs_from" in d) == (r.lhs_from is not None,
+                                                          r.rhs_from is not None)
+
+    def test_a_raising_shared_side_fails_every_check_that_uses_it(self, monkeypatch):
+        calls = []
+
+        def broken(trunc):
+            calls.append(trunc)
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(idn, "no_raft_gf", broken)
+        reports = {r.name: r for r in run_many(list(REGISTRY), 12)}
+        users = ["inclusion-exclusion", "inclusion-exclusion-2-distinct",
+                 "inclusion-exclusion-rr1"]
+        assert {n for n, r in reports.items() if not r.passed} == set(users)
+        for name in users:
+            r = reports[name]
+            assert r.error == ("ZeroDivisionError", "boom") and r.first_diff is None
+            assert (r.lhs_ms, r.rhs_ms, r.lhs_from, r.rhs_from) == (0, 0, None, None)
+        assert calls == [12, 12, 12]  # nothing is kept from a raise
+        assert reports["slater-19"].passed
 
 
 @settings(max_examples=20, deadline=None)
