@@ -7,10 +7,10 @@ for a fixed invocation; the text and CSV report formats omit timings so
 repeated runs are byte-identical.  JSON adds each check's timings in whole
 milliseconds: millis for the whole check, lhs_ms and rhs_ms for each side's
 build.  A run builds a side that several checks share once, in the first of
-them; each later one reads 0 for it, bar its own x = q^t substitution, and
-names the check that built it in lhs_from or rhs_from, keys present only
-then.  A shared builder that raises fails every check that uses it, with its
-error.
+them; each later one reads only its own view of it (x = q^t, x = -1 or one
+x-slice), about 0 ms, and names the check that built it in lhs_from or
+rhs_from, keys present only then.  A shared builder that raises fails every
+check that uses it, with its error.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           default="text",
                           help="json adds per-check timings in ms: millis for the "
                                "check, lhs_ms and rhs_ms for each side's build; a "
-                               "side reused from an earlier check reads about 0 "
+                               "side reused from an earlier check reads only its "
+                               "view (x = q^t, x = -1 or one x-slice), about 0 ms, "
                                "and names that check in lhs_from/rhs_from "
                                "(default: text)")
     p_verify.add_argument("--output", metavar="PATH",

@@ -35,10 +35,15 @@ bit over the largest of them, A(N), computed once per walk.  It takes only the
 containers from ``series``, so no oracle shares code with a formula side.
 
 The registry names each side as a ``_Side``: a builder, its fixed leading
-arguments, and an optional x = q^t substitution.  ``run_many`` builds each
-distinct (builder, arguments, truncations) once per call and keeps it only
-until the last check that uses it.  ``master_lhs`` is ``bmn_gf(2, ...)`` term
+arguments, and an optional view of a bivariate result (x = q^t, x = -1, or
+one x-slice).  ``run_many`` builds each distinct (builder, arguments,
+truncations) once per call and keeps it only until the last check that uses
+it; the view is applied per check.  ``master_lhs`` is ``bmn_gf(2, ...)`` term
 by term, so the master sum, C_2 and their specialisations share one build.
+Each oracle automaton is walked once per run: the designation walk, x
+marking the rafts, serves every raft count and, at x = -1, the signed sum;
+one minimal walk serves every minimal count; and the gap-2 walk serves both
+C_2 and the d = 0 staircase.
 """
 
 from __future__ import annotations
@@ -461,9 +466,6 @@ def _moves(step, state, taken: bool) -> list:
         raise ValueError(f"a walk step lists at most 2 moves, got {len(moves)}")
     if len(moves) > 1 and not taken:
         raise ValueError(f"a walk step lists at most 1 move on a 0 letter, got {len(moves)}")
-    for _, mult in moves:
-        if mult not in (1, -1):
-            raise ValueError(f"a walk multiplier must be +1 or -1, got {mult}")
     return moves
 
 
@@ -471,25 +473,25 @@ def _walk(n: int, start, step) -> tuple[dict, int]:
     """Count the 0/1 words over positions 1..n by final state and weight.
 
     A word says which of 1..n are parts; a 1 at position p adds p to the
-    weight.  ``step(state, taken)`` lists the (next state, multiplier) pairs
-    of one letter, and an empty list refuses the word.  One more 0 after
-    position n, of no weight, closes the last open run.  Returns the counts
-    by weight 0..n of every final state with a nonzero count, each packed
-    into one int (Kronecker substitution), and the slot width w =
+    weight.  ``step(state, taken)`` lists the next states of one letter, and
+    an empty list refuses the word.  One more 0 after position n, of no
+    weight, closes the last open run.  Returns the counts by weight 0..n of
+    every final state with a nonzero count, each packed into one int
+    (Kronecker substitution), and the slot width w =
     ``_width(n)``: the count for weight e is the signed w-bit slot at bit
     e*w, and ``_unpack`` reads them back with that w.  The walk looks up,
     and checks, each state's moves on each letter once.
 
     A 0 letter adds a state's packed counts as they are.  A 1 letter at p
     keeps slots 0..n-p, the low (n+1-p)*w bits read as a signed residue, and
-    shifts them up by p slots, so no slot past n is ever kept.  A multiplier
-    of +1 or -1 is an add or a subtract.  All of this is exact while every
-    count fits its slot, |count| < 2^(w-1).  Proof: a step lists at most two
-    moves on a 1 letter and at most one on a 0 letter, each with multiplier
-    +1 or -1, or the walk raises ValueError.  So a word whose parts form the
-    set S has at most 2^|S| signed paths, and a count of weight e, a sum of
-    +-1 over paths of words of weight e, has |count| at most the sum of 2^|S|
-    over the sets S of distinct parts <= n that sum to e.  That sum is
+    shifts them up by p slots, so no slot past n is ever kept.  All of this
+    is exact while every count fits its slot, 0 <= count < 2^(w-1), where
+    the signed read-back gives each count back as it is.  Proof: a step
+    lists at most two moves on a 1 letter and at most one on a 0 letter, or
+    the walk raises ValueError.  So a word whose parts form the set S has at
+    most 2^|S| paths, and a count of weight e, the number of paths of words
+    of weight e, is nonnegative and at most the sum of 2^|S| over the sets S
+    of distinct parts <= n that sum to e.  That sum is
     A(e) = [q^e] prod_{p<=n} (1 + 2q^p), and max A(e) < 2^(w-1).  After
     position p the words run over 1..p, and the same sum over parts <= p is
     no larger.  A sum over several final states obeys the same bound, since
@@ -514,11 +516,8 @@ def _walk(n: int, start, step) -> tuple[dict, int]:
                     packed_p = (((packed + half) & mask) - half) << (w * p)
                 else:
                     packed_p = packed
-                for new, mult in moves:
-                    if mult == 1:
-                        nxt[new] = nxt.get(new, 0) + packed_p
-                    else:
-                        nxt[new] = nxt.get(new, 0) - packed_p
+                for new in moves:
+                    nxt[new] = nxt.get(new, 0) + packed_p
         layer = {s: c for s, c in nxt.items() if c}
     return layer, w
 
@@ -534,10 +533,10 @@ def _unpack(packed: int, n: int, w: int) -> list[int]:
     return counts
 
 
-def _q(trunc: int, walked: tuple[dict, int], keep=lambda state: True) -> QSeries:
-    """The walk's counts summed over the final states that ``keep`` accepts."""
+def _q(trunc: int, walked: tuple[dict, int]) -> QSeries:
+    """The walk's counts summed over its final states."""
     layer, w = walked
-    return QSeries(trunc, tuple(_unpack(sum(c for s, c in layer.items() if keep(s)), trunc, w)))
+    return QSeries(trunc, tuple(_unpack(sum(layer.values()), trunc, w)))
 
 
 def _xq(x_trunc: int, q_trunc: int, walked: tuple[dict, int]) -> XQSeries:
@@ -560,8 +559,8 @@ def _gap_walk(d: int, q_trunc: int, x_trunc: int | None = None) -> tuple[dict, i
     def step(state, taken):
         dist, parts = state
         if taken:
-            return [((1, parts + inc), 1)] if dist == d and parts < cap else []
-        return [((min(dist + 1, d), parts), 1)]
+            return [(1, parts + inc)] if dist == d and parts < cap else []
+        return [(min(dist + 1, d), parts)]
 
     return _walk(q_trunc, (d, 0), step)
 
@@ -588,52 +587,71 @@ def no_kseq_oracle(k: int, x_trunc: int, q_trunc: int) -> XQSeries:
     def step(state, taken):
         run, parts = state
         if taken:
-            return [((run + 1, parts + 1), 1)] if run + 1 < k and parts < x_trunc else []
-        return [((0, parts), 1)]
+            return [(run + 1, parts + 1)] if run + 1 < k and parts < x_trunc else []
+        return [(0, parts)]
 
     return _xq(x_trunc, q_trunc, _walk(q_trunc, (0, 0), step))
 
 
-def _designation_walk(k: int, trunc: int, minimal: bool = False,
-                      sign: int = 1) -> tuple[dict, int]:
-    """Designations of at most k rafts, each weighted sign^(number of rafts).
+def _designation_walk(k: int, trunc: int, minimal: bool = False) -> tuple[dict, int]:
+    """Designations of at most k rafts.
 
     The state is (open run length, capped at 2; anchored; designated; rafts
-    so far).  An anchored run may be designated on the 1 letter that brings
-    it to length 2, so only a taken letter lists two moves; the designated
-    flag carries that choice to the 0 letter that closes the run.  With
-    ``minimal`` a run is anchored when it starts at 1, or exactly one
-    missing part above a designated run: where ``RaftedPartition.can_backward``
-    refuses the raft's move.  Otherwise every run is anchored.  With no run
-    open, the anchored flag says whether a run starting at the next position
-    would be.
+    so far), and ``_xq`` reads the rafts as the x-degree.  An anchored run
+    may be designated on the 1 letter that brings it to length 2, so only a
+    taken letter lists two moves; the designated flag carries that choice to
+    the 0 letter that closes the run.  With ``minimal`` a run is anchored
+    when it starts at 1, or exactly one missing part above a designated run:
+    where ``RaftedPartition.can_backward`` refuses the raft's move.
+    Otherwise every run is anchored.  With no run open, the anchored flag
+    says whether a run starting at the next position would be.
     """
     def step(state, taken):
         run, anchored, designated, rafts = state
         if not taken:
-            return [((0, designated or not minimal, False, rafts), 1)]
-        out = [((min(run + 1, 2), anchored, designated, rafts), 1)]
+            return [(0, designated or not minimal, False, rafts)]
+        out = [(min(run + 1, 2), anchored, designated, rafts)]
         if run == 1 and anchored and rafts < k:
-            out.append(((2, anchored, True, rafts + 1), sign))
+            out.append((2, anchored, True, rafts + 1))
         return out
 
     return _walk(trunc, (0, True, False, 0), step)
 
 
-def minimal_oracle(k: int, trunc: int) -> QSeries:
-    """Minimal k-raft configurations by weight, counted from the definition."""
-    return _q(trunc, _designation_walk(k, trunc, minimal=True), lambda s: s[3] == k)
+def minimal_oracle(k: int, trunc: int) -> XQSeries:
+    """Minimal configurations of at most k rafts by (rafts, weight), counted
+    from the definition."""
+    return _xq(k, trunc, _designation_walk(k, trunc, minimal=True))
 
 
-def rafted_oracle(k: int, trunc: int) -> QSeries:
-    """Count of designations with exactly k rafts, by weight."""
-    return _q(trunc, _designation_walk(k, trunc), lambda s: s[3] == k)
+def rafted_oracle(trunc: int) -> XQSeries:
+    """Designations by (number of rafts, weight).
+
+    Every raft weighs at least 3, so a cap of trunc rafts never binds: the
+    series holds every count, as its x = -1 view needs.
+    """
+    return _xq(trunc, trunc, _designation_walk(trunc, trunc))
 
 
 def signed_designation_oracle(trunc: int) -> QSeries:
     """sum over partitions and designations of (-1)^(number of rafts) q^weight."""
-    # every raft weighs at least 3, so a cap of trunc rafts never binds
-    return _q(trunc, _designation_walk(trunc, trunc, sign=-1))
+    return _at_x_minus_one(rafted_oracle(trunc))
+
+
+def _x_slice(s: XQSeries, k: int) -> QSeries:
+    """The x^k slice of s, read as zero past its x-order.
+
+    That is exact for a series whose x^n slice starts at q^n or later and
+    whose x-order is its q-order, as ``rafted_oracle``'s is.
+    """
+    return s.slice(k) if k <= s.x_trunc else QSeries.zero(s.q_trunc)
+
+
+def _at_x_minus_one(s: XQSeries) -> QSeries:
+    """s at x = -1, exact when s holds every x-degree that reaches its q-order."""
+    rows = [(-1 if deg % 2 else 1, sl.coeffs) for deg, sl in s.terms.items()]
+    return QSeries(s.q_trunc, tuple(sum(sign * row[e] for sign, row in rows)
+                                    for e in range(s.q_trunc + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +678,7 @@ class CheckReport:
     millis times the whole check; lhs_ms and rhs_ms time each side's build
     alone, and read 0 for a side that raised or never ran.  A side reused
     from an earlier check of the same run names that check in lhs_from or
-    rhs_from, and its time counts only this check's x-substitution of it.
+    rhs_from, and its time counts only this check's view of it (``_Side``).
     """
 
     name: str
@@ -707,8 +725,12 @@ class IdentityCheck:
 
 @dataclass(frozen=True, slots=True)
 class _Side:
-    """A registry side, ``builder(*fixed, *truncations)``; with ``x_power``
-    set, a univariate side builds at (N, N) and substitutes x = q^x_power.
+    """A registry side, ``builder(*fixed, *truncations)``, read through at
+    most one view of a bivariate result.  With ``x_power`` set, a univariate
+    side builds at (N, N) and substitutes x = q^x_power; ``x_slice`` reads
+    the x^k slice, and ``x_minus_one`` substitutes x = -1.  Views are not
+    part of what ``run_many`` keys a build by, so checks that view one
+    build differently share it.
 
     The builder is looked up by name in this module when the side is built,
     so a rebound name (a test's spy, a tracer's span) is the one that runs.
@@ -717,6 +739,8 @@ class _Side:
     builder: str
     fixed: tuple = ()
     x_power: int | None = None
+    x_slice: int | None = None
+    x_minus_one: bool = False
 
     def __call__(self, *truncs):
         _, build, finish = _plan(self, truncs)
@@ -726,7 +750,11 @@ class _Side:
         return globals()[self.builder](*self.fixed, *truncs)
 
     def finish(self, built):
-        return built if self.x_power is None else built.substitute_x_power(self.x_power)
+        if self.x_power is not None:
+            return built.substitute_x_power(self.x_power)
+        if self.x_slice is not None:
+            return _x_slice(built, self.x_slice)
+        return _at_x_minus_one(built) if self.x_minus_one else built
 
 
 def first_difference(lhs, rhs) -> FirstDiff | None:
@@ -734,6 +762,8 @@ def first_difference(lhs, rhs) -> FirstDiff | None:
     if isinstance(lhs, QSeries) and isinstance(rhs, QSeries):
         if lhs.trunc != rhs.trunc:
             raise ValueError("cannot compare series at different truncations")
+        if lhs.coeffs == rhs.coeffs:
+            return None
         for e, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
             if a != b:
                 return FirstDiff(None, e, str(a), str(b))
@@ -741,6 +771,8 @@ def first_difference(lhs, rhs) -> FirstDiff | None:
     if isinstance(lhs, XQSeries) and isinstance(rhs, XQSeries):
         if (lhs.x_trunc, lhs.q_trunc) != (rhs.x_trunc, rhs.q_trunc):
             raise ValueError("cannot compare series at different truncations")
+        if lhs.terms == rhs.terms:
+            return None
         degrees = sorted(set(lhs.terms) | set(rhs.terms))
         slices = [(d, lhs.slice(d).coeffs, rhs.slice(d).coeffs) for d in degrees]
         for e in range(lhs.q_trunc + 1):
@@ -836,6 +868,11 @@ _MASTER = _Side("master_lhs")
 _S19, _S15_ALT = _Side("slater19_sum"), _Side("slater15_alt_sum")
 _RR1, _RR2 = _Side("rr_product", ((1, 4), 5)), _Side("rr_product", ((2, 3), 5))
 _NO_RAFT = _Side("no_raft_gf")
+# each oracle automaton is walked once per run: one designation walk serves
+# every raft count and the signed sum, one minimal walk, capped at the largest
+# raft count read, serves every minimal count, and distinct parts with no
+# 2-sequence are those with gaps >= 2, so bmn-k2 and staircase-d0 read one walk
+_RAFTS = (1, 2, 3)
 
 REGISTRY: dict[str, IdentityCheck] = {row[0]: IdentityCheck(*row) for row in [
     ("slater-19", False, _S19, _RR1,
@@ -844,13 +881,14 @@ REGISTRY: dict[str, IdentityCheck] = {row[0]: IdentityCheck(*row) for row in [
      "shifted alternating raft sum against the complementary modulus-5 product"),
     ("slater-15-alt", False, _S15_ALT, _RR2,
      "companion form of slater-15 with the same product side (x = q in the master)"),
-    *[row for k in (1, 2, 3) for row in [
-        (f"minimal-gf-k{k}", False, _Side("minimal_gf", (k,)), _Side("minimal_oracle", (k,)),
+    *[row for k in _RAFTS for row in [
+        (f"minimal-gf-k{k}", False, _Side("minimal_gf", (k,)),
+         _Side("minimal_oracle", (max(_RAFTS),), x_slice=k),
          f"closed form vs definition count for minimal {k}-raft configurations"),
-        (f"rafted-gf-k{k}", False, _Side("rafted_gf", (k,)), _Side("rafted_oracle", (k,)),
+        (f"rafted-gf-k{k}", False, _Side("rafted_gf", (k,)), _Side("rafted_oracle", x_slice=k),
          f"closed form vs designation count for exactly {k} rafts"),
     ]],
-    ("inclusion-exclusion", False, _NO_RAFT, _Side("signed_designation_oracle"),
+    ("inclusion-exclusion", False, _NO_RAFT, _Side("rafted_oracle", x_minus_one=True),
      "signed designation sum collapses to run-free partitions"),
     ("inclusion-exclusion-2-distinct", False, _NO_RAFT, _Side("d_distinct_q", (2,)),
      "the same signed sum counts partitions with gaps >= 2"),
@@ -858,16 +896,16 @@ REGISTRY: dict[str, IdentityCheck] = {row[0]: IdentityCheck(*row) for row in [
      "the same signed sum equals the modulus-5 product"),
     ("master-identity", True, _MASTER, _Side("master_rhs"),
      "bivariate raft sum equals the classical gap->=2 double series in x, q"),
-    ("master-at-x-q", False, _Side("master_lhs", (), 1), _S15_ALT,
+    ("master-at-x-q", False, _Side("master_lhs", x_power=1), _S15_ALT,
      "x = q specialisation of the master identity hits the slater-15-alt sum"),
-    ("master-at-x-1", False, _Side("master_lhs", (), 0), _S19,
+    ("master-at-x-1", False, _Side("master_lhs", x_power=0), _S19,
      "x = 1 specialisation of the master identity hits the slater-19 sum"),
     *[(f"bmn-k{k}", True, _MASTER if k == 2 else _Side("bmn_gf", (k,)),
-       _Side("no_kseq_oracle", (k,)),
+       _Side("d_distinct_xq", (2,)) if k == 2 else _Side("no_kseq_oracle", (k,)),
        f"double sum vs direct count of partitions with no {k}-sequence") for k in (2, 3, 4)],
-    ("bmn-c2-slater-19", False, _Side("master_lhs", (), 0), _S19,
+    ("bmn-c2-slater-19", False, _Side("master_lhs", x_power=0), _S19,
      "C_2(1; q) agrees with the slater-19 sum side"),
-    ("bmn-c2-slater-15", False, _Side("master_lhs", (), 1), _Side("slater15_sum"),
+    ("bmn-c2-slater-15", False, _Side("master_lhs", x_power=1), _Side("slater15_sum"),
      "C_2(q; q) agrees with the slater-15 sum side"),
     *[(f"staircase-d{d}", True, _Side("staircase_gf", (d,)), _Side("d_distinct_xq", (2 + d,)),
        f"staircase triple sum vs direct count of gap->={2 + d} partitions") for d in range(4)],

@@ -95,11 +95,11 @@ class TestFrozenValues:
 
     def test_minimal_gf_empty_below_threshold(self):
         assert idn.minimal_gf(1, 2).is_zero()
-        assert idn.minimal_oracle(1, 2).is_zero()
+        assert idn.minimal_oracle(1, 2).slice(1).is_zero()
 
     def test_rafted_single_raft_weight5(self):
         # only {2,3} among weight-5 partitions carries a raft
-        assert idn.rafted_oracle(1, 5).coefficient(5) == 1
+        assert idn.rafted_oracle(5).slice(1).coefficient(5) == 1
         assert idn.rafted_gf(1, 5).coefficient(5) == 1
 
 
@@ -126,8 +126,10 @@ class TestSignedDesignations:
         for rp in enumerate_rafted(k, N):
             want[rp.weight] += 1
         assert any(want)
+        # the registry's view, which reads the x^k slice as zero past n < k
+        view = idn._Side("rafted_oracle", x_slice=k)
         for n in range(N + 1):
-            assert idn.rafted_oracle(k, n).coeffs == tuple(want[: n + 1]), n
+            assert view(n).coeffs == tuple(want[: n + 1]), n
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_minimal_oracle_matches_construction(self, k):
@@ -135,12 +137,14 @@ class TestSignedDesignations:
         for rp in enumerate_minimal(k, 40):
             want[rp.weight] += 1
         for n in range(41):
-            assert idn.minimal_oracle(k, n).coeffs == tuple(want[: n + 1]), n
+            assert idn.minimal_oracle(k, n).slice(k).coeffs == tuple(want[: n + 1]), n
 
     def test_designation_walk_matches_the_definitions(self):
         """Every designation oracle against brute counts at order 30: the
         designations of each distinct-part partition, and minimality decided
-        from the shape of the parts."""
+        from the shape of the parts.  Each x-slice of one walk counts what
+        a walk capped at that slice counts, and the x = -1 view that the
+        registry reads is the signed sum."""
         N = 30
         rafted = {k: [0] * (N + 1) for k in range(1, 5)}
         minimal = {k: [0] * (N + 1) for k in range(1, 5)}
@@ -155,10 +159,13 @@ class TestSignedDesignations:
         # k rafts weigh at least 3k^2, so k = 4 counts nothing at order 30
         assert all(any(rafted[k]) and any(minimal[k]) for k in (1, 2, 3))
         assert not any(rafted[4])
+        designations, minimal_cap4 = idn.rafted_oracle(N), idn.minimal_oracle(4, N)
         for k in range(1, 5):
-            assert idn.rafted_oracle(k, N).coeffs == tuple(rafted[k]), k
-            assert idn.minimal_oracle(k, N).coeffs == tuple(minimal[k]), k
+            assert designations.slice(k).coeffs == tuple(rafted[k]), k
+            assert minimal_cap4.slice(k).coeffs == tuple(minimal[k]), k
+            assert idn.minimal_oracle(k, N).slice(k) == minimal_cap4.slice(k), k
         assert idn.signed_designation_oracle(N).coeffs == tuple(signed)
+        assert REGISTRY["inclusion-exclusion"].rhs(N).coeffs == tuple(signed)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_no_kseq_oracle_matches_filter(self, k):
@@ -167,6 +174,12 @@ class TestSignedDesignations:
         for N in range(37):
             for Nx in {N, N // 3}:
                 assert idn.no_kseq_oracle(k, Nx, N) == _by_parts(counted, Nx, N), (Nx, N)
+
+    def test_no_2_sequence_is_gap_2(self):
+        """bmn-k2 reads the gap-2 walk that staircase-d0 builds on this equality."""
+        for N in range(121):
+            for Nx in {N, N // 3}:
+                assert idn.no_kseq_oracle(2, Nx, N) == idn.d_distinct_xq(2, Nx, N), (Nx, N)
 
     @pytest.mark.parametrize("d", range(1, 8))
     def test_d_distinct_q_counts_gap_parts(self, d):
@@ -194,11 +207,11 @@ def _oracle_walks(build, bivariate):
             yield _walk_args(lambda: build(Nx, N))
 
 
-def _bound_walks(mult):
-    """Two moves of multiplier ``mult`` on every 1 letter and one on every 0
-    letter: the most that _walk allows."""
+def _bound_walks():
+    """Two moves on every 1 letter and one on every 0 letter: the most that
+    _walk allows."""
     def step(state, taken):
-        return [(state, mult), (1 - state, mult)] if taken else [(state, mult)]
+        return [state, 1 - state] if taken else [state]
 
     return [(n, 0, step) for n in (*range(31), 150)]
 
@@ -218,12 +231,11 @@ WALKS = {
     **{f"no-kseq-{k}": lambda k=k: _oracle_walks(
         lambda Nx, N: idn.no_kseq_oracle(k, Nx, N), True) for k in range(1, 7)},
     **{f"rafted-{k}": lambda k=k: _oracle_walks(
-        lambda Nx, N: idn.rafted_oracle(k, N), False) for k in range(1, 5)},
+        lambda Nx, N: idn._designation_walk(k, N), False) for k in range(1, 5)},
     **{f"minimal-{k}": lambda k=k: _oracle_walks(
         lambda Nx, N: idn.minimal_oracle(k, N), False) for k in range(1, 5)},
     "signed": lambda: _oracle_walks(lambda Nx, N: idn.signed_designation_oracle(N), False),
-    "bound-plus": lambda: _bound_walks(1),
-    "bound-minus": lambda: _bound_walks(-1),
+    "bound-plus": _bound_walks,
 }
 
 
@@ -263,13 +275,12 @@ def test_largest_count_is_the_last_and_fits_the_packing_slots():
         assert a[n].bit_length() < idn._count_bits(n), n
 
 
-# the moves on a 0 letter, the moves on a 1 letter, and the refusal
+# the moves on a 0 letter, the moves on a 1 letter, and the refusal; the ids
+# skip moves1 and moves2, the cases of the retired step multipliers
 @pytest.mark.parametrize("moves", [
-    ([(0, 1)], [(0, 1)] * 3, "at most 2 moves"),
-    ([(0, 1)], [(0, 2)], "multiplier"),
-    ([(0, 1)], [(0, 1), (0, -2)], "multiplier"),
-    ([(0, 1), (1, 1)], [(0, 1)], "at most 1 move on a 0 letter"),
-])
+    ([0], [0] * 3, "at most 2 moves"),
+    ([0, 1], [0], "at most 1 move on a 0 letter"),
+], ids=["moves0", "moves3"])
 def test_walk_refuses_steps_past_its_width_bound(moves):
     zero, one, refusal = moves
     with pytest.raises(ValueError, match=refusal):
@@ -296,8 +307,8 @@ class TestForAnyParameter:
 
     @pytest.mark.parametrize("k, N", RAFT_CASES)
     def test_raft_gfs_count_designations(self, k, N):
-        assert idn.minimal_gf(k, N) == idn.minimal_oracle(k, N)
-        assert idn.rafted_gf(k, N) == idn.rafted_oracle(k, N)
+        assert idn.minimal_gf(k, N) == idn.minimal_oracle(k, N).slice(k)
+        assert idn.rafted_gf(k, N) == idn.rafted_oracle(N).slice(k)
 
     @pytest.mark.parametrize("N", [60, 200])
     def test_qgauss_every_triple(self, N):
@@ -617,6 +628,23 @@ class TestReports:
         fd2 = first_difference(a, c)
         assert (fd2.x, fd2.q) == (3, 1)
 
+    def test_first_difference_finds_late_differences(self):
+        """Sides that differ only late get the same report as a full scan."""
+        a = idn.slater19_sum(40)
+        last = a.coeffs[-1]
+        late = QSeries(40, a.coeffs[:-1] + (last + 1,))
+        assert first_difference(a, late) == FirstDiff(None, 40, str(last), str(last + 1))
+        m = idn.master_rhs(6, 40)  # x^6 is its top x-degree, from q^36 on
+        row = m.slice(6).coeffs
+        bumped = XQSeries(6, 40, {**m.terms, 6: QSeries(40, row[:38] + (row[38] + 1,) + row[39:])})
+        assert first_difference(m, bumped) == FirstDiff(6, 38, str(row[38]), str(row[38] + 1))
+        dropped = XQSeries(6, 40, {d: s for d, s in m.terms.items() if d != 6})
+        assert first_difference(m, dropped) == FirstDiff(6, 36, "1", "0")
+        with pytest.raises(ValueError):
+            first_difference(m, idn.master_rhs(5, 40))
+        with pytest.raises(ValueError):
+            first_difference(a, idn.slater19_sum(39))
+
     def test_first_difference_type_mismatch(self):
         with pytest.raises(TypeError):
             first_difference(QSeries.zero(3), XQSeries(3, 3, {}))
@@ -701,11 +729,13 @@ class TestReports:
 
 
 SPIED = ("staircase_gf", "master_lhs", "bmn_gf", "slater19_sum", "no_raft_gf", "rr_product")
+WALKERS = ("d_distinct_q", "d_distinct_xq", "no_kseq_oracle", "rafted_oracle", "minimal_oracle",
+           "signed_designation_oracle")
 
 
-def _spy(monkeypatch, calls: Counter) -> None:
-    """Count each call of the SPIED builders, by (name, arguments)."""
-    for name in SPIED:
+def _spy(monkeypatch, calls: Counter, names=SPIED) -> None:
+    """Count each call of the named builders, by (name, arguments)."""
+    for name in names:
         def spy(*args, _name=name, _build=getattr(idn, name)):
             calls[_name, args] += 1
             return _build(*args)
@@ -729,6 +759,30 @@ class TestSharedSides:
         }
         assert set(calls.values()) == {1}
 
+    @pytest.mark.parametrize("x_trunc", [None, 7])
+    def test_run_many_walks_each_automaton_once(self, monkeypatch, x_trunc):
+        """Nine walks: one per distinct oracle build, whatever views read it."""
+        calls, walked = Counter(), []
+        _spy(monkeypatch, calls, WALKERS)
+        walk = idn._walk
+        monkeypatch.setattr(idn, "_walk", lambda *args: walked.append(args[0]) or walk(*args))
+        assert all(r.passed for r in run_many(list(REGISTRY), 20, x_trunc))
+        xt = 20 if x_trunc is None else x_trunc
+        assert calls == Counter({
+            ("rafted_oracle", (20,)): 1, ("minimal_oracle", (3, 20)): 1,
+            ("d_distinct_q", (2, 20)): 1,
+            ("no_kseq_oracle", (3, xt, 20)): 1, ("no_kseq_oracle", (4, xt, 20)): 1,
+            **{("d_distinct_xq", (d, xt, 20)): 1 for d in range(2, 6)},
+        })
+        assert walked == [20] * 9
+
+    @pytest.mark.parametrize("x_trunc", [None, 1])
+    def test_every_check_passes_from_order_0(self, x_trunc):
+        """Every view, an x-slice past its oracle's x-order included, at the lowest orders."""
+        for n in range(7):
+            failed = [r.name for r in run_many(list(REGISTRY), n, x_trunc) if not r.passed]
+            assert not failed, (n, failed)
+
     def test_each_check_alone_builds_its_own_sides(self, monkeypatch):
         calls = Counter()
         _spy(monkeypatch, calls)
@@ -751,6 +805,9 @@ class TestSharedSides:
                   if r.lhs_from or r.rhs_from}
         assert reused == {
             "slater-15-alt": (None, "slater-15"),
+            **{f"minimal-gf-k{k}": (None, "minimal-gf-k1") for k in (2, 3)},
+            **{f"rafted-gf-k{k}": (None, "rafted-gf-k1") for k in (2, 3)},
+            "inclusion-exclusion": (None, "rafted-gf-k1"),
             "inclusion-exclusion-2-distinct": ("inclusion-exclusion", None),
             "inclusion-exclusion-rr1": ("inclusion-exclusion", "slater-19"),
             "master-at-x-q": ("master-identity", "slater-15-alt"),
@@ -758,6 +815,7 @@ class TestSharedSides:
             "bmn-k2": ("master-identity", None),
             "bmn-c2-slater-19": ("master-identity", "slater-19"),
             "bmn-c2-slater-15": ("master-identity", "slater-15"),
+            "staircase-d0": (None, "bmn-k2"),
             "staircase-d0-master": ("staircase-d0", "master-identity"),
         }
         for r in reports:

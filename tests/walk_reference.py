@@ -3,10 +3,10 @@
 The library's ``identities._walk`` packs each state's counts by weight into
 one int and steps it by big-int shifts and adds.  This module keeps the list
 form it replaced: every state holds a list of counts for weights 0..n, and a
-letter adds ``mult`` times that list into the next state's list, shifted by
-the letter's weight.  It shares no arithmetic with the library and has no
-bound on the moves or multipliers, so the tests judge the packed walk, its
-width and its signed residues against it.
+letter adds that list into each next state's list, shifted by the letter's
+weight.  It shares no arithmetic with the library and has no bound on the
+moves, so the tests judge the packed walk, its width and its signed residues
+against it.
 """
 
 
@@ -21,9 +21,9 @@ def reference_walk(n: int, start, step) -> dict:
         nxt: dict = {}
         for state, counts in layer.items():
             for taken in (False, True) if p <= n else (False,):
-                for new, mult in step(state, taken):
+                for new in step(state, taken):
                     buf = nxt.setdefault(new, [0] * (n + 1))
                     lo = p if taken else 0
-                    buf[lo:] = [a + mult * c for a, c in zip(buf[lo:], counts)]
+                    buf[lo:] = [a + c for a, c in zip(buf[lo:], counts)]
         layer = {s: c for s, c in nxt.items() if any(c)}
     return layer
