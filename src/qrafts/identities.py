@@ -6,23 +6,23 @@ infinite q-sums and quotients of infinite products, and both are built by
 in-place factor steps from ``series``, each O(len) on the list it steps: no
 formula side multiplies or inverts a whole series.  ``series._product``
 builds a product side as a coefficient list, one factor step per factor that
-numerator and denominator do not share.  Every summation index runs through
-one iterator, ``_upto``, which stops where the summand's lowest exponent
-passes the truncation order.  Its ``slack`` argument, exposed as each
-builder's ``_slack`` test hook, runs a few indices further so the tests can
-confirm no retained coefficient changes.  Each sum keeps one running term as
-a coefficient list, starts it with ``_product`` where it carries an infinite
-product, and advances it by the summand ratio, term_{i+1} = term_i * ratio;
-``_add_term`` files each term at its x-degree and q-shift.  ``master_lhs``
-and ``bmn_gf`` share one double-sum loop, ``_signed_double_sum``, each with
-its own exponents.
+numerator and denominator do not share.  Every sum is hypergeometric: its
+summand i+1 is summand i times a ratio of factors (1 - s*q^a).  One
+generator, ``_terms``, runs every sum: it keeps the running term as a
+coefficient list, started by the caller (with ``_product`` where it carries
+an infinite product), steps it by factor i of each Pochhammer family of the
+ratio, and yields it with its q-shift e(i); ``_add_term`` or
+``_add_shifted`` files it.  ``master_lhs`` and ``bmn_gf`` share one
+double-sum loop, ``_signed_double_sum``, each with its own exponents.
 
-With ``_upto``'s cutoff comes one cut rule: every loop files its running
-term at a q-shift e(i) that never decreases in i, so coefficient N+1-e(i) of
-the term and every later one can reach no output from index i on.  Before
-index i's factor steps, ``_cut`` deletes them; the steps work modulo q^len,
-so the shorter term stays exact on what is kept, and a term is never longer
-than its buffer minus its shift.
+``_terms`` also owns the cutoff and the cut.  It stops at the first index
+whose shift passes the truncation order N, since the shifts never decrease
+(it raises ValueError on one that does): that summand and every later one
+start past q^N.  For the same reason coefficient N+1-e(i) of the term, and
+every later one, can reach no output from index i on, so it deletes them
+before index i's factor steps; the steps work modulo q^len, so the shorter
+term stays exact on what is kept, and a term is never longer than its buffer
+minus its shift.
 
 Oracle sides count partitions into distinct parts from their definitions,
 by one transfer-matrix walk, ``_walk``, over the 0/1 word that says which of
@@ -51,9 +51,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import count, islice
+from itertools import count
 from math import isqrt
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .series import (
     PochhammerSpec,
@@ -99,38 +99,48 @@ def rr_product(residues: tuple[int, ...], modulus: int, trunc: int) -> QSeries:
 
 
 # ---------------------------------------------------------------------------
-# the cutoff rule and the running term
+# the running term
 
 
-def _upto(past_cutoff: Callable[[int], bool], slack: int = 0) -> Iterator[int]:
-    """Summation indices 0, 1, 2, ... of a truncated infinite sum.
+def _terms(trunc: int, shift: Callable[[int], int], term: list[int],
+           num: Sequence[PochhammerSpec] = (), den: Sequence[PochhammerSpec] = (),
+           stop: Callable[[int], bool] = lambda i: False,
+           ) -> Iterator[tuple[int, int, list[int]]]:
+    """(i, shift(i), term_i) for i = 0, 1, 2, ... of a sum truncated at q^trunc.
 
-    ``past_cutoff(i)`` says that summand i, and with it every later one, has
-    its lowest exponent past the truncation order.  Iteration stops at the
-    first such index, or ``slack`` indices later: the ``_slack`` test hook of
-    every builder, which confirms that running on changes no retained
-    coefficient.
+    ``term`` is term_0, stepped in place: term_i is term_{i-1} times factor i
+    of each family in ``num`` and divided by factor i of each in ``den``,
+    where factor i of (s q^b; q^t) is (1 - s q^(b+(i-1)t)).  Before its steps,
+    term_i is cut to its first trunc+1-shift(i) coefficients, those that
+    q^shift(i) keeps within trunc.  The sum ends at the first index whose
+    shift passes trunc, or where ``stop(i)`` holds.  Shifts must be >= 0 and
+    must not decrease, which is what makes both the end and the cut exact;
+    ValueError otherwise.  The yielded list is the running term itself.
     """
-    extra = 0
+    last = 0
     for i in count():
-        if past_cutoff(i):
-            extra += 1
-            if extra > slack:
-                return
-        yield i
-
-
-def _cut(term: list[int], trunc: int, e: int) -> None:
-    """Keep only the coefficients of term that land within trunc at q-shift e."""
-    del term[max(trunc + 1 - e, 0):]
+        e = shift(i)
+        if e < last:
+            raise ValueError(f"summand shifts must be >= 0 and must not decrease, "
+                             f"got {e} after {last} at index {i}")
+        if e > trunc or stop(i):
+            return
+        last = e
+        del term[trunc + 1 - e:]
+        if i:
+            for f in num:
+                mul_factor(term, f.sign, f.base_exp + (i - 1) * f.step_exp)
+            for f in den:
+                div_factor(term, f.sign, f.base_exp + (i - 1) * f.step_exp)
+        yield i, e, term
 
 
 def _add_term(acc: dict[int, list[int]], x_trunc: int, size: int, xd: int, e: int,
               sign: int, term: list[int]) -> None:
     """acc[xd] += sign * q^e * term, in a buffer of ``size`` coefficients.
 
-    Nothing past x_trunc or past the buffer is kept; the caller's cut makes
-    term no longer than size - e.
+    Nothing past x_trunc or past the buffer is kept; the cut in ``_terms``
+    makes term no longer than size - e.
     """
     if xd > x_trunc or e >= size:
         return
@@ -140,42 +150,45 @@ def _add_term(acc: dict[int, list[int]], x_trunc: int, size: int, xd: int, e: in
     _add_shifted(buf, term, sign, e)
 
 
+def _q_sum(trunc: int, shift: Callable[[int], int], term: list[int],
+           num: Sequence[PochhammerSpec] = (), den: Sequence[PochhammerSpec] = (),
+           sign: int = 1) -> QSeries:
+    """sum_i sign^i q^shift(i) term_i, the terms as ``_terms`` steps them."""
+    total = [0] * (trunc + 1)
+    for i, e, t in _terms(trunc, shift, term, num, den):
+        _add_shifted(total, t, sign ** i, e)
+    return QSeries(trunc, tuple(total))
+
+
 # ---------------------------------------------------------------------------
 # univariate formula sides
 
 
-def _slater_sum(shift: int, extra_len: int, trunc: int, slack: int) -> QSeries:
+def _slater_sum(shift: int, extra_len: int, trunc: int) -> QSeries:
     """(-q;q)_inf * sum_j (-1)^j q^(3j^2+shift*j) / ((q^2;q^2)_j (-q;q)_{2j+extra_len}).
 
     The prefactor cancels each denominator's head, so the running term is
     (-q^(2j+extra_len+1);q)_inf / (q^2;q^2)_j.
     """
-    total = [0] * (trunc + 1)
-    term = _product(trunc, [PochhammerSpec(-1, extra_len + 1, 1)])
-    for j in _upto(lambda j: 3 * j * j + shift * j > trunc, slack):
-        e = 3 * j * j + shift * j
-        _cut(term, trunc, e)
-        if j:
-            div_factor(term, -1, 2 * j - 1 + extra_len)
-            div_factor(term, -1, 2 * j + extra_len)
-            div_factor(term, 1, 2 * j)
-        _add_shifted(total, term, -1 if j % 2 else 1, e)
-    return QSeries(trunc, tuple(total))
+    return _q_sum(trunc, lambda j: 3 * j * j + shift * j,
+                  _product(trunc, [PochhammerSpec(-1, extra_len + 1, 1)]),
+                  den=[PochhammerSpec(-1, extra_len + 1, 2), PochhammerSpec(-1, extra_len + 2, 2),
+                       PochhammerSpec(1, 2, 2)], sign=-1)
 
 
-def slater19_sum(trunc: int, _slack: int = 0) -> QSeries:
+def slater19_sum(trunc: int) -> QSeries:
     """(-q;q)_inf * sum_j (-1)^j q^(3j^2) / ((q^2;q^2)_j (-q;q)_{2j})."""
-    return _slater_sum(0, 0, trunc, _slack)
+    return _slater_sum(0, 0, trunc)
 
 
-def slater15_sum(trunc: int, _slack: int = 0) -> QSeries:
+def slater15_sum(trunc: int) -> QSeries:
     """(-q;q)_inf * sum_j (-1)^j q^(3j^2-2j) / ((q^2;q^2)_j (-q;q)_{2j})."""
-    return _slater_sum(-2, 0, trunc, _slack)
+    return _slater_sum(-2, 0, trunc)
 
 
-def slater15_alt_sum(trunc: int, _slack: int = 0) -> QSeries:
+def slater15_alt_sum(trunc: int) -> QSeries:
     """(-q;q)_inf * sum_j (-1)^j q^(3j^2+2j) / ((q^2;q^2)_j (-q;q)_{2j+1})."""
-    return _slater_sum(2, 1, trunc, _slack)
+    return _slater_sum(2, 1, trunc)
 
 
 def minimal_exponent(k: int, m: int) -> int:
@@ -190,7 +203,7 @@ def minimal_exponent(k: int, m: int) -> int:
     return _b2(3 * k + m) - 3 * _b2(k) - m * (k - 1)
 
 
-def minimal_gf(k: int, trunc: int, _slack: int = 0) -> QSeries:
+def minimal_gf(k: int, trunc: int) -> QSeries:
     """Generating function of minimal k-raft configurations by weight.
 
     sum_m q^minimal_exponent(k, m) [m+k-1 choose k-1]_q (-q^(3k+m+1); q)_inf;
@@ -199,51 +212,37 @@ def minimal_gf(k: int, trunc: int, _slack: int = 0) -> QSeries:
     """
     if k < 1:
         raise ValueError(f"raft count must be >= 1, got {k}")
-    total = [0] * (trunc + 1)
-    term = _product(max(trunc - minimal_exponent(k, 0), 0), [PochhammerSpec(-1, 3 * k + 1, 1)])
-    for m in _upto(lambda m: minimal_exponent(k, m) > trunc, _slack):
-        e = minimal_exponent(k, m)
-        _cut(term, trunc, e)
-        if m:
-            mul_factor(term, 1, m + k - 1)  # [m+k-2 choose k-1] -> [m+k-1 choose k-1]
-            div_factor(term, 1, m)
-            div_factor(term, -1, 3 * k + m)
-        _add_shifted(total, term, 1, e)
-    return QSeries(trunc, tuple(total))
+    return _q_sum(trunc, partial(minimal_exponent, k),
+                  _product(max(trunc - minimal_exponent(k, 0), 0),
+                           [PochhammerSpec(-1, 3 * k + 1, 1)]),
+                  num=[PochhammerSpec(1, k, 1)],  # over (q;q)_m: the Gaussian binomial
+                  den=[PochhammerSpec(1, 1, 1), PochhammerSpec(-1, 3 * k + 1, 1)])
 
 
-def rafted_gf(k: int, trunc: int, _slack: int = 0) -> QSeries:
+def rafted_gf(k: int, trunc: int) -> QSeries:
     """Generating function of all k-raft configurations: minimal_gf / (q^2;q^2)_k."""
-    row = list(minimal_gf(k, trunc, _slack).coeffs)
+    row = list(minimal_gf(k, trunc).coeffs)
     for i in range(1, k + 1):
         div_factor(row, 1, 2 * i)
     return QSeries(trunc, tuple(row))
 
 
-def no_raft_gf(trunc: int, _slack: int = 0) -> QSeries:
+def no_raft_gf(trunc: int) -> QSeries:
     """(-q;q)_inf + sum_{k>=1} (-1)^k rafted_gf(k): the signed designation sum."""
     total = _product(trunc, [PochhammerSpec(-1, 1, 1)])  # the k = 0 term
-    for k in islice(_upto(lambda k: 3 * k * k > trunc, _slack), 1, None):
-        _add_shifted(total, rafted_gf(k, trunc, _slack).coeffs, -1 if k % 2 else 1, 0)
+    for k in range(1, isqrt(trunc // 3) + 1):  # k rafts weigh at least 3k^2
+        _add_shifted(total, rafted_gf(k, trunc).coeffs, -1 if k % 2 else 1, 0)
     return QSeries(trunc, tuple(total))
 
 
-def qgauss_lhs(a_exp: int, b_exp: int, c_exp: int, trunc: int, _slack: int = 0) -> QSeries:
+def qgauss_lhs(a_exp: int, b_exp: int, c_exp: int, trunc: int) -> QSeries:
     """sum_n (q^A;q)_n (q^B;q)_n q^((C-A-B)n) / ((q;q)_n (q^C;q)_n)."""
     gap = c_exp - a_exp - b_exp
     if a_exp < 1 or b_exp < 1 or gap < 1:
         raise ValueError("need a_exp, b_exp >= 1 and c_exp > a_exp + b_exp")
-    total = [0] * (trunc + 1)
-    term = _unit(trunc)
-    for n in _upto(lambda n: gap * n > trunc, _slack):
-        _cut(term, trunc, gap * n)
-        if n:
-            mul_factor(term, 1, a_exp + n - 1)
-            mul_factor(term, 1, b_exp + n - 1)
-            div_factor(term, 1, n)
-            div_factor(term, 1, c_exp + n - 1)
-        _add_shifted(total, term, 1, gap * n)
-    return QSeries(trunc, tuple(total))
+    return _q_sum(trunc, lambda n: gap * n, _unit(trunc),
+                  num=[PochhammerSpec(1, a_exp, 1), PochhammerSpec(1, b_exp, 1)],
+                  den=[PochhammerSpec(1, 1, 1), PochhammerSpec(1, c_exp, 1)])
 
 
 def qgauss_rhs(a_exp: int, b_exp: int, c_exp: int, trunc: int) -> QSeries:
@@ -253,21 +252,13 @@ def qgauss_rhs(a_exp: int, b_exp: int, c_exp: int, trunc: int) -> QSeries:
     return QSeries(trunc, tuple(_product(trunc, num, den)))
 
 
-def gauss_step_lhs(k: int, trunc: int, _slack: int = 0) -> QSeries:
+def gauss_step_lhs(k: int, trunc: int) -> QSeries:
     """sum_m q^(m(m-1)/2 + (2k+1)m) (q^k;q)_m / ((q;q)_m (-q^(3k+1);q)_m)."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    total = [0] * (trunc + 1)
-    term = _unit(trunc)
-    for m in _upto(lambda m: _b2(m) + (2 * k + 1) * m > trunc, _slack):
-        e = _b2(m) + (2 * k + 1) * m
-        _cut(term, trunc, e)
-        if m:
-            mul_factor(term, 1, k + m - 1)
-            div_factor(term, 1, m)
-            div_factor(term, -1, 3 * k + m)
-        _add_shifted(total, term, 1, e)
-    return QSeries(trunc, tuple(total))
+    return _q_sum(trunc, lambda m: _b2(m) + (2 * k + 1) * m, _unit(trunc),
+                  num=[PochhammerSpec(1, k, 1)],
+                  den=[PochhammerSpec(1, 1, 1), PochhammerSpec(-1, 3 * k + 1, 1)])
 
 
 def gauss_step_rhs(k: int, trunc: int) -> QSeries:
@@ -280,38 +271,29 @@ def gauss_step_rhs(k: int, trunc: int) -> QSeries:
 # ---------------------------------------------------------------------------
 # bivariate formula sides
 
+_QQ = [PochhammerSpec(1, 1, 1)]  # (q;q): in den, steps the running 1 / (q;q)_i
 
-def _signed_double_sum(b: int, x_trunc: int, q_trunc: int, slack: int,
+
+def _signed_double_sum(b: int, x_trunc: int, q_trunc: int,
                        x_deg: Callable[[int, int], int],
                        q_exp: Callable[[int, int], int]) -> XQSeries:
     """sum over j, r of (-1)^j x^x_deg(j, r) q^q_exp(j, r) / ((q^b;q^b)_j (q;q)_r).
 
-    Both exponents must increase in j and in r, so each loop stops at the
-    first summand past either truncation, and each running term is cut at
-    its own least exponent: 1 / (q^b;q^b)_j at q_exp(j, 0), the term at
-    q_exp(j, r).
+    Both exponents must increase in j and in r: each loop stops at the first
+    summand past either truncation, and ``_terms`` cuts 1 / (q^b;q^b)_j at
+    q_exp(j, 0) and the term at q_exp(j, r).
     """
-    def past(j, r=0):
-        return q_exp(j, r) > q_trunc or x_deg(j, r) > x_trunc
-
     acc: dict[int, list[int]] = {}
-    inv_j = _unit(q_trunc)  # running 1 / (q^b;q^b)_j
-    for j in _upto(past, slack):
-        _cut(inv_j, q_trunc, q_exp(j, 0))
-        if j:
-            div_factor(inv_j, 1, b * j)
-        sign = -1 if j % 2 else 1
-        term = inv_j[:]  # running 1 / ((q^b;q^b)_j (q;q)_r)
-        for r in _upto(lambda r: past(j, r), slack):
-            e = q_exp(j, r)
-            _cut(term, q_trunc, e)
-            if r:
-                div_factor(term, 1, r)
-            _add_term(acc, x_trunc, q_trunc + 1, x_deg(j, r), e, sign, term)
+    for j, _, inv_j in _terms(q_trunc, lambda j: q_exp(j, 0), _unit(q_trunc),
+                              den=[PochhammerSpec(1, b, b)],
+                              stop=lambda j: x_deg(j, 0) > x_trunc):
+        for r, e, term in _terms(q_trunc, partial(q_exp, j), inv_j[:], den=_QQ,
+                                 stop=lambda r: x_deg(j, r) > x_trunc):
+            _add_term(acc, x_trunc, q_trunc + 1, x_deg(j, r), e, -1 if j % 2 else 1, term)
     return _from_buffers(x_trunc, q_trunc, acc)
 
 
-def master_lhs(x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSeries:
+def master_lhs(x_trunc: int, q_trunc: int) -> XQSeries:
     """(-xq;q)_inf * sum_k (-1)^k q^(3k^2) x^(2k) / ((q^2;q^2)_k (-xq;q)_{2k}).
 
     The prefactor cancels each denominator's head, leaving the summand
@@ -322,24 +304,21 @@ def master_lhs(x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSeries:
     Term by term this is C_2(x;q) of ``bmn_gf``, since
     3k^2 + binom(r,2) + (2k+1)r = binom(2k+r+1,2) + 2 binom(k,2).
     """
-    return _signed_double_sum(2, x_trunc, q_trunc, _slack,
+    return _signed_double_sum(2, x_trunc, q_trunc,
                               lambda k, r: 2 * k + r,
                               lambda k, r: 3 * k * k + _b2(r) + (2 * k + 1) * r)
 
 
-def master_rhs(x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSeries:
+def master_rhs(x_trunc: int, q_trunc: int) -> XQSeries:
     """sum_n q^(n^2) x^n / (q;q)_n."""
     acc: dict[int, list[int]] = {}
-    term = _unit(q_trunc)
-    for n in _upto(lambda n: n * n > q_trunc or n > x_trunc, _slack):
-        _cut(term, q_trunc, n * n)
-        if n:
-            div_factor(term, 1, n)
-        _add_term(acc, x_trunc, q_trunc + 1, n, n * n, 1, term)
+    for n, e, term in _terms(q_trunc, lambda n: n * n, _unit(q_trunc), den=_QQ,
+                             stop=lambda n: n > x_trunc):
+        _add_term(acc, x_trunc, q_trunc + 1, n, e, 1, term)
     return _from_buffers(x_trunc, q_trunc, acc)
 
 
-def bmn_gf(k: int, x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSeries:
+def bmn_gf(k: int, x_trunc: int, q_trunc: int) -> XQSeries:
     """C_k(x;q): double sum over j, r of
     (-1)^j x^(kj+r) q^((r+kj)(r+kj+1)/2 + k j(j-1)/2) / ((q^k;q^k)_j (q;q)_r);
     generates partitions into distinct parts with no k consecutive parts,
@@ -347,12 +326,12 @@ def bmn_gf(k: int, x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSeries:
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    return _signed_double_sum(k, x_trunc, q_trunc, _slack,
+    return _signed_double_sum(k, x_trunc, q_trunc,
                               lambda j, r: k * j + r,
                               lambda j, r: _b2(k * j + r + 1) + k * _b2(j))
 
 
-def staircase_gf(d: int, x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSeries:
+def staircase_gf(d: int, x_trunc: int, q_trunc: int) -> XQSeries:
     """Triple sum generating (2+d)-distinct partitions, x marking parts.
 
     sum over n, k, m of
@@ -371,13 +350,14 @@ def staircase_gf(d: int, x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSerie
     q-shift binom(n+1,2) + d binom(n,2) + dnj + j, divides it by (1 - q^n)
     and files it at x^(n+j) with that shift.  A row retires once n + j passes
     x_trunc or the shift passes q_trunc, since no later n can file it: both
-    grow with n.  At d = 0 each pass takes O(N^2.5) coefficient steps,
-    against O(N^3) for the nested triple loop, and the cuts leave about a
-    third of them: at order 85, 61,721 coefficients stepped or added where
-    full-length rows took 171,653.
+    grow with n, and the pass ends when every row has retired.  At d = 0
+    each pass takes O(N^2.5) coefficient steps, against O(N^3) for the
+    nested triple loop, and the cuts leave about a third of them: at order
+    85, 61,721 coefficients stepped or added where full-length rows took
+    171,653.
 
     The k = 0 column collapses to m = 0 because (1;q)_m vanishes: its first
-    factor is (1 - q^0), where the running m-term stops.
+    factor is (1 - q^0), so the running m-term stops there.
     """
     if d < 0:
         raise ValueError(f"need d >= 0, got {d}")
@@ -385,42 +365,29 @@ def staircase_gf(d: int, x_trunc: int, q_trunc: int, _slack: int = 0) -> XQSerie
     def inner_exp(k, m):
         return 3 * k * k + d * _b2(2 * k) + m + d * _b2(m) + 2 * d * k * m
 
-    def inner_past(k, m=0):
-        return inner_exp(k, m) > q_trunc or 2 * k + m > x_trunc
-
-    def outer_exp(n):
-        return _b2(n + 1) + d * _b2(n)
-
     def shift(n, j):
-        return outer_exp(n) + d * n * j + j
+        return _b2(n + 1) + d * _b2(n) + d * n * j + j
 
     rows: dict[int, list[int]] = {}  # pass (a): j -> G_j / q^j
-    u = _unit(q_trunc)  # running 1 / (q^2;q^2)_k
-    for k in _upto(inner_past, _slack):
-        _cut(u, q_trunc, inner_exp(k, 0))
-        if k:
-            div_factor(u, 1, 2 * k)
-        term = u[:]  # running u (q^(2k);q)_m / (q;q)_m
-        for m in _upto(lambda m: inner_past(k, m), _slack):
-            e = inner_exp(k, m)
-            _cut(term, q_trunc, e)
-            if m:
-                fac = 2 * k + m - 1
-                if fac == 0:
-                    break
-                mul_factor(term, 1, fac)
-                div_factor(term, 1, m)
+    for k, _, u in _terms(q_trunc, lambda k: inner_exp(k, 0), _unit(q_trunc),
+                          den=[PochhammerSpec(1, 2, 2)], stop=lambda k: 2 * k > x_trunc):
+        # running u (q^(2k);q)_m / (q;q)_m, with u = 1 / (q^2;q^2)_k
+        for m, e, term in _terms(q_trunc, partial(inner_exp, k), u[:],
+                                 [PochhammerSpec(1, 2 * k, 1)] if k else [], _QQ,
+                                 stop=lambda m: 2 * k + m > x_trunc or (k == 0 and m > 0)):
             j = 2 * k + m
             _add_term(rows, x_trunc, q_trunc + 1 - j, j, e - j,
                       -1 if (k + m) % 2 else 1, term)
 
     acc: dict[int, list[int]] = {}  # pass (b): row j becomes G_j / (q^j (q;q)_n)
-    for n in _upto(lambda n: outer_exp(n) > q_trunc or n > x_trunc, _slack):
+    for n in count():
         rows = {j: row for j, row in rows.items()
                 if n + j <= x_trunc and shift(n, j) <= q_trunc}
+        if not rows:
+            break
         for j, row in rows.items():
             e = shift(n, j)
-            _cut(row, q_trunc, e)
+            del row[q_trunc + 1 - e:]
             if n:
                 div_factor(row, 1, n)
             _add_term(acc, x_trunc, q_trunc + 1, n + j, e, 1, row)
@@ -631,11 +598,6 @@ def rafted_oracle(trunc: int) -> XQSeries:
     series holds every count, as its x = -1 view needs.
     """
     return _xq(trunc, trunc, _designation_walk(trunc, trunc))
-
-
-def signed_designation_oracle(trunc: int) -> QSeries:
-    """sum over partitions and designations of (-1)^(number of rafts) q^weight."""
-    return _at_x_minus_one(rafted_oracle(trunc))
 
 
 def _x_slice(s: XQSeries, k: int) -> QSeries:

@@ -9,7 +9,7 @@ steps, so these serve only as the tests' reference.  A Pochhammer product is
 multiplied out one binomial factor at a time, and its inverse one geometric
 series per factor, 1/(1 - s*q^a) = sum_j s^j q^(a*j): nothing here divides.
 Every sum and product runs to its own cutoff, independent of
-``identities._upto`` and of ``series``' stopping rule, and only the two result
+``identities._terms`` and of ``series``' stopping rule, and only the two result
 containers come from the library.  The Gaussian binomials behind
 ``minimal_gf`` are built here by the q-Pascal recurrence.
 """

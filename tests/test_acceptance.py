@@ -69,7 +69,7 @@ def test_criterion_04_signed_designations_collapse():
         assert signed == (0 if has_run else 1), p.parts
     rr1 = idn.rr_product((1, 4), 5, 60)
     assert idn.no_raft_gf(60) == rr1
-    assert idn.signed_designation_oracle(60) == rr1
+    assert REGISTRY["inclusion-exclusion"].rhs(60) == rr1
 
 
 def test_criterion_05_bijection_roundtrips():

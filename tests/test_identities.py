@@ -117,7 +117,7 @@ class TestSignedDesignations:
         assert sum((-1) ** len(d) for d in enumerate_designations(consec)) == 0
 
     def test_aggregate_matches_formula(self):
-        assert idn.signed_designation_oracle(30) == idn.no_raft_gf(30)
+        assert REGISTRY["inclusion-exclusion"].rhs(30) == idn.no_raft_gf(30)
 
     # four rafts weigh at least 48, so k = 4 needs a higher order to count anything
     @pytest.mark.parametrize("k, N", [(1, 36), (2, 36), (3, 36), (4, 54)])
@@ -164,7 +164,6 @@ class TestSignedDesignations:
             assert designations.slice(k).coeffs == tuple(rafted[k]), k
             assert minimal_cap4.slice(k).coeffs == tuple(minimal[k]), k
             assert idn.minimal_oracle(k, N).slice(k) == minimal_cap4.slice(k), k
-        assert idn.signed_designation_oracle(N).coeffs == tuple(signed)
         assert REGISTRY["inclusion-exclusion"].rhs(N).coeffs == tuple(signed)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
@@ -234,7 +233,7 @@ WALKS = {
         lambda Nx, N: idn._designation_walk(k, N), False) for k in range(1, 5)},
     **{f"minimal-{k}": lambda k=k: _oracle_walks(
         lambda Nx, N: idn.minimal_oracle(k, N), False) for k in range(1, 5)},
-    "signed": lambda: _oracle_walks(lambda Nx, N: idn.signed_designation_oracle(N), False),
+    "signed": lambda: _oracle_walks(lambda Nx, N: REGISTRY["inclusion-exclusion"].rhs(N), False),
     "bound-plus": _bound_walks,
 }
 
@@ -319,29 +318,53 @@ class TestForAnyParameter:
             assert idn.qgauss_lhs(*t, N) == idn.qgauss_rhs(*t, N), t
 
 
+def _cut_back(s, q_trunc, x_trunc=None):
+    """s read back at lower truncation orders."""
+    if x_trunc is None:
+        return QSeries(q_trunc, s.coeffs[: q_trunc + 1])
+    return XQSeries(x_trunc, q_trunc, {d: QSeries(q_trunc, sl.coeffs[: q_trunc + 1])
+                                       for d, sl in s.terms.items() if d <= x_trunc})
+
+
 class TestCutoffSlack:
+    """Running a sum past its cutoff changes no coefficient the cutoff keeps.
+
+    A build at a higher order runs every sum past this order's cutoff, with
+    longer terms; read back at this order it must be the same series.
+    """
+
     @pytest.mark.parametrize("build", [
         idn.slater19_sum, idn.slater15_sum, idn.slater15_alt_sum, idn.no_raft_gf,
     ])
     def test_univariate(self, build):
-        assert build(28) == build(28, _slack=3)
+        assert build(28) == _cut_back(build(31), 28)
 
     def test_parametrized_builders(self):
-        assert idn.minimal_gf(2, 28) == idn.minimal_gf(2, 28, _slack=3)
-        assert idn.rafted_gf(3, 28) == idn.rafted_gf(3, 28, _slack=3)
-        assert idn.qgauss_lhs(1, 2, 4, 28) == idn.qgauss_lhs(1, 2, 4, 28, _slack=3)
-        assert idn.gauss_step_lhs(2, 28) == idn.gauss_step_lhs(2, 28, _slack=3)
+        assert idn.minimal_gf(2, 28) == _cut_back(idn.minimal_gf(2, 31), 28)
+        assert idn.rafted_gf(3, 28) == _cut_back(idn.rafted_gf(3, 31), 28)
+        assert idn.qgauss_lhs(1, 2, 4, 28) == _cut_back(idn.qgauss_lhs(1, 2, 4, 31), 28)
+        assert idn.gauss_step_lhs(2, 28) == _cut_back(idn.gauss_step_lhs(2, 31), 28)
 
     def test_bivariate(self):
-        assert idn.master_lhs(18, 18) == idn.master_lhs(18, 18, _slack=2)
-        assert idn.master_rhs(18, 18) == idn.master_rhs(18, 18, _slack=2)
+        for build in (idn.master_lhs, idn.master_rhs):
+            assert build(18, 18) == _cut_back(build(20, 20), 18, 18)
+            assert build(6, 18) == _cut_back(build(8, 20), 18, 6)
 
     @pytest.mark.parametrize("build, param", [
         *[(idn.bmn_gf, k) for k in (2, 3, 4)],
         *[(idn.staircase_gf, d) for d in (0, 1, 2, 3)],
     ])
     def test_bivariate_sums(self, build, param):
-        assert build(param, 18, 18) == build(param, 18, 18, _slack=2)
+        assert build(param, 18, 18) == _cut_back(build(param, 20, 20), 18, 18)
+        assert build(param, 6, 18) == _cut_back(build(param, 8, 20), 18, 6)
+
+
+class TestCoefficientCuts:
+    """Every running term is cut to the coefficients its sum can still file.
+
+    Full-length terms give the same coefficients, so only these tests keep
+    the cuts in place.
+    """
 
     def test_staircase_retires_rows_at_x_trunc(self, monkeypatch):
         """No row of the (k, m) table is divided and filed once n + j > x_trunc."""
@@ -359,13 +382,6 @@ class TestCutoffSlack:
                 idn.staircase_gf(d, nx, 60)
                 assert overshoot and max(overshoot) <= 0, (d, nx)
 
-
-class TestCoefficientCuts:
-    """Every running term is cut to the coefficients its sum can still file.
-
-    Full-length terms give the same coefficients, so only these tests keep
-    the cuts in place.
-    """
 
     @pytest.mark.parametrize("build", [
         *[lambda nx, nq, d=d: idn.staircase_gf(d, nx, nq) for d in (0, 1, 2, 3)],
@@ -416,6 +432,43 @@ class TestCoefficientCuts:
                 assert size == N + 1 and 0 <= e < size, (N, size, e)
                 assert length <= size - e, (N, size, e, length)
 
+    @pytest.mark.parametrize("shifts", [[0, 3, 2], [-1], [4, 4, 1]],
+                             ids=["decreasing", "negative", "decreasing-after-equal"])
+    def test_terms_refuses_a_decreasing_shift(self, shifts):
+        """The cutoff and the cut are exact only for shifts that start at 0 or
+        above and never decrease."""
+        with pytest.raises(ValueError, match="must not decrease"):
+            list(idn._terms(10, shifts.__getitem__, idn._unit(10)))
+
+    @pytest.mark.parametrize("shift, stop", [
+        (lambda i: 3 * i * i, lambda i: False),
+        (lambda i: i * i - i, lambda i: False),  # 0, 0, 2, 6, ...: equal shifts are allowed
+        (lambda i: 0, lambda i: i > 4),
+        (lambda i: 2 * i + 1, lambda i: i > 3),
+    ], ids=["3i^2", "i^2-i", "flat-stopped", "2i+1-stopped"])
+    def test_terms_yields_exactly_the_indices_within_the_cutoff(self, shift, stop):
+        """Index i is yielded iff shift(i) <= trunc and stop(i) is false, with
+        its term cut to trunc + 1 - shift(i) coefficients and stepped by
+        factor i of each family: num (-q^2;q^3)_i, den (q;q)_i (q^2;q^2)_i."""
+        num = [ser.PochhammerSpec(-1, 2, 3)]
+        den = [ser.PochhammerSpec(1, 1, 1), ser.PochhammerSpec(1, 2, 2)]
+        for trunc in (0, 1, 5, 12, 40):
+            want = []
+            for i in range(50):
+                if shift(i) > trunc or stop(i):
+                    break
+                want.append(i)
+            got = []
+            for i, e, term in idn._terms(trunc, shift, idn._unit(trunc), num, den, stop):
+                n = trunc + 1 - e
+                assert e == shift(i) and len(term) == n, (trunc, i)
+                full = ref._mul(ref._mul(list(ref._poch(-1, 2, 3, i, trunc)),
+                                         list(ref._inv_poch(1, 1, 1, i, trunc))),
+                                list(ref._inv_poch(1, 2, 2, i, trunc)))
+                assert term == full[:n], (trunc, i)
+                got.append(i)
+            assert got == want, trunc
+
     @pytest.mark.parametrize("build, work", [
         (lambda: idn.slater19_sum(85), 4716),
         (lambda: idn.minimal_gf(2, 85), 3513),
@@ -458,7 +511,6 @@ class TestCoefficientCuts:
 
 
 ORDERS = range(41)
-SLACKS = (0, 1, 3)
 QGAUSS = ((1, 1, 3), (1, 2, 4), (2, 2, 5), (1, 1, 4), (2, 3, 7), (1, 3, 5))
 
 
@@ -470,13 +522,13 @@ class TestAgainstProductForms:
         (idn.slater15_sum, lambda N: ref.slater_sum(-2, 0, N)),
         (idn.slater15_alt_sum, lambda N: ref.slater_sum(2, 1, N)),
         (idn.no_raft_gf, ref.no_raft_gf),
-        *[(lambda N, _slack, k=k: idn.minimal_gf(k, N, _slack),
+        *[(lambda N, k=k: idn.minimal_gf(k, N),
            lambda N, k=k: ref.minimal_gf(k, N)) for k in (1, 2, 3)],
-        *[(lambda N, _slack, k=k: idn.rafted_gf(k, N, _slack),
+        *[(lambda N, k=k: idn.rafted_gf(k, N),
            lambda N, k=k: ref.rafted_gf(k, N)) for k in (1, 2, 3)],
-        *[(lambda N, _slack, t=t: idn.qgauss_lhs(*t, N, _slack),
+        *[(lambda N, t=t: idn.qgauss_lhs(*t, N),
            lambda N, t=t: ref.qgauss_lhs(*t, N)) for t in QGAUSS],
-        *[(lambda N, _slack, k=k: idn.gauss_step_lhs(k, N, _slack),
+        *[(lambda N, k=k: idn.gauss_step_lhs(k, N),
            lambda N, k=k: ref.gauss_step_lhs(k, N)) for k in (1, 2, 3)],
     ], ids=[
         "slater19_sum", "slater15_sum", "slater15_alt_sum", "no_raft_gf",
@@ -486,16 +538,14 @@ class TestAgainstProductForms:
     ])
     def test_univariate(self, build, reference):
         for N in ORDERS:
-            want = reference(N)
-            for slack in SLACKS:
-                assert build(N, _slack=slack) == want, (N, slack)
+            assert build(N) == reference(N), N
 
     @pytest.mark.parametrize("build, reference", [
         (idn.master_lhs, ref.master_lhs),
         (idn.master_rhs, ref.master_rhs),
-        *[(lambda Nx, Nq, _slack, k=k: idn.bmn_gf(k, Nx, Nq, _slack),
+        *[(lambda Nx, Nq, k=k: idn.bmn_gf(k, Nx, Nq),
            lambda Nx, Nq, k=k: ref.bmn_gf(k, Nx, Nq)) for k in (2, 3, 4)],
-        *[(lambda Nx, Nq, _slack, d=d: idn.staircase_gf(d, Nx, Nq, _slack),
+        *[(lambda Nx, Nq, d=d: idn.staircase_gf(d, Nx, Nq),
            lambda Nx, Nq, d=d: ref.staircase_gf(d, Nx, Nq)) for d in (0, 1, 2, 3)],
     ], ids=[
         "master_lhs", "master_rhs", *[f"bmn_gf-{k}" for k in (2, 3, 4)],
@@ -504,9 +554,7 @@ class TestAgainstProductForms:
     def test_bivariate(self, build, reference):
         for N in ORDERS:
             for Nx in {N, N // 3}:
-                want = reference(Nx, N)
-                for slack in SLACKS:
-                    assert build(Nx, N, _slack=slack) == want, (Nx, N, slack)
+                assert build(Nx, N) == reference(Nx, N), (Nx, N)
 
     @pytest.mark.parametrize("build, reference", [
         *[(lambda N, r=r: idn.rr_product(r, 5, N),
@@ -729,8 +777,7 @@ class TestReports:
 
 
 SPIED = ("staircase_gf", "master_lhs", "bmn_gf", "slater19_sum", "no_raft_gf", "rr_product")
-WALKERS = ("d_distinct_q", "d_distinct_xq", "no_kseq_oracle", "rafted_oracle", "minimal_oracle",
-           "signed_designation_oracle")
+WALKERS = ("d_distinct_q", "d_distinct_xq", "no_kseq_oracle", "rafted_oracle", "minimal_oracle")
 
 
 def _spy(monkeypatch, calls: Counter, names=SPIED) -> None:
