@@ -26,12 +26,13 @@ minus its shift.
 
 Oracle sides count partitions into distinct parts from their definitions,
 by one transfer-matrix walk, ``_walk``, over the 0/1 word that says which of
-1..N are parts, with one small transition per family.  The walk packs each
-state's counts by weight into one int, a w-bit slot per weight, so a step is
-one big-int shift and add, and it unpacks them once per output series with
-that w.  A transition lists two moves only on a taken letter, so every count
-of weight e is at most A(e) = [q^e] prod_{p<=N} (1 + 2q^p), and w is one sign
-bit over the largest of them, A(N), computed once per walk.  It takes only the
+1..N are parts, with one small transition per family.  The walk numbers
+each state the first time it appears and packs each state's counts by weight
+into one int, a w-bit slot per weight, so a step is one big-int mask, shift
+and add, and it unpacks them once per output series with that w.  A
+transition lists two moves only on a taken letter, so every count of weight e
+is at most A(e) = [q^e] prod_{p<=N} (1 + 2q^p), and w is one spare bit over
+the largest of them, A(N), computed once per walk.  It takes only the
 containers from ``series``, so no oracle shares code with a formula side.
 
 The registry names each side as a ``_Side``: a builder, its fixed leading
@@ -135,15 +136,12 @@ def _terms(trunc: int, shift: Callable[[int], int], term: list[int],
         yield i, e, term
 
 
-def _add_term(acc: dict[int, list[int]], x_trunc: int, size: int, xd: int, e: int,
+def _add_term(acc: dict[int, list[int]], size: int, xd: int, e: int,
               sign: int, term: list[int]) -> None:
     """acc[xd] += sign * q^e * term, in a buffer of ``size`` coefficients.
 
-    Nothing past x_trunc or past the buffer is kept; the cut in ``_terms``
-    makes term no longer than size - e.
+    The cut in ``_terms`` makes term no longer than size - e.
     """
-    if xd > x_trunc or e >= size:
-        return
     buf = acc.get(xd)
     if buf is None:
         buf = acc[xd] = [0] * size
@@ -289,7 +287,7 @@ def _signed_double_sum(b: int, x_trunc: int, q_trunc: int,
                               stop=lambda j: x_deg(j, 0) > x_trunc):
         for r, e, term in _terms(q_trunc, partial(q_exp, j), inv_j[:], den=_QQ,
                                  stop=lambda r: x_deg(j, r) > x_trunc):
-            _add_term(acc, x_trunc, q_trunc + 1, x_deg(j, r), e, -1 if j % 2 else 1, term)
+            _add_term(acc, q_trunc + 1, x_deg(j, r), e, -1 if j % 2 else 1, term)
     return _from_buffers(x_trunc, q_trunc, acc)
 
 
@@ -314,7 +312,7 @@ def master_rhs(x_trunc: int, q_trunc: int) -> XQSeries:
     acc: dict[int, list[int]] = {}
     for n, e, term in _terms(q_trunc, lambda n: n * n, _unit(q_trunc), den=_QQ,
                              stop=lambda n: n > x_trunc):
-        _add_term(acc, x_trunc, q_trunc + 1, n, e, 1, term)
+        _add_term(acc, q_trunc + 1, n, e, 1, term)
     return _from_buffers(x_trunc, q_trunc, acc)
 
 
@@ -376,7 +374,7 @@ def staircase_gf(d: int, x_trunc: int, q_trunc: int) -> XQSeries:
                                  [PochhammerSpec(1, 2 * k, 1)] if k else [], _QQ,
                                  stop=lambda m: 2 * k + m > x_trunc or (k == 0 and m > 0)):
             j = 2 * k + m
-            _add_term(rows, x_trunc, q_trunc + 1 - j, j, e - j,
+            _add_term(rows, q_trunc + 1 - j, j, e - j,
                       -1 if (k + m) % 2 else 1, term)
 
     acc: dict[int, list[int]] = {}  # pass (b): row j becomes G_j / (q^j (q;q)_n)
@@ -390,7 +388,7 @@ def staircase_gf(d: int, x_trunc: int, q_trunc: int) -> XQSeries:
             del row[q_trunc + 1 - e:]
             if n:
                 div_factor(row, 1, n)
-            _add_term(acc, x_trunc, q_trunc + 1, n + j, e, 1, row)
+            _add_term(acc, q_trunc + 1, n + j, e, 1, row)
     return _from_buffers(x_trunc, q_trunc, acc)
 
 
@@ -410,7 +408,7 @@ def _count_bits(n: int) -> int:
 
 
 def _width(n: int) -> int:
-    """Bits per weight slot in a walk over 1..n: a sign bit over max A(e).
+    """Bits per weight slot in a walk over 1..n: one bit over max A(e).
 
     A(e) = [q^e] prod_{p<=n} (1 + 2q^p), e <= n, bounds every count of the
     walk, as ``_walk`` proves.  The largest is A(n): raising the largest
@@ -418,6 +416,9 @@ def _width(n: int) -> int:
     those of sum e + 1, of the same size, and A(0) = 1.  A(n) is read off the
     product packed into one int, in ``_count_bits(n)``-bit slots that no
     coefficient fills, each factor keeping the slots that stay within n.
+
+    The top bit of each slot is spare: the walk only adds and reads its
+    slots unsigned, so every count fits in the w - 1 bits below it.
     """
     b = _count_bits(n)
     a = 1
@@ -444,60 +445,83 @@ def _walk(n: int, start, step) -> tuple[dict, int]:
     an empty list refuses the word.  One more 0 after position n, of no
     weight, closes the last open run.  Returns the counts by weight 0..n of
     every final state with a nonzero count, each packed into one int
-    (Kronecker substitution), and the slot width w =
-    ``_width(n)``: the count for weight e is the signed w-bit slot at bit
-    e*w, and ``_unpack`` reads them back with that w.  The walk looks up,
-    and checks, each state's moves on each letter once.
+    (Kronecker substitution), and the slot width w = ``_width(n)``: the count
+    for weight e is the unsigned w-bit slot at bit e*w, and ``_unpack`` reads
+    them back with that w.
 
-    A 0 letter adds a state's packed counts as they are.  A 1 letter at p
-    keeps slots 0..n-p, the low (n+1-p)*w bits read as a signed residue, and
-    shifts them up by p slots, so no slot past n is ever kept.  All of this
-    is exact while every count fits its slot, 0 <= count < 2^(w-1), where
-    the signed read-back gives each count back as it is.  Proof: a step
-    lists at most two moves on a 1 letter and at most one on a 0 letter, or
-    the walk raises ValueError.  So a word whose parts form the set S has at
-    most 2^|S| paths, and a count of weight e, the number of paths of words
-    of weight e, is nonnegative and at most the sum of 2^|S| over the sets S
-    of distinct parts <= n that sum to e.  That sum is
+    Each state is numbered the first time it appears.  Each letter keeps a
+    table from a state's number to the numbers of its next states, filled
+    through ``_moves``, which checks them, the first time that state is read
+    on that letter: ``step`` runs at most once per (state, letter), and never
+    on a 1 letter after position n.  A layer is a list of packed ints indexed
+    by state number, and a zero entry is skipped.
+
+    A 0 letter adds a state's packed int as it is.  A 1 letter at p keeps
+    slots 0..n-p, the low (n+1-p)*w bits, and shifts them up by p slots, so no
+    slot past n is ever kept.  The walk never subtracts, so all of this is
+    exact while every count fits its slot, 0 <= count < 2^w: no add carries
+    out of a slot, the mask cuts at a slot boundary, and each slot reads back
+    as its count.  Proof, with a bit to spare, that 0 <= count < 2^(w-1): a
+    step lists at most two moves on a 1 letter and at most one on a 0 letter,
+    or the walk raises ValueError.  So a word whose parts form the set S has
+    at most 2^|S| paths, and a count of weight e, the number of paths of
+    words of weight e, is nonnegative and at most the sum of 2^|S| over the
+    sets S of distinct parts <= n that sum to e.  That sum is
     A(e) = [q^e] prod_{p<=n} (1 + 2q^p), and max A(e) < 2^(w-1).  After
     position p the words run over 1..p, and the same sum over parts <= p is
     no larger.  A sum over several final states obeys the same bound, since
     each path ends in one state.
     """
     w = _width(n)
-    letters = ((False, {}), (True, {}))  # each letter's table: state -> its checked moves
-    layer = {start: 1}
+    states, ids = [start], {start: 0}
+    zero: list = [None]  # each letter's table: id -> its checked moves, as ids
+    one: list = [None]
+
+    def lookup(table, i, taken):
+        moves = []
+        for new in _moves(step, states[i], taken):
+            j = ids.get(new)
+            if j is None:
+                j = ids[new] = len(states)
+                states.append(new)
+                zero.append(None)
+                one.append(None)
+            moves.append(j)
+        table[i] = moves = tuple(moves)
+        return moves
+
+    layer = [1]
     for p in range(1, n + 2):
-        nxt: dict = {}
-        full = 1 << ((n + 1 - p) * w)  # slots 0..n-p, those that stay within n at q^p
-        mask, half = full - 1, full >> 1
-        here = letters if p <= n else letters[:1]
-        for state, packed in layer.items():
-            for taken, table in here:
-                moves = table.get(state)
-                if moves is None:
-                    moves = table[state] = _moves(step, state, taken)
-                if not moves:
-                    continue
-                if taken:
-                    packed_p = (((packed + half) & mask) - half) << (w * p)
-                else:
-                    packed_p = packed
-                for new in moves:
-                    nxt[new] = nxt.get(new, 0) + packed_p
-        layer = {s: c for s, c in nxt.items() if c}
-    return layer, w
+        nxt = [0] * len(states)
+        mask = (1 << ((n + 1 - p) * w)) - 1  # slots 0..n-p, those that stay within n at q^p
+        shift = w * p
+        for i, packed in enumerate(layer):
+            if not packed:
+                continue
+            moves = zero[i]
+            if moves is None:
+                moves = lookup(zero, i, False)
+                nxt += [0] * (len(states) - len(nxt))
+            for j in moves:
+                nxt[j] += packed
+            if p > n:
+                continue
+            moves = one[i]
+            if moves is None:
+                moves = lookup(one, i, True)
+                nxt += [0] * (len(states) - len(nxt))
+            if moves:
+                packed = (packed & mask) << shift
+                for j in moves:
+                    nxt[j] += packed
+        layer = nxt
+    return {states[i]: c for i, c in enumerate(layer) if c}, w
 
 
 def _unpack(packed: int, n: int, w: int) -> list[int]:
     """The counts by weight 0..n that ``_walk`` packed into w-bit slots."""
-    mask, half = (1 << w) - 1, 1 << (w - 1)
-    counts = []
-    for _ in range(n + 1):
-        c = ((packed + half) & mask) - half  # the lowest slot, as a signed residue
-        counts.append(c)
-        packed = (packed - c) >> w
-    return counts
+    mask = (1 << w) - 1
+    return [(packed >> (e * w)) & mask for e in range(n + 1)]
 
 
 def _q(trunc: int, walked: tuple[dict, int]) -> QSeries:

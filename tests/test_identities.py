@@ -257,6 +257,44 @@ def test_walk_matches_reference(family):
             assert idn._unpack(sum(got.values()), n, w) == _bound_counts(n), n
 
 
+@pytest.mark.parametrize("family", list(WALKS))
+def test_walk_reads_each_move_once_and_no_1_letter_past_n(family):
+    """``step`` runs at most once per (state, letter), and never on a 1
+    letter after position n, and every packed int the walk returns is
+    positive: a final state with no count is dropped, and none goes below 0.
+
+    The second walk carries the number of letters read so far in its state,
+    so each call shows its position."""
+    for n, start, step in WALKS[family]():
+        calls = Counter()
+
+        def counted(state, taken):
+            calls[state, taken] += 1
+            return step(state, taken)
+
+        got, _ = idn._walk(n, start, counted)
+        assert all(c > 0 for c in got.values()), n
+        assert max(calls.values()) == 1, n
+
+        read = set()
+
+        def timed(state, taken):
+            p, inner = state
+            read.add((p, taken))
+            return [(p + 1, new) for new in step(inner, taken)]
+
+        idn._walk(n, (0, start), timed)
+        assert (n, False) in read and not any(taken and p >= n for p, taken in read), n
+
+
+def test_unpack_reads_empty_and_full_slots():
+    for w in (2, 3, 22, 62, 90):
+        full = (1 << w) - 1
+        for counts in ([full] * 6, [0] * 6, [0, full, 0, full, full, 0], [full, 0, 0, 0, 0, full]):
+            packed = sum(c << (e * w) for e, c in enumerate(counts))
+            assert idn._unpack(packed, 5, w) == counts, (w, counts)
+
+
 def test_width_is_a_sign_bit_over_the_largest_count():
     a = _bound_counts(400)  # A(e) for e <= n takes no part past n, so one list serves
     for n in range(401):
@@ -371,9 +409,9 @@ class TestCoefficientCuts:
         overshoot = []
         add_term = idn._add_term
 
-        def spy(acc, x_trunc, size, xd, e, sign, term):
-            overshoot.append(xd - x_trunc)
-            add_term(acc, x_trunc, size, xd, e, sign, term)
+        def spy(acc, size, xd, e, sign, term):
+            overshoot.append(xd - nx)
+            add_term(acc, size, xd, e, sign, term)
 
         monkeypatch.setattr(idn, "_add_term", spy)
         for d in (0, 1, 3):
@@ -390,20 +428,25 @@ class TestCoefficientCuts:
     ], ids=[*[f"staircase_gf-{d}" for d in (0, 1, 2, 3)],
             *[f"bmn_gf-{k}" for k in (2, 3, 4)], "master_lhs", "master_rhs"])
     def test_terms_are_cut_to_their_buffers(self, monkeypatch, build):
-        """No term is filed past q_trunc, or longer than its buffer less its shift."""
+        """No term is filed past the x-order or q_trunc, or longer than its
+        buffer less its shift: the sums stop at both orders, so ``_add_term``
+        drops nothing (a degree past the x-order would reach ``XQSeries``,
+        which raises)."""
         filed = []
         add_term = idn._add_term
 
-        def spy(acc, x_trunc, size, xd, e, sign, term):
-            filed.append((size, e, len(term)))
-            add_term(acc, x_trunc, size, xd, e, sign, term)
+        def spy(acc, size, xd, e, sign, term):
+            filed.append((xd, size, e, len(term)))
+            add_term(acc, size, xd, e, sign, term)
 
         monkeypatch.setattr(idn, "_add_term", spy)
-        for nx, nq in ((5, 30), (20, 20), (30, 60), (60, 60), (60, 25)):
+        orders = [(nx, nq) for nq in (*range(41), 85) for nx in {nq, nq // 3, 0, 1, 5}]
+        for nx, nq in ((5, 30), (20, 20), (30, 60), (60, 60), (60, 25), *orders):
             filed.clear()
             build(nx, nq)
             assert filed, (nx, nq)
-            for size, e, length in filed:
+            for xd, size, e, length in filed:
+                assert xd <= nx, (nx, nq, xd)
                 assert size <= nq + 1 and 0 <= e < size, (nx, nq, size, e)
                 assert length <= size - e, (nx, nq, size, e, length)
 

@@ -5,7 +5,7 @@ one int and steps it by big-int shifts and adds.  This module keeps the list
 form it replaced: every state holds a list of counts for weights 0..n, and a
 letter adds that list into each next state's list, shifted by the letter's
 weight.  It shares no arithmetic with the library and has no bound on the
-moves, so the tests judge the packed walk, its width and its signed residues
+moves, so the tests judge the packed walk, its width and its slot masks
 against it.
 """
 
