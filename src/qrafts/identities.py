@@ -41,10 +41,12 @@ one x-slice).  ``run_many`` builds each distinct (builder, arguments,
 truncations) once per call and keeps it only until the last check that uses
 it; the view is applied per check.  ``master_lhs`` is ``bmn_gf(2, ...)`` term
 by term, so the master sum, C_2 and their specialisations share one build.
-Each oracle automaton is walked once per run: the designation walk, x
-marking the rafts, serves every raft count and, at x = -1, the signed sum;
-one minimal walk serves every minimal count; and the gap-2 walk serves both
-C_2 and the d = 0 staircase.
+Every oracle is one uncapped walk by (part or raft count, weight), read
+through those views, and each automaton is walked once per run: the
+designation walk, x marking the rafts, serves every raft count and, at
+x = -1, the signed sum; one minimal walk serves every minimal count; and the
+gap-2 walk serves C_2 and the d = 0 staircase as it is and, at x = 1, the
+count of partitions with gaps >= 2 by weight.
 """
 
 from __future__ import annotations
@@ -524,12 +526,6 @@ def _unpack(packed: int, n: int, w: int) -> list[int]:
     return [(packed >> (e * w)) & mask for e in range(n + 1)]
 
 
-def _q(trunc: int, walked: tuple[dict, int]) -> QSeries:
-    """The walk's counts summed over its final states."""
-    layer, w = walked
-    return QSeries(trunc, tuple(_unpack(sum(layer.values()), trunc, w)))
-
-
 def _xq(x_trunc: int, q_trunc: int, walked: tuple[dict, int]) -> XQSeries:
     """The walk's counts by (part count, weight); the part count ends each state."""
     layer, w = walked
@@ -540,30 +536,22 @@ def _xq(x_trunc: int, q_trunc: int, walked: tuple[dict, int]) -> XQSeries:
                                        for x, c in by_parts.items()})
 
 
-def _gap_walk(d: int, q_trunc: int, x_trunc: int | None = None) -> tuple[dict, int]:
-    """Part gaps >= d; the state is (distance since the last part, capped at d;
-    parts), and parts stays 0 when no x_trunc asks for it."""
+def d_distinct_xq(d: int, x_trunc: int, q_trunc: int) -> XQSeries:
+    """Partitions with part gaps >= d, by (number of parts, weight).
+
+    The state is (distance since the last part, capped at d; part count); a
+    part that is too close, or past x_trunc parts, is refused.
+    """
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    inc, cap = (0, 1) if x_trunc is None else (1, x_trunc)
 
     def step(state, taken):
         dist, parts = state
         if taken:
-            return [(1, parts + inc)] if dist == d and parts < cap else []
+            return [(1, parts + 1)] if dist == d and parts < x_trunc else []
         return [(min(dist + 1, d), parts)]
 
-    return _walk(q_trunc, (d, 0), step)
-
-
-def d_distinct_q(d: int, trunc: int) -> QSeries:
-    """Count of partitions with part gaps >= d, by weight."""
-    return _q(trunc, _gap_walk(d, trunc))
-
-
-def d_distinct_xq(d: int, x_trunc: int, q_trunc: int) -> XQSeries:
-    """Partitions with part gaps >= d, by (number of parts, weight)."""
-    return _xq(x_trunc, q_trunc, _gap_walk(d, q_trunc, x_trunc))
+    return _xq(x_trunc, q_trunc, _walk(q_trunc, (d, 0), step))
 
 
 def no_kseq_oracle(k: int, x_trunc: int, q_trunc: int) -> XQSeries:
@@ -584,8 +572,8 @@ def no_kseq_oracle(k: int, x_trunc: int, q_trunc: int) -> XQSeries:
     return _xq(x_trunc, q_trunc, _walk(q_trunc, (0, 0), step))
 
 
-def _designation_walk(k: int, trunc: int, minimal: bool = False) -> tuple[dict, int]:
-    """Designations of at most k rafts.
+def _designation_walk(trunc: int, minimal: bool = False) -> tuple[dict, int]:
+    """Designations by rafts and weight, every raft count in one walk.
 
     The state is (open run length, capped at 2; anchored; designated; rafts
     so far), and ``_xq`` reads the rafts as the x-degree.  An anchored run
@@ -595,40 +583,43 @@ def _designation_walk(k: int, trunc: int, minimal: bool = False) -> tuple[dict, 
     when it starts at 1, or exactly one missing part above a designated run:
     where ``RaftedPartition.can_backward`` refuses the raft's move.
     Otherwise every run is anchored.  With no run open, the anchored flag
-    says whether a run starting at the next position would be.
+    says whether a run starting at the next position would be.  The raft
+    count needs no cap: k rafts weigh at least 3k^2, so no more than
+    isqrt(trunc // 3) of them fit within the weight the walk keeps.
     """
     def step(state, taken):
         run, anchored, designated, rafts = state
         if not taken:
             return [(0, designated or not minimal, False, rafts)]
         out = [(min(run + 1, 2), anchored, designated, rafts)]
-        if run == 1 and anchored and rafts < k:
+        if run == 1 and anchored:
             out.append((2, anchored, True, rafts + 1))
         return out
 
     return _walk(trunc, (0, True, False, 0), step)
 
 
-def minimal_oracle(k: int, trunc: int) -> XQSeries:
-    """Minimal configurations of at most k rafts by (rafts, weight), counted
-    from the definition."""
-    return _xq(k, trunc, _designation_walk(k, trunc, minimal=True))
+def minimal_oracle(trunc: int) -> XQSeries:
+    """Minimal configurations by (number of rafts, weight), counted from the
+    definition; the x-order is trunc, as ``rafted_oracle``'s is."""
+    return _xq(trunc, trunc, _designation_walk(trunc, minimal=True))
 
 
 def rafted_oracle(trunc: int) -> XQSeries:
     """Designations by (number of rafts, weight).
 
-    Every raft weighs at least 3, so a cap of trunc rafts never binds: the
-    series holds every count, as its x = -1 view needs.
+    k rafts weigh at least 3k^2 > k, so an x-order of trunc holds every
+    count, as its x = -1 view needs.
     """
-    return _xq(trunc, trunc, _designation_walk(trunc, trunc))
+    return _xq(trunc, trunc, _designation_walk(trunc))
 
 
 def _x_slice(s: XQSeries, k: int) -> QSeries:
     """The x^k slice of s, read as zero past its x-order.
 
     That is exact for a series whose x^n slice starts at q^n or later and
-    whose x-order is its q-order, as ``rafted_oracle``'s is.
+    whose x-order is its q-order, as those of ``rafted_oracle`` and
+    ``minimal_oracle`` are: their x^k slice starts at q^(3k^2).
     """
     return s.slice(k) if k <= s.x_trunc else QSeries.zero(s.q_trunc)
 
@@ -855,11 +846,10 @@ _S19, _S15_ALT = _Side("slater19_sum"), _Side("slater15_alt_sum")
 _RR1, _RR2 = _Side("rr_product", ((1, 4), 5)), _Side("rr_product", ((2, 3), 5))
 _NO_RAFT = _Side("no_raft_gf")
 # each oracle automaton is walked once per run: one designation walk serves
-# every raft count and the signed sum, one minimal walk, capped at the largest
-# raft count read, serves every minimal count, and distinct parts with no
-# 2-sequence are those with gaps >= 2, so bmn-k2 and staircase-d0 read one walk
-_RAFTS = (1, 2, 3)
-
+# every raft count and the signed sum, one minimal walk serves every minimal
+# count, and distinct parts with no 2-sequence are those with gaps >= 2, so
+# the gap-2 walk serves inclusion-exclusion-2-distinct at x = 1, bmn-k2 and
+# staircase-d0
 REGISTRY: dict[str, IdentityCheck] = {row[0]: IdentityCheck(*row) for row in [
     ("slater-19", False, _S19, _RR1,
      "alternating raft sum against the modulus-5 product for gaps >= 2"),
@@ -867,16 +857,15 @@ REGISTRY: dict[str, IdentityCheck] = {row[0]: IdentityCheck(*row) for row in [
      "shifted alternating raft sum against the complementary modulus-5 product"),
     ("slater-15-alt", False, _S15_ALT, _RR2,
      "companion form of slater-15 with the same product side (x = q in the master)"),
-    *[row for k in _RAFTS for row in [
-        (f"minimal-gf-k{k}", False, _Side("minimal_gf", (k,)),
-         _Side("minimal_oracle", (max(_RAFTS),), x_slice=k),
+    *[row for k in (1, 2, 3) for row in [
+        (f"minimal-gf-k{k}", False, _Side("minimal_gf", (k,)), _Side("minimal_oracle", x_slice=k),
          f"closed form vs definition count for minimal {k}-raft configurations"),
         (f"rafted-gf-k{k}", False, _Side("rafted_gf", (k,)), _Side("rafted_oracle", x_slice=k),
          f"closed form vs designation count for exactly {k} rafts"),
     ]],
     ("inclusion-exclusion", False, _NO_RAFT, _Side("rafted_oracle", x_minus_one=True),
      "signed designation sum collapses to run-free partitions"),
-    ("inclusion-exclusion-2-distinct", False, _NO_RAFT, _Side("d_distinct_q", (2,)),
+    ("inclusion-exclusion-2-distinct", False, _NO_RAFT, _Side("d_distinct_xq", (2,), x_power=0),
      "the same signed sum counts partitions with gaps >= 2"),
     ("inclusion-exclusion-rr1", False, _NO_RAFT, _RR1,
      "the same signed sum equals the modulus-5 product"),

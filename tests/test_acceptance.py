@@ -40,7 +40,7 @@ def test_criterion_01_gap2_sum_to_order_100_under_10s():
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
     assert idn.slater19_sum(100).coefficient(10) == 6
     assert idn.rr_product((1, 4), 5, 100).coefficient(10) == 6
-    assert idn.d_distinct_q(2, 10).coefficient(10) == 6
+    assert idn.d_distinct_xq(2, 10, 10).substitute_x_power(0).coefficient(10) == 6
 
 
 def test_criterion_02_companion_sums_to_order_100():

@@ -297,11 +297,12 @@ class TestEnumerate:
         assert e.value.code == 2
 
     def test_matches_series_coefficient(self, capsys):
-        from qrafts.identities import d_distinct_q
+        from qrafts.identities import d_distinct_xq
         code, out, _ = run(capsys, "enumerate", "--target", "3-distinct",
                            "--weight", "12")
         assert code == 0
-        assert len(out.strip().splitlines()) == d_distinct_q(3, 12).coefficient(12)
+        want = d_distinct_xq(3, 12, 12).substitute_x_power(0).coefficient(12)
+        assert len(out.strip().splitlines()) == want
 
     # digests of whole listings: a change to any line, or to their order, shows here
     @pytest.mark.parametrize("target, max_weight, lines, digest", [

@@ -61,7 +61,7 @@ class TestFrozenValues:
         want = (1, 1, 1, 1, 2, 2, 3, 3, 4, 5, 6)
         assert lhs.coeffs == want
         assert rhs.coeffs == want
-        assert idn.d_distinct_q(2, 10).coeffs == want
+        assert REGISTRY["inclusion-exclusion-2-distinct"].rhs(10).coeffs == want
 
     def test_order_zero(self):
         rep = run_check(REGISTRY["slater-19"], 0)
@@ -95,7 +95,7 @@ class TestFrozenValues:
 
     def test_minimal_gf_empty_below_threshold(self):
         assert idn.minimal_gf(1, 2).is_zero()
-        assert idn.minimal_oracle(1, 2).slice(1).is_zero()
+        assert idn.minimal_oracle(2).slice(1).is_zero()
 
     def test_rafted_single_raft_weight5(self):
         # only {2,3} among weight-5 partitions carries a raft
@@ -133,17 +133,21 @@ class TestSignedDesignations:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_minimal_oracle_matches_construction(self, k):
-        want = [0] * 41
-        for rp in enumerate_minimal(k, 40):
+        N = 60 if k == 4 else 40  # four rafts weigh at least 48
+        want = [0] * (N + 1)
+        for rp in enumerate_minimal(k, N):
             want[rp.weight] += 1
-        for n in range(41):
-            assert idn.minimal_oracle(k, n).slice(k).coeffs == tuple(want[: n + 1]), n
+        assert any(want)
+        # the registry's view, which reads the x^k slice as zero past n < k
+        view = idn._Side("minimal_oracle", x_slice=k)
+        for n in range(N + 1):
+            assert view(n).coeffs == tuple(want[: n + 1]), n
 
     def test_designation_walk_matches_the_definitions(self):
         """Every designation oracle against brute counts at order 30: the
         designations of each distinct-part partition, and minimality decided
-        from the shape of the parts.  Each x-slice of one walk counts what
-        a walk capped at that slice counts, and the x = -1 view that the
+        from the shape of the parts.  The x-slices of one uncapped walk of
+        each kind count every raft count, and the x = -1 view that the
         registry reads is the signed sum."""
         N = 30
         rafted = {k: [0] * (N + 1) for k in range(1, 5)}
@@ -159,12 +163,21 @@ class TestSignedDesignations:
         # k rafts weigh at least 3k^2, so k = 4 counts nothing at order 30
         assert all(any(rafted[k]) and any(minimal[k]) for k in (1, 2, 3))
         assert not any(rafted[4])
-        designations, minimal_cap4 = idn.rafted_oracle(N), idn.minimal_oracle(4, N)
+        designations, minimal_walk = idn.rafted_oracle(N), idn.minimal_oracle(N)
         for k in range(1, 5):
             assert designations.slice(k).coeffs == tuple(rafted[k]), k
-            assert minimal_cap4.slice(k).coeffs == tuple(minimal[k]), k
-            assert idn.minimal_oracle(k, N).slice(k) == minimal_cap4.slice(k), k
+            assert minimal_walk.slice(k).coeffs == tuple(minimal[k]), k
         assert REGISTRY["inclusion-exclusion"].rhs(N).coeffs == tuple(signed)
+
+    def test_raft_slices_start_at_3k_squared(self):
+        """The premise of ``_x_slice``: each raft walk's x-order is its q-order
+        and its x^k slice is zero below q^(3k^2), so every slice past the
+        x-order is zero."""
+        for N in range(41):
+            for walked in (idn.rafted_oracle(N), idn.minimal_oracle(N)):
+                assert walked.x_trunc == walked.q_trunc == N
+                for k, sl in walked.terms.items():
+                    assert not any(sl.coeffs[: 3 * k * k]), (N, k)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_no_kseq_oracle_matches_filter(self, k):
@@ -182,9 +195,11 @@ class TestSignedDesignations:
 
     @pytest.mark.parametrize("d", range(1, 8))
     def test_d_distinct_q_counts_gap_parts(self, d):
+        """By weight alone through the registry's x = 1 view, and by part count."""
         counted = [parts for w in range(41) for parts in iter_gap_exact(w, d)]
+        at_x1 = idn._Side("d_distinct_xq", (d,), x_power=0)
         for N in range(41):
-            assert idn.d_distinct_q(d, N) == _by_parts(counted, N, N).substitute_x_power(0)
+            assert at_x1(N) == _by_parts(counted, N, N).substitute_x_power(0), N
             for Nx in {N, N // 3}:
                 assert idn.d_distinct_xq(d, Nx, N) == _by_parts(counted, Nx, N), (Nx, N)
 
@@ -204,6 +219,17 @@ def _oracle_walks(build, bivariate):
     for N in (*range(41), 100, 200):
         for Nx in {N, N // 3} if bivariate else {N}:
             yield _walk_args(lambda: build(Nx, N))
+
+
+def _capped_walks(build, k):
+    """The designation walks of ``build`` with moves past k rafts refused, so
+    that a taken letter lists one move or two depending on the rafts so far
+    (the last entry of the walk's state)."""
+    def capped(step):
+        return lambda state, taken: [new for new in step(state, taken) if new[3] <= k]
+
+    return [(n, start, capped(step))
+            for n, start, step in _oracle_walks(lambda Nx, N: build(N), False)]
 
 
 def _bound_walks():
@@ -229,10 +255,10 @@ WALKS = {
         lambda Nx, N: idn.d_distinct_xq(d, Nx, N), True) for d in range(1, 8)},
     **{f"no-kseq-{k}": lambda k=k: _oracle_walks(
         lambda Nx, N: idn.no_kseq_oracle(k, Nx, N), True) for k in range(1, 7)},
-    **{f"rafted-{k}": lambda k=k: _oracle_walks(
-        lambda Nx, N: idn._designation_walk(k, N), False) for k in range(1, 5)},
-    **{f"minimal-{k}": lambda k=k: _oracle_walks(
-        lambda Nx, N: idn.minimal_oracle(k, N), False) for k in range(1, 5)},
+    "rafted": lambda: _oracle_walks(lambda Nx, N: idn.rafted_oracle(N), False),
+    "minimal": lambda: _oracle_walks(lambda Nx, N: idn.minimal_oracle(N), False),
+    **{f"rafted-{k}": lambda k=k: _capped_walks(idn.rafted_oracle, k) for k in range(1, 5)},
+    **{f"minimal-{k}": lambda k=k: _capped_walks(idn.minimal_oracle, k) for k in range(1, 5)},
     "signed": lambda: _oracle_walks(lambda Nx, N: REGISTRY["inclusion-exclusion"].rhs(N), False),
     "bound-plus": _bound_walks,
 }
@@ -344,7 +370,7 @@ class TestForAnyParameter:
 
     @pytest.mark.parametrize("k, N", RAFT_CASES)
     def test_raft_gfs_count_designations(self, k, N):
-        assert idn.minimal_gf(k, N) == idn.minimal_oracle(k, N).slice(k)
+        assert idn.minimal_gf(k, N) == idn.minimal_oracle(N).slice(k)
         assert idn.rafted_gf(k, N) == idn.rafted_oracle(N).slice(k)
 
     @pytest.mark.parametrize("N", [60, 200])
@@ -621,7 +647,7 @@ class TestCrossWeb:
         N = 40
         rr1 = idn.rr_product((1, 4), 5, N)
         assert idn.no_raft_gf(N) == rr1
-        assert idn.d_distinct_q(2, N) == rr1
+        assert REGISTRY["inclusion-exclusion-2-distinct"].rhs(N) == rr1
 
     def test_bmn2_at_x1_is_gap2_sum(self):
         N = 36
@@ -630,7 +656,7 @@ class TestCrossWeb:
     def test_staircase0_x1_counts_gap2(self):
         N = 28
         got = idn.staircase_gf(0, N, N).substitute_x_power(0)
-        assert got == idn.d_distinct_q(2, N)
+        assert got == REGISTRY["inclusion-exclusion-2-distinct"].rhs(N)
 
     @pytest.mark.parametrize("nx, nq", [(30, 30), (10, 30)])
     def test_c2_is_the_master_sum(self, nx, nq):
@@ -694,7 +720,7 @@ class TestDomains:
             with pytest.raises(ValueError):
                 idn.d_distinct_xq(d, 10, 10)
             with pytest.raises(ValueError):
-                idn.d_distinct_q(d, 10)
+                idn._Side("d_distinct_xq", (d,), x_power=0)(10)
 
 
 class TestReports:
@@ -820,7 +846,7 @@ class TestReports:
 
 
 SPIED = ("staircase_gf", "master_lhs", "bmn_gf", "slater19_sum", "no_raft_gf", "rr_product")
-WALKERS = ("d_distinct_q", "d_distinct_xq", "no_kseq_oracle", "rafted_oracle", "minimal_oracle")
+WALKERS = ("d_distinct_xq", "no_kseq_oracle", "rafted_oracle", "minimal_oracle")
 
 
 def _spy(monkeypatch, calls: Counter, names=SPIED) -> None:
@@ -851,7 +877,10 @@ class TestSharedSides:
 
     @pytest.mark.parametrize("x_trunc", [None, 7])
     def test_run_many_walks_each_automaton_once(self, monkeypatch, x_trunc):
-        """Nine walks: one per distinct oracle build, whatever views read it."""
+        """One walk per distinct oracle build, whatever views read it: eight
+        at the default x-order, where the x = 1 view of the gap-2 walk is
+        built at the x-order that bmn-k2 and staircase-d0 read, and nine at
+        x-order 7, where it is not."""
         calls, walked = Counter(), []
         _spy(monkeypatch, calls, WALKERS)
         walk = idn._walk
@@ -859,12 +888,12 @@ class TestSharedSides:
         assert all(r.passed for r in run_many(list(REGISTRY), 20, x_trunc))
         xt = 20 if x_trunc is None else x_trunc
         assert calls == Counter({
-            ("rafted_oracle", (20,)): 1, ("minimal_oracle", (3, 20)): 1,
-            ("d_distinct_q", (2, 20)): 1,
+            ("rafted_oracle", (20,)): 1, ("minimal_oracle", (20,)): 1,
             ("no_kseq_oracle", (3, xt, 20)): 1, ("no_kseq_oracle", (4, xt, 20)): 1,
             **{("d_distinct_xq", (d, xt, 20)): 1 for d in range(2, 6)},
+            ("d_distinct_xq", (2, 20, 20)): 1,  # the x = 1 view, at x-order 20
         })
-        assert walked == [20] * 9
+        assert walked == [20] * (8 if x_trunc is None else 9)
 
     @pytest.mark.parametrize("x_trunc", [None, 1])
     def test_every_check_passes_from_order_0(self, x_trunc):
@@ -902,10 +931,10 @@ class TestSharedSides:
             "inclusion-exclusion-rr1": ("inclusion-exclusion", "slater-19"),
             "master-at-x-q": ("master-identity", "slater-15-alt"),
             "master-at-x-1": ("master-identity", "slater-19"),
-            "bmn-k2": ("master-identity", None),
+            "bmn-k2": ("master-identity", "inclusion-exclusion-2-distinct"),
             "bmn-c2-slater-19": ("master-identity", "slater-19"),
             "bmn-c2-slater-15": ("master-identity", "slater-15"),
-            "staircase-d0": (None, "bmn-k2"),
+            "staircase-d0": (None, "inclusion-exclusion-2-distinct"),
             "staircase-d0-master": ("staircase-d0", "master-identity"),
         }
         for r in reports:
