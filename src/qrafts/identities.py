@@ -346,15 +346,13 @@ def staircase_gf(d: int, x_trunc: int, q_trunc: int) -> XQSeries:
     carries q^j: its exponent less 2k+m is
     3k^2 - 2k + d (binom(2k,2) + binom(m,2) + 2km) >= 0, since 3k^2 >= 2k.
     So row j needs only N+1-j coefficients, and each (k, m) term is cut at
-    its own exponent.  Pass (b) then, for each n, cuts every row at its
-    q-shift binom(n+1,2) + d binom(n,2) + dnj + j, divides it by (1 - q^n)
-    and files it at x^(n+j) with that shift.  A row retires once n + j passes
-    x_trunc or the shift passes q_trunc, since no later n can file it: both
-    grow with n, and the pass ends when every row has retired.  At d = 0
-    each pass takes O(N^2.5) coefficient steps, against O(N^3) for the
-    nested triple loop, and the cuts leave about a third of them: at order
-    85, 61,721 coefficients stepped or added where full-length rows took
-    171,653.
+    its own exponent.  Pass (b) then runs each row j through ``_terms`` as
+    the sum over n of q^(binom(n+1,2) + d binom(n,2) + dnj + j) x^(n+j) times
+    row / (q;q)_n, ending where n + j passes x_trunc or the q-shift passes
+    q_trunc: both grow with n.  At d = 0 each pass takes O(N^2.5)
+    coefficient steps, against O(N^3) for the nested triple loop, and the
+    cuts leave about a third of them: at order 85, 61,721 coefficients
+    stepped or added where full-length rows took 171,653.
 
     The k = 0 column collapses to m = 0 because (1;q)_m vanishes: its first
     factor is (1 - q^0), so the running m-term stops there.
@@ -380,17 +378,10 @@ def staircase_gf(d: int, x_trunc: int, q_trunc: int) -> XQSeries:
                       -1 if (k + m) % 2 else 1, term)
 
     acc: dict[int, list[int]] = {}  # pass (b): row j becomes G_j / (q^j (q;q)_n)
-    for n in count():
-        rows = {j: row for j, row in rows.items()
-                if n + j <= x_trunc and shift(n, j) <= q_trunc}
-        if not rows:
-            break
-        for j, row in rows.items():
-            e = shift(n, j)
-            del row[q_trunc + 1 - e:]
-            if n:
-                div_factor(row, 1, n)
-            _add_term(acc, q_trunc + 1, n + j, e, 1, row)
+    for j, row in rows.items():
+        for n, e, term in _terms(q_trunc, lambda n: shift(n, j), row, den=_QQ,
+                                 stop=lambda n: n + j > x_trunc):
+            _add_term(acc, q_trunc + 1, n + j, e, 1, term)
     return _from_buffers(x_trunc, q_trunc, acc)
 
 

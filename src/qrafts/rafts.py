@@ -17,18 +17,20 @@ raft ending at a-2.
 
 The engine works on the sorted part tuple by index.  Since k+2 is absent and
 a-1 is absent, each move is a two-slot splice that keeps the tuple sorted:
-forward replaces the slots of k, k+1 by (k+1, k+2), backward replaces the
-slots of a, a+1 by (a-1, a).  Raft positions come from bisect_left, run ends
-and starts from walking the neighbouring indices, and each refusal rule lives
-in one step helper that the can_*/move methods and the decomposition share.
+slots i, i+1 take (low, low+1), with low = k+1 forward (slots of k, k+1) and
+low = a-1 backward (slots of a, a+1).  One step helper per direction finds
+the splice and the refusal, bisect_left giving the raft's slot and walking
+the neighbouring indices the run's end or start.  The can_* methods read its
+refusal; _move raises on it or makes the splice, for forward, backward and
+both traces.
 
 One validator runs on every state, those the moves make included: Partition's
-part rule, then the raft rules in one pass over the rafts, one bisect each.
-Since parts strictly increase, rafts a < b share a run exactly when their
-indices differ by b - a.  Only a designation that fails, or one not given as
-a sorted tuple, is walked again rule by rule, so each RaftError names the
-first broken rule in a fixed order.  A move builds its state through
-_checked_state, which runs that validator without the dataclass dispatch.
+part rule, then the raft rules in one pass over the sorted rafts, one bisect
+each.  Since parts strictly increase, rafts a < b share a run exactly when
+their indices differ by b - a.  The pass keeps the first raft that breaks
+each rule, and the RaftError names the first broken rule in a fixed order.
+A move builds its state through _checked_state, which runs that validator
+without the dataclass dispatch.
 
 A configuration is minimal when no designated raft can move backward.
 Minimal configurations have rigid structure (consecutive parts from 1 up with
@@ -41,7 +43,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import eq, lt
+from operator import lt
 from typing import Iterator
 
 from .partitions import (
@@ -120,75 +122,61 @@ class RaftedPartition:
             raise MoveError(f"move-not-applicable: {k} is not a designated raft of {self}")
         return self.rafts.index(k)
 
-    def _moved(self, rank: int, new_parts: tuple[int, ...],
-               new_raft: int) -> "RaftedPartition":
-        rafts = self.rafts
-        return _checked_state(new_parts, rafts[:rank] + (new_raft,) + rafts[rank + 1:])
+    def _move(self, rank: int, step: tuple[int, int, int, str | None]) -> "RaftedPartition":
+        """The raft at this rank moved by its step; MoveError when the step is refused."""
+        i, low, new_raft, refusal = step
+        if refusal:
+            raise MoveError(f"move-not-applicable: {refusal}")
+        parts, rafts = self.partition.parts, self.rafts
+        return _checked_state(parts[:i] + (low, low + 1) + parts[i + 2:],
+                              rafts[:rank] + (new_raft,) + rafts[rank + 1:])
 
     # -- forward move -------------------------------------------------------
 
-    def _forward_step(self, k: int) -> tuple[int, int, str | None]:
-        """For designated raft k: (index of k, the raft it becomes, refusal or None)."""
+    def _forward_step(self, k: int) -> tuple[int, int, int, str | None]:
+        """Raft k's forward splice (i, low, new raft, refusal or None): low = k+1."""
         parts = self.partition.parts
         i = bisect_left(parts, k)
         j = i + 2
         if j == len(parts) or parts[j] != k + 3:
-            return i, k + 1, None
+            return i, k + 1, k + 1, None
         while j + 1 < len(parts) and parts[j + 1] == parts[j] + 1:
             j += 1
         e = parts[j]
         if e - 1 in self.rafts:
-            return i, e - 1, (f"raft [{k},{k + 1}] is blocked by designated "
-                              f"raft [{e - 1},{e}] at the end of the run ahead")
-        return i, e - 1, None
-
-    def _forward_at(self, rank: int) -> "RaftedPartition":
-        """The forward move of the raft at this rank; MoveError when refused."""
-        k = self.rafts[rank]
-        i, new_raft, refusal = self._forward_step(k)
-        if refusal:
-            raise MoveError(f"move-not-applicable: {refusal}")
-        parts = self.partition.parts
-        return self._moved(rank, parts[:i] + (k + 1, k + 2) + parts[i + 2:], new_raft)
+            return i, k + 1, e - 1, (f"raft [{k},{k + 1}] is blocked by designated "
+                                     f"raft [{e - 1},{e}] at the end of the run ahead")
+        return i, k + 1, e - 1, None
 
     def can_forward(self, k: int) -> bool:
-        return k in self.rafts and self._forward_step(k)[2] is None
+        return k in self.rafts and self._forward_step(k)[3] is None
 
     def forward(self, k: int) -> "RaftedPartition":
         """Move raft k up, gaining weight 2: remove k, add k+2."""
-        return self._forward_at(self._rank(k))
+        return self._move(self._rank(k), self._forward_step(k))
 
     # -- backward move ------------------------------------------------------
 
-    def _backward_step(self, k: int) -> tuple[int, str | None]:
-        """For designated raft k: (index of its run start a, refusal or None)."""
+    def _backward_step(self, k: int) -> tuple[int, int, int, str | None]:
+        """Raft k's backward splice (i, low, new raft, refusal or None): low = new raft = a-1."""
         parts = self.partition.parts
-        ia = bisect_left(parts, k)
-        while ia and parts[ia - 1] == parts[ia] - 1:
-            ia -= 1
-        a = parts[ia]
+        i = bisect_left(parts, k)
+        while i and parts[i - 1] == parts[i] - 1:
+            i -= 1
+        a = parts[i]
         if a < 2:
-            return ia, f"raft [{k},{k + 1}] sits on a run starting at 1"
+            return i, a - 1, a - 1, f"raft [{k},{k + 1}] sits on a run starting at 1"
         if a - 3 in self.rafts:
-            return ia, (f"raft [{k},{k + 1}] is blocked by designated "
-                        f"raft [{a - 3},{a - 2}] just below its run")
-        return ia, None
-
-    def _backward_from(self, rank: int, ia: int) -> "RaftedPartition":
-        parts = self.partition.parts
-        a = parts[ia]
-        return self._moved(rank, parts[:ia] + (a - 1, a) + parts[ia + 2:], a - 1)
+            return i, a - 1, a - 1, (f"raft [{k},{k + 1}] is blocked by designated "
+                                     f"raft [{a - 3},{a - 2}] just below its run")
+        return i, a - 1, a - 1, None
 
     def can_backward(self, k: int) -> bool:
-        return k in self.rafts and self._backward_step(k)[1] is None
+        return k in self.rafts and self._backward_step(k)[3] is None
 
     def backward(self, k: int) -> "RaftedPartition":
         """Move raft k down, losing weight 2: remove a+1, add a-1 (a = run start)."""
-        rank = self._rank(k)
-        ia, refusal = self._backward_step(k)
-        if refusal:
-            raise MoveError(f"move-not-applicable: {refusal}")
-        return self._backward_from(rank, ia)
+        return self._move(self._rank(k), self._backward_step(k))
 
     # -- minimality ---------------------------------------------------------
 
@@ -200,49 +188,53 @@ class RaftedPartition:
 def _valid_rafts(partition: Partition, rafts) -> tuple[int, ...]:
     """rafts as a sorted tuple, once every raft rule holds in partition.
 
-    A sorted tuple is decided in one loop: each raft above the one before
-    it, its pair present, no shared run with the raft before it, and k+2
-    absent.  A designation that fails there, or that is not a sorted tuple,
-    is sorted and walked again one rule at a time, so the RaftError names
-    the first broken rule in this order: pair-broken, then colliding (a
-    repeated raft, then a shared run), then not-terminal.
+    One pass over the sorted rafts, one bisect each, states each rule once
+    and keeps the first raft that breaks it: its pair present, no repeat, no
+    run shared with the raft before it, and k+2 absent.  After the pass the
+    RaftError names the first broken rule in this order: pair-broken, then
+    colliding (a repeated raft, then a shared run), then not-terminal.  A
+    sorted tuple is neither copied nor sorted; any other designation is
+    validated as its sorted copy.
     """
+    if type(rafts) is not tuple:
+        rafts = tuple(rafts)
     parts = partition.parts
     n = len(parts)
-    if type(rafts) is tuple:
-        # parts strictly increase from 1, so k - i >= 1 at each raft and the
-        # (0, 0) start never reads as a shared run
-        prev_k = prev_i = 0
-        for k in rafts:
-            i = bisect_left(parts, k)
-            if (k <= prev_k or i + 1 >= n or parts[i] != k or parts[i + 1] != k + 1
-                    or i - prev_i == k - prev_k or (i + 2 < n and parts[i + 2] == k + 2)):
-                break
-            prev_k, prev_i = k, i
-        else:
-            return rafts
-    rafts = tuple(sorted(rafts))
-    at = []  # index of each raft's smaller member in parts
+    broken = shared = open_top = None
+    repeated = False
+    # parts strictly increase, so rafts a < b share a run exactly when their
+    # indices differ by b - a; from (rafts[0], -1) the first raft never does
+    prev_k, prev_i = (rafts[0] if rafts else 0), -1
     for k in rafts:
+        if k < prev_k:
+            return _valid_rafts(partition, tuple(sorted(rafts)))
         i = bisect_left(parts, k)
+        # a raft that breaks one rule is not tried on the later ones, which
+        # rank below it
         if i + 1 >= n or parts[i] != k or parts[i + 1] != k + 1:
-            raise RaftError("raft-pair-broken",
-                            f"raft [{k},{k + 1}] needs both members in {partition}")
-        at.append(i)
-    if any(map(eq, rafts, rafts[1:])):
+            if broken is None:
+                broken = k
+        elif i - prev_i == k - prev_k:
+            if k == prev_k:
+                repeated = True
+            elif shared is None:
+                shared = prev_k, k
+        elif i + 2 < n and parts[i + 2] == k + 2 and open_top is None:
+            open_top = k
+        prev_k, prev_i = k, i
+    if broken is not None:
+        raise RaftError("raft-pair-broken",
+                        f"raft [{broken},{broken + 1}] needs both members in {partition}")
+    if repeated:
         raise RaftError("colliding-rafts", f"repeated raft in {rafts}")
-    # parts strictly increase, so a < b share a run exactly when the index
-    # gap equals the value gap
-    for j in range(1, len(rafts)):
-        if at[j] - at[j - 1] == rafts[j] - rafts[j - 1]:
-            lo, k = rafts[j - 1], rafts[j]
-            raise RaftError("colliding-rafts",
-                            f"rafts [{lo},{lo + 1}] and [{k},{k + 1}] "
-                            f"share a run in {partition}")
-    for k, i in zip(rafts, at):
-        if i + 2 < n and parts[i + 2] == k + 2:
-            raise RaftError("raft-not-terminal",
-                            f"raft [{k},{k + 1}] has {k + 2} present in {partition}")
+    if shared is not None:
+        lo, k = shared
+        raise RaftError("colliding-rafts",
+                        f"rafts [{lo},{lo + 1}] and [{k},{k + 1}] share a run in {partition}")
+    if open_top is not None:
+        k = open_top
+        raise RaftError("raft-not-terminal",
+                        f"raft [{k},{k + 1}] has {k + 2} present in {partition}")
     return rafts
 
 
@@ -282,10 +274,10 @@ def decompose_with_trace(
         n = 0
         while True:
             k = current.rafts[rank]
-            ia, refusal = current._backward_step(k)
-            if refusal:
+            step = current._backward_step(k)
+            if step[3]:
                 break
-            nxt = current._backward_from(rank, ia)
+            nxt = current._move(rank, step)
             moves.append((current, k, nxt))
             current = nxt
             n += 1
@@ -320,8 +312,9 @@ def compose_with_trace(
     for i, amount in enumerate(eta.parts):
         rank = k - 1 - i  # largest raft first
         for _ in range(amount // 2):
-            nxt = current._forward_at(rank)
-            moves.append((current, current.rafts[rank], nxt))
+            raft = current.rafts[rank]
+            nxt = current._move(rank, current._forward_step(raft))
+            moves.append((current, raft, nxt))
             current = nxt
     return current, moves
 

@@ -349,6 +349,11 @@ class TestTrace:
         code, out, err = run(capsys, "trace", "1,[2,3],[4,5]")
         assert code == 2
         assert "raft" in err.lower()
+        # a shared run and 4 present: the shared run is named first
+        code, out, err = run(capsys, "trace", "[2,3],4,[5,6]")
+        assert (code, out) == (2, "")
+        assert err == ("qrafts: error: colliding-rafts: rafts [2,3] and [5,6] "
+                       "share a run in 2,3,4,5,6\n")
 
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "trace", "1,[2],5")

@@ -205,10 +205,11 @@ class TestAgainstReference:
                 bad_parts.append(parts[::-1])
             for r in range(4):
                 for rafts in itertools.combinations_with_replacement(range(1, top + 1), r):
-                    got = _outcome(lambda: RaftedPartition(p, rafts))
-                    assert got == _outcome(lambda: ReferenceRafted(p, rafts)), (str(p), rafts)
-                    reasons.add(got[1] if len(got) == 3 else "ok")
-                    for given in (rafts, rafts[::-1], list(rafts)):
+                    want = _outcome(lambda: ReferenceRafted(p, rafts))
+                    reasons.add(want[1] if len(want) == 3 else "ok")
+                    for given in (rafts, rafts[::-1], list(rafts[::-1])):
+                        assert _outcome(lambda: RaftedPartition(p, given)) == want, \
+                            (str(p), given)
                         for q in (parts, *bad_parts):
                             assert (_built(lambda: _checked_state(q, given))
                                     == _built(lambda: RaftedPartition(Partition(q), given))), \
