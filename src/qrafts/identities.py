@@ -12,8 +12,8 @@ generator, ``_terms``, runs every sum: it keeps the running term as a
 coefficient list, started by the caller (with ``_product`` where it carries
 an infinite product), steps it by factor i of each Pochhammer family of the
 ratio, and yields it with its q-shift e(i); ``_add_term`` or
-``_add_shifted`` files it.  ``master_lhs`` and ``bmn_gf`` share one
-double-sum loop, ``_signed_double_sum``, each with its own exponents.
+``_add_shifted`` files it.  One double sum, ``bmn_gf``, builds C_k and, at
+k = 2, the paper's master sum.
 
 ``_terms`` also owns the cutoff and the cut.  It stops at the first index
 whose shift passes the truncation order N, since the shifts never decrease
@@ -39,8 +39,8 @@ The registry names each side as a ``_Side``: a builder, its fixed leading
 arguments, and an optional view of a bivariate result (x = q^t, x = -1, or
 one x-slice).  ``run_many`` builds each distinct (builder, arguments,
 truncations) once per call and keeps it only until the last check that uses
-it; the view is applied per check.  ``master_lhs`` is ``bmn_gf(2, ...)`` term
-by term, so the master sum, C_2 and their specialisations share one build.
+it; the view is applied per check.  The master sum is ``bmn_gf(2, ...)``, so
+the master identity, C_2 and their specialisations share one build.
 Every oracle is one uncapped walk by (part or raft count, weight), read
 through those views, and each automaton is walked once per run: the
 designation walk, x marking the rafts, serves every raft count and, at
@@ -274,41 +274,6 @@ def gauss_step_rhs(k: int, trunc: int) -> QSeries:
 _QQ = [PochhammerSpec(1, 1, 1)]  # (q;q): in den, steps the running 1 / (q;q)_i
 
 
-def _signed_double_sum(b: int, x_trunc: int, q_trunc: int,
-                       x_deg: Callable[[int, int], int],
-                       q_exp: Callable[[int, int], int]) -> XQSeries:
-    """sum over j, r of (-1)^j x^x_deg(j, r) q^q_exp(j, r) / ((q^b;q^b)_j (q;q)_r).
-
-    Both exponents must increase in j and in r: each loop stops at the first
-    summand past either truncation, and ``_terms`` cuts 1 / (q^b;q^b)_j at
-    q_exp(j, 0) and the term at q_exp(j, r).
-    """
-    acc: dict[int, list[int]] = {}
-    for j, _, inv_j in _terms(q_trunc, lambda j: q_exp(j, 0), _unit(q_trunc),
-                              den=[PochhammerSpec(1, b, b)],
-                              stop=lambda j: x_deg(j, 0) > x_trunc):
-        for r, e, term in _terms(q_trunc, partial(q_exp, j), inv_j[:], den=_QQ,
-                                 stop=lambda r: x_deg(j, r) > x_trunc):
-            _add_term(acc, q_trunc + 1, x_deg(j, r), e, -1 if j % 2 else 1, term)
-    return _from_buffers(x_trunc, q_trunc, acc)
-
-
-def master_lhs(x_trunc: int, q_trunc: int) -> XQSeries:
-    """(-xq;q)_inf * sum_k (-1)^k q^(3k^2) x^(2k) / ((q^2;q^2)_k (-xq;q)_{2k}).
-
-    The prefactor cancels each denominator's head, leaving the summand
-    (-1)^k q^(3k^2) x^(2k) (-xq^(2k+1);q)_inf / (q^2;q^2)_k.  Euler's identity
-    (-xq^a;q)_inf = sum_r x^r q^(binom(r,2) + a r) / (q;q)_r, at a = 2k+1,
-    expands that into the double sum over k, r of
-    (-1)^k x^(2k+r) q^(3k^2 + binom(r,2) + (2k+1)r) / ((q^2;q^2)_k (q;q)_r).
-    Term by term this is C_2(x;q) of ``bmn_gf``, since
-    3k^2 + binom(r,2) + (2k+1)r = binom(2k+r+1,2) + 2 binom(k,2).
-    """
-    return _signed_double_sum(2, x_trunc, q_trunc,
-                              lambda k, r: 2 * k + r,
-                              lambda k, r: 3 * k * k + _b2(r) + (2 * k + 1) * r)
-
-
 def master_rhs(x_trunc: int, q_trunc: int) -> XQSeries:
     """sum_n q^(n^2) x^n / (q;q)_n."""
     acc: dict[int, list[int]] = {}
@@ -320,15 +285,35 @@ def master_rhs(x_trunc: int, q_trunc: int) -> XQSeries:
 
 def bmn_gf(k: int, x_trunc: int, q_trunc: int) -> XQSeries:
     """C_k(x;q): double sum over j, r of
-    (-1)^j x^(kj+r) q^((r+kj)(r+kj+1)/2 + k j(j-1)/2) / ((q^k;q^k)_j (q;q)_r);
+    (-1)^j x^(kj+r) q^(binom(kj+r+1,2) + k binom(j,2)) / ((q^k;q^k)_j (q;q)_r);
     generates partitions into distinct parts with no k consecutive parts,
     x marking the number of parts.
+
+    C_2 is the paper's master sum
+    (-xq;q)_inf * sum_j (-1)^j q^(3j^2) x^(2j) / ((q^2;q^2)_j (-xq;q)_{2j})
+    term by term.  The prefactor cancels each denominator's head, leaving the
+    summand (-1)^j q^(3j^2) x^(2j) (-xq^(2j+1);q)_inf / (q^2;q^2)_j, and
+    Euler's identity (-xq^a;q)_inf = sum_r x^r q^(binom(r,2) + a r) / (q;q)_r,
+    at a = 2j+1, expands it into the summands (j, r) above: x^(2j+r), and
+    3j^2 + binom(r,2) + (2j+1)r = binom(2j+r+1,2) + 2 binom(j,2).
+
+    Both exponents increase in j and in r: each loop stops at the first
+    summand past either truncation, and ``_terms`` cuts 1 / (q^k;q^k)_j at
+    its shift at r = 0 and the term at its shift at (j, r).
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    return _signed_double_sum(k, x_trunc, q_trunc,
-                              lambda j, r: k * j + r,
-                              lambda j, r: _b2(k * j + r + 1) + k * _b2(j))
+
+    def q_exp(j, r):
+        return _b2(k * j + r + 1) + k * _b2(j)
+
+    acc: dict[int, list[int]] = {}
+    for j, _, inv_j in _terms(q_trunc, lambda j: q_exp(j, 0), _unit(q_trunc),
+                              den=[PochhammerSpec(1, k, k)], stop=lambda j: k * j > x_trunc):
+        for r, e, term in _terms(q_trunc, partial(q_exp, j), inv_j[:], den=_QQ,
+                                 stop=lambda r: k * j + r > x_trunc):
+            _add_term(acc, q_trunc + 1, k * j + r, e, -1 if j % 2 else 1, term)
+    return _from_buffers(x_trunc, q_trunc, acc)
 
 
 def staircase_gf(d: int, x_trunc: int, q_trunc: int) -> XQSeries:
@@ -830,9 +815,9 @@ def run_many(names, q_trunc: int, x_trunc: int | None = None) -> list[CheckRepor
     return _run_checks([c for n, c in REGISTRY.items() if n in wanted], q_trunc, x_trunc)
 
 
-# master_lhs is bmn_gf(2, ...) term by term (see its docstring), so the master
-# sum, C_2 and their x-specialisations all name one computation
-_MASTER = _Side("master_lhs")
+# the master sum is C_2 term by term (see bmn_gf), so it, C_2 and their
+# x-specialisations all name one computation
+_MASTER = _Side("bmn_gf", (2,))
 _S19, _S15_ALT = _Side("slater19_sum"), _Side("slater15_alt_sum")
 _RR1, _RR2 = _Side("rr_product", ((1, 4), 5)), _Side("rr_product", ((2, 3), 5))
 _NO_RAFT = _Side("no_raft_gf")
@@ -862,16 +847,16 @@ REGISTRY: dict[str, IdentityCheck] = {row[0]: IdentityCheck(*row) for row in [
      "the same signed sum equals the modulus-5 product"),
     ("master-identity", True, _MASTER, _Side("master_rhs"),
      "bivariate raft sum equals the classical gap->=2 double series in x, q"),
-    ("master-at-x-q", False, _Side("master_lhs", x_power=1), _S15_ALT,
+    ("master-at-x-q", False, _Side("bmn_gf", (2,), x_power=1), _S15_ALT,
      "x = q specialisation of the master identity hits the slater-15-alt sum"),
-    ("master-at-x-1", False, _Side("master_lhs", x_power=0), _S19,
+    ("master-at-x-1", False, _Side("bmn_gf", (2,), x_power=0), _S19,
      "x = 1 specialisation of the master identity hits the slater-19 sum"),
-    *[(f"bmn-k{k}", True, _MASTER if k == 2 else _Side("bmn_gf", (k,)),
+    *[(f"bmn-k{k}", True, _Side("bmn_gf", (k,)),
        _Side("d_distinct_xq", (2,)) if k == 2 else _Side("no_kseq_oracle", (k,)),
        f"double sum vs direct count of partitions with no {k}-sequence") for k in (2, 3, 4)],
-    ("bmn-c2-slater-19", False, _Side("master_lhs", x_power=0), _S19,
+    ("bmn-c2-slater-19", False, _Side("bmn_gf", (2,), x_power=0), _S19,
      "C_2(1; q) agrees with the slater-19 sum side"),
-    ("bmn-c2-slater-15", False, _Side("master_lhs", x_power=1), _Side("slater15_sum"),
+    ("bmn-c2-slater-15", False, _Side("bmn_gf", (2,), x_power=1), _Side("slater15_sum"),
      "C_2(q; q) agrees with the slater-15 sum side"),
     *[(f"staircase-d{d}", True, _Side("staircase_gf", (d,)), _Side("d_distinct_xq", (2 + d,)),
        f"staircase triple sum vs direct count of gap->={2 + d} partitions") for d in range(4)],

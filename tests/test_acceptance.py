@@ -132,7 +132,7 @@ def test_criterion_05_bijection_roundtrips():
 
 def test_criterion_06_bivariate_master_to_order_60():
     assert run_check(REGISTRY["master-identity"], 60).passed
-    lhs = idn.master_lhs(60, 60)
+    lhs = idn.bmn_gf(2, 60, 60)
     assert lhs.substitute_x_power(1) == idn.slater15_alt_sum(60)
     assert lhs.substitute_x_power(0) == idn.slater19_sum(60)
 

@@ -2,6 +2,8 @@
 
 import time
 from collections import Counter
+from functools import partial
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,19 @@ def test_registry_names_are_kebab_case():
     for name in REGISTRY:
         assert name == name.lower()
         assert " " not in name and "_" not in name
+
+
+def test_no_two_checks_compare_the_same_sides():
+    """A row that compares the same pair of sides as another, in either
+    order, checks nothing new.  master-at-x-1 and bmn-c2-slater-19 both
+    compare the master build at x = 1 with slater19_sum: deleting one
+    changes the registry's pinned digests and row count, so ROADMAP item 1
+    takes it out with them."""
+    rows: dict = {}
+    for name, check in REGISTRY.items():
+        rows.setdefault(frozenset((check.lhs, check.rhs)), []).append(name)
+    assert [names for names in rows.values() if len(names) > 1] == [
+        ["master-at-x-1", "bmn-c2-slater-19"]]
 
 
 class TestFrozenValues:
@@ -410,9 +425,8 @@ class TestCutoffSlack:
         assert idn.gauss_step_lhs(2, 28) == _cut_back(idn.gauss_step_lhs(2, 31), 28)
 
     def test_bivariate(self):
-        for build in (idn.master_lhs, idn.master_rhs):
-            assert build(18, 18) == _cut_back(build(20, 20), 18, 18)
-            assert build(6, 18) == _cut_back(build(8, 20), 18, 6)
+        assert idn.master_rhs(18, 18) == _cut_back(idn.master_rhs(20, 20), 18, 18)
+        assert idn.master_rhs(6, 18) == _cut_back(idn.master_rhs(8, 20), 18, 6)
 
     @pytest.mark.parametrize("build, param", [
         *[(idn.bmn_gf, k) for k in (2, 3, 4)],
@@ -450,9 +464,9 @@ class TestCoefficientCuts:
     @pytest.mark.parametrize("build", [
         *[lambda nx, nq, d=d: idn.staircase_gf(d, nx, nq) for d in (0, 1, 2, 3)],
         *[lambda nx, nq, k=k: idn.bmn_gf(k, nx, nq) for k in (2, 3, 4)],
-        idn.master_lhs, idn.master_rhs,
+        idn.master_rhs,
     ], ids=[*[f"staircase_gf-{d}" for d in (0, 1, 2, 3)],
-            *[f"bmn_gf-{k}" for k in (2, 3, 4)], "master_lhs", "master_rhs"])
+            *[f"bmn_gf-{k}" for k in (2, 3, 4)], "master_rhs"])
     def test_terms_are_cut_to_their_buffers(self, monkeypatch, build):
         """No term is filed past the x-order or q_trunc, or longer than its
         buffer less its shift: the sums stop at both orders, so ``_add_term``
@@ -545,13 +559,13 @@ class TestCoefficientCuts:
         (lambda: idn.qgauss_rhs(1, 1, 3, 85), 169),
         (lambda: idn.gauss_step_lhs(2, 85), 1623),
         (lambda: idn.gauss_step_rhs(2, 85), 161),
-        (lambda: idn.master_lhs(85, 85), 3850),
         (lambda: idn.master_rhs(85, 85), 1023),
+        (lambda: idn.bmn_gf(2, 85, 85), 3850),
         (lambda: idn.bmn_gf(3, 85, 85), 2897),
         (lambda: idn.staircase_gf(0, 85, 85), 61721),
         (lambda: idn.staircase_gf(2, 85, 85), 6083),
     ], ids=["slater19_sum", "minimal_gf-2", "qgauss_lhs", "qgauss_rhs", "gauss_step_lhs",
-            "gauss_step_rhs", "master_lhs", "master_rhs", "bmn_gf-3", "staircase_gf-0",
+            "gauss_step_rhs", "master_rhs", "bmn_gf-2", "bmn_gf-3", "staircase_gf-0",
             "staircase_gf-2"])
     def test_work_counts(self, monkeypatch, build, work):
         """Coefficients touched at order 85: len(c) - a per factor step, plus
@@ -610,7 +624,7 @@ class TestAgainstProductForms:
             assert build(N) == reference(N), N
 
     @pytest.mark.parametrize("build, reference", [
-        (idn.master_lhs, ref.master_lhs),
+        (partial(idn.bmn_gf, 2), ref.master_lhs),  # the master sum against its product form
         (idn.master_rhs, ref.master_rhs),
         *[(lambda Nx, Nq, k=k: idn.bmn_gf(k, Nx, Nq),
            lambda Nx, Nq, k=k: ref.bmn_gf(k, Nx, Nq)) for k in (2, 3, 4)],
@@ -658,14 +672,19 @@ class TestCrossWeb:
         got = idn.staircase_gf(0, N, N).substitute_x_power(0)
         assert got == REGISTRY["inclusion-exclusion-2-distinct"].rhs(N)
 
-    @pytest.mark.parametrize("nx, nq", [(30, 30), (10, 30)])
-    def test_c2_is_the_master_sum(self, nx, nq):
-        """The registry builds bmn-k2's left side as master_lhs on this equality."""
-        assert idn.bmn_gf(2, nx, nq) == idn.master_lhs(nx, nq)
+    def test_master_summands_are_c2_summands(self):
+        """``bmn_gf``'s docstring: Euler's expansion of the master sum's summand
+        j gives summand (j, r) of C_2, with the same x- and q-exponents."""
+        k = 2
+        for j in range(41):
+            for r in range(41):
+                assert 2 * j + r == k * j + r
+                assert (3 * j * j + comb(r, 2) + (2 * j + 1) * r
+                        == comb(k * j + r + 1, 2) + k * comb(j, 2)), (j, r)
 
     def test_master_x1_equals_staircase0_x1(self):
         N = 24
-        a = idn.master_lhs(N, N).substitute_x_power(0)
+        a = idn.bmn_gf(2, N, N).substitute_x_power(0)
         b = idn.staircase_gf(0, N, N).substitute_x_power(0)
         assert a == b
 
@@ -791,7 +810,7 @@ class TestReports:
 
     def test_perturbed_bivariate_check(self):
         def bumped_lhs(Nx, Nq):
-            f = idn.master_lhs(Nx, Nq)
+            f = idn.bmn_gf(2, Nx, Nq)
             row = tuple(c + (i == 9) for i, c in enumerate(f.slice(2).coeffs))
             return XQSeries(Nx, Nq, {**f.terms, 2: QSeries(Nq, row)})
 
@@ -845,7 +864,7 @@ class TestReports:
         assert rep.passed and rep.x_trunc == 4
 
 
-SPIED = ("staircase_gf", "master_lhs", "bmn_gf", "slater19_sum", "no_raft_gf", "rr_product")
+SPIED = ("staircase_gf", "bmn_gf", "slater19_sum", "no_raft_gf", "rr_product")
 WALKERS = ("d_distinct_xq", "no_kseq_oracle", "rafted_oracle", "minimal_oracle")
 
 
@@ -868,8 +887,7 @@ class TestSharedSides:
         xt = 20 if x_trunc is None else x_trunc
         assert set(calls) == {
             *[("staircase_gf", (d, xt, 20)) for d in range(4)],
-            ("master_lhs", (xt, 20)), ("master_lhs", (20, 20)),
-            ("bmn_gf", (3, xt, 20)), ("bmn_gf", (4, xt, 20)),
+            *[("bmn_gf", (k, xt, 20)) for k in (2, 3, 4)], ("bmn_gf", (2, 20, 20)),
             ("slater19_sum", (20,)), ("no_raft_gf", (20,)),
             ("rr_product", ((1, 4), 5, 20)), ("rr_product", ((2, 3), 5, 20)),
         }
@@ -907,7 +925,7 @@ class TestSharedSides:
         _spy(monkeypatch, calls)
         for check in REGISTRY.values():
             run_check(check, 12)
-        assert calls["master_lhs", (12, 12)] == 7
+        assert calls["bmn_gf", (2, 12, 12)] == 7
         assert calls["slater19_sum", (12,)] == 3
 
     @pytest.mark.parametrize("x_trunc", [None, 7])

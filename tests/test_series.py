@@ -225,7 +225,7 @@ class TestXQSeries:
 class TestXQPochhammer:
     """The tests' reference (x, q)-products, ``product_forms._xq_poch``, against
     brute force and the classical expansions; ``product_forms.master_lhs``
-    builds on it, and ``identities.master_lhs`` rests on the Euler form."""
+    builds on it, and ``identities.bmn_gf(2, ...)`` rests on the Euler form."""
 
     def test_tracks_distinct_partitions_by_length(self):
         got = _from_buffers(8, 16, _xq_poch(-1, 1, 1, None, 8, 16))
