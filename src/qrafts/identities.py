@@ -36,17 +36,18 @@ the largest of them, A(N), computed once per walk.  It takes only the
 containers from ``series``, so no oracle shares code with a formula side.
 
 The registry names each side as a ``_Side``: a builder, its fixed leading
-arguments, and an optional view of a bivariate result (x = q^t, x = -1, or
-one x-slice).  ``run_many`` builds each distinct (builder, arguments,
-truncations) once per call and keeps it only until the last check that uses
-it; the view is applied per check.  The master sum is ``bmn_gf(2, ...)``, so
-the master identity, C_2 and their specialisations share one build.
-Every oracle is one uncapped walk by (part or raft count, weight), read
-through those views, and each automaton is walked once per run: the
-designation walk, x marking the rafts, serves every raft count and, at
-x = -1, the signed sum; one minimal walk serves every minimal count; and the
-gap-2 walk serves C_2 and the d = 0 staircase as it is and, at x = 1, the
-count of partitions with gaps >= 2 by weight.
+arguments, and an optional view of a bivariate result (x = +-q^t, or one
+x-slice), which builds at (N, N).  ``run_many`` builds each distinct
+(builder, arguments, truncations) once per call and keeps it only until the
+last check that uses it; the view is applied per check.  The master sum is
+``bmn_gf(2, ...)``, so the master identity, C_2 and their specialisations
+share one build.  Every oracle takes (x-order, q-order) and is one uncapped
+walk by (part or raft count, weight): no step reads the x-order, and ``_xq``
+alone cuts the final states there.  Read through the views, each automaton
+is walked once per run: the designation walk, x marking the rafts, serves
+every raft count and, at x = -1, the signed sum; one minimal walk serves
+every minimal count; and the gap-2 walk serves C_2 and the d = 0 staircase
+as it is and, at x = 1, the count of partitions with gaps >= 2 by weight.
 """
 
 from __future__ import annotations
@@ -503,11 +504,13 @@ def _unpack(packed: int, n: int, w: int) -> list[int]:
 
 
 def _xq(x_trunc: int, q_trunc: int, walked: tuple[dict, int]) -> XQSeries:
-    """The walk's counts by (part count, weight); the part count ends each state."""
+    """The walk's counts by (part count, weight); the part count ends each
+    state.  No step reads x_trunc, so this is the one cut at the x-order."""
     layer, w = walked
     by_parts: dict[int, int] = {}
     for s, c in layer.items():
-        by_parts[s[-1]] = by_parts.get(s[-1], 0) + c
+        if s[-1] <= x_trunc:
+            by_parts[s[-1]] = by_parts.get(s[-1], 0) + c
     return XQSeries(x_trunc, q_trunc, {x: QSeries(q_trunc, tuple(_unpack(c, q_trunc, w)))
                                        for x, c in by_parts.items()})
 
@@ -516,7 +519,7 @@ def d_distinct_xq(d: int, x_trunc: int, q_trunc: int) -> XQSeries:
     """Partitions with part gaps >= d, by (number of parts, weight).
 
     The state is (distance since the last part, capped at d; part count); a
-    part that is too close, or past x_trunc parts, is refused.
+    part that is too close is refused.
     """
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
@@ -524,7 +527,7 @@ def d_distinct_xq(d: int, x_trunc: int, q_trunc: int) -> XQSeries:
     def step(state, taken):
         dist, parts = state
         if taken:
-            return [(1, parts + 1)] if dist == d and parts < x_trunc else []
+            return [(1, parts + 1)] if dist == d else []
         return [(min(dist + 1, d), parts)]
 
     return _xq(x_trunc, q_trunc, _walk(q_trunc, (d, 0), step))
@@ -542,7 +545,7 @@ def no_kseq_oracle(k: int, x_trunc: int, q_trunc: int) -> XQSeries:
     def step(state, taken):
         run, parts = state
         if taken:
-            return [(run + 1, parts + 1)] if run + 1 < k and parts < x_trunc else []
+            return [(run + 1, parts + 1)] if run + 1 < k else []
         return [(0, parts)]
 
     return _xq(x_trunc, q_trunc, _walk(q_trunc, (0, 0), step))
@@ -575,36 +578,24 @@ def _designation_walk(trunc: int, minimal: bool = False) -> tuple[dict, int]:
     return _walk(trunc, (0, True, False, 0), step)
 
 
-def minimal_oracle(trunc: int) -> XQSeries:
+def minimal_oracle(x_trunc: int, q_trunc: int) -> XQSeries:
     """Minimal configurations by (number of rafts, weight), counted from the
-    definition; the x-order is trunc, as ``rafted_oracle``'s is."""
-    return _xq(trunc, trunc, _designation_walk(trunc, minimal=True))
+    definition."""
+    return _xq(x_trunc, q_trunc, _designation_walk(q_trunc, minimal=True))
 
 
-def rafted_oracle(trunc: int) -> XQSeries:
-    """Designations by (number of rafts, weight).
-
-    k rafts weigh at least 3k^2 > k, so an x-order of trunc holds every
-    count, as its x = -1 view needs.
-    """
-    return _xq(trunc, trunc, _designation_walk(trunc))
+def rafted_oracle(x_trunc: int, q_trunc: int) -> XQSeries:
+    """Designations by (number of rafts, weight)."""
+    return _xq(x_trunc, q_trunc, _designation_walk(q_trunc))
 
 
 def _x_slice(s: XQSeries, k: int) -> QSeries:
     """The x^k slice of s, read as zero past its x-order.
 
     That is exact for a series whose x^n slice starts at q^n or later and
-    whose x-order is its q-order, as those of ``rafted_oracle`` and
-    ``minimal_oracle`` are: their x^k slice starts at q^(3k^2).
+    whose x-order is its q-order, as every viewed side's build is (``_plan``).
     """
     return s.slice(k) if k <= s.x_trunc else QSeries.zero(s.q_trunc)
-
-
-def _at_x_minus_one(s: XQSeries) -> QSeries:
-    """s at x = -1, exact when s holds every x-degree that reaches its q-order."""
-    rows = [(-1 if deg % 2 else 1, sl.coeffs) for deg, sl in s.terms.items()]
-    return QSeries(s.q_trunc, tuple(sum(sign * row[e] for sign, row in rows)
-                                    for e in range(s.q_trunc + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -679,11 +670,11 @@ class IdentityCheck:
 @dataclass(frozen=True, slots=True)
 class _Side:
     """A registry side, ``builder(*fixed, *truncations)``, read through at
-    most one view of a bivariate result.  With ``x_power`` set, a univariate
-    side builds at (N, N) and substitutes x = q^x_power; ``x_slice`` reads
-    the x^k slice, and ``x_minus_one`` substitutes x = -1.  Views are not
-    part of what ``run_many`` keys a build by, so checks that view one
-    build differently share it.
+    most one view of a bivariate result: ``x_power`` substitutes
+    x = x_sign * q^x_power, and ``x_slice`` reads the x^k slice.  A viewed
+    side is univariate and builds at (N, N) (``_plan``).  Views are not part
+    of what ``run_many`` keys a build by, so checks that view one build
+    differently share it.
 
     The builder is looked up by name in this module when the side is built,
     so a rebound name (a test's spy, a tracer's span) is the one that runs.
@@ -692,8 +683,8 @@ class _Side:
     builder: str
     fixed: tuple = ()
     x_power: int | None = None
+    x_sign: int = 1
     x_slice: int | None = None
-    x_minus_one: bool = False
 
     def __call__(self, *truncs):
         _, build, finish = _plan(self, truncs)
@@ -704,43 +695,42 @@ class _Side:
 
     def finish(self, built):
         if self.x_power is not None:
-            return built.substitute_x_power(self.x_power)
-        if self.x_slice is not None:
-            return _x_slice(built, self.x_slice)
-        return _at_x_minus_one(built) if self.x_minus_one else built
+            return built.substitute_x_power(self.x_power, self.x_sign)
+        return built if self.x_slice is None else _x_slice(built, self.x_slice)
 
 
 def first_difference(lhs, rhs) -> FirstDiff | None:
-    """First differing coefficient, scanning q ascending (then x-degree)."""
+    """First differing coefficient, scanning q ascending (then x-degree).
+
+    A ``QSeries`` is one row, at x-degree None; an ``XQSeries`` is one row
+    per x-degree that either side holds.  Equal rows are skipped whole.
+    """
     if isinstance(lhs, QSeries) and isinstance(rhs, QSeries):
         if lhs.trunc != rhs.trunc:
             raise ValueError("cannot compare series at different truncations")
-        if lhs.coeffs == rhs.coeffs:
-            return None
-        for e, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
-            if a != b:
-                return FirstDiff(None, e, str(a), str(b))
-        return None
-    if isinstance(lhs, XQSeries) and isinstance(rhs, XQSeries):
+        n, rows = lhs.trunc, [(None, lhs.coeffs, rhs.coeffs)]
+    elif isinstance(lhs, XQSeries) and isinstance(rhs, XQSeries):
         if (lhs.x_trunc, lhs.q_trunc) != (rhs.x_trunc, rhs.q_trunc):
             raise ValueError("cannot compare series at different truncations")
-        if lhs.terms == rhs.terms:
-            return None
-        degrees = sorted(set(lhs.terms) | set(rhs.terms))
-        slices = [(d, lhs.slice(d).coeffs, rhs.slice(d).coeffs) for d in degrees]
-        for e in range(lhs.q_trunc + 1):
-            for d, a, b in slices:
-                if a[e] != b[e]:
-                    return FirstDiff(d, e, str(a[e]), str(b[e]))
-        return None
-    raise TypeError(f"cannot compare {type(lhs).__name__} with {type(rhs).__name__}")
+        n, rows = lhs.q_trunc, [(d, lhs.slice(d).coeffs, rhs.slice(d).coeffs)
+                                for d in sorted(lhs.terms.keys() | rhs.terms.keys())]
+    else:
+        raise TypeError(f"cannot compare {type(lhs).__name__} with {type(rhs).__name__}")
+    rows = [row for row in rows if row[1] != row[2]]
+    for e in range(n + 1):
+        for d, a, b in rows:
+            if a[e] != b[e]:
+                return FirstDiff(d, e, str(a[e]), str(b[e]))
+    return None
 
 
 def _plan(side, args: tuple):
     """(memo key, build, finish) of one side at its check's truncations: a
-    ``_Side`` keyed by its computation, any other callable by its identity."""
+    ``_Side`` keyed by its computation, any other callable by its identity.
+    A viewed side builds at (N, N), where each view reads it exactly."""
     if isinstance(side, _Side):
-        truncs = args if side.x_power is None else args * 2
+        viewed = side.x_power is not None or side.x_slice is not None
+        truncs = args * 2 if viewed else args
         return (side.builder, side.fixed, truncs), partial(side.build, truncs), side.finish
     return (id(side), args), partial(side, *args), lambda built: built
 
@@ -839,7 +829,7 @@ REGISTRY: dict[str, IdentityCheck] = {row[0]: IdentityCheck(*row) for row in [
         (f"rafted-gf-k{k}", False, _Side("rafted_gf", (k,)), _Side("rafted_oracle", x_slice=k),
          f"closed form vs designation count for exactly {k} rafts"),
     ]],
-    ("inclusion-exclusion", False, _NO_RAFT, _Side("rafted_oracle", x_minus_one=True),
+    ("inclusion-exclusion", False, _NO_RAFT, _Side("rafted_oracle", x_power=0, x_sign=-1),
      "signed designation sum collapses to run-free partitions"),
     ("inclusion-exclusion-2-distinct", False, _NO_RAFT, _Side("d_distinct_xq", (2,), x_power=0),
      "the same signed sum counts partitions with gaps >= 2"),

@@ -209,8 +209,9 @@ class XQSeries:
 
     # -- substitutions ------------------------------------------------------
 
-    def substitute_x_power(self, t: int) -> QSeries:
-        """Substitute x = q^t (t >= 1) or x = 1 (t = 0), as a QSeries.
+    def substitute_x_power(self, t: int, sign: int = 1) -> QSeries:
+        """Substitute x = sign * q^t, t >= 0 and sign = +1 or -1, as a QSeries:
+        x = q^t, x = 1 (t = 0) or x = -1 (t = 0, sign = -1).
 
         The result is declared valid to q_trunc.  That is an honest claim
         whenever every x-degree-n slice of the underlying object carries at
@@ -220,16 +221,19 @@ class XQSeries:
         """
         if t < 0:
             raise ValueError(f"substitution power must be >= 0, got {t}")
+        if sign not in (1, -1):
+            raise ValueError(f"substitution sign must be +1 or -1, got {sign}")
         nq = self.q_trunc
         out = [0] * (nq + 1)
         for deg, s in self.terms.items():
             base = t * deg
             if base > nq:
                 continue
+            unit = sign ** deg
             for e in range(nq + 1 - base):
                 c = s.coeffs[e]
                 if c:
-                    out[base + e] += c
+                    out[base + e] += unit * c
         return QSeries(nq, tuple(out))
 
 

@@ -110,11 +110,11 @@ class TestFrozenValues:
 
     def test_minimal_gf_empty_below_threshold(self):
         assert idn.minimal_gf(1, 2).is_zero()
-        assert idn.minimal_oracle(2).slice(1).is_zero()
+        assert idn.minimal_oracle(2, 2).slice(1).is_zero()
 
     def test_rafted_single_raft_weight5(self):
         # only {2,3} among weight-5 partitions carries a raft
-        assert idn.rafted_oracle(5).slice(1).coefficient(5) == 1
+        assert idn.rafted_oracle(5, 5).slice(1).coefficient(5) == 1
         assert idn.rafted_gf(1, 5).coefficient(5) == 1
 
 
@@ -161,12 +161,12 @@ class TestSignedDesignations:
     def test_designation_walk_matches_the_definitions(self):
         """Every designation oracle against brute counts at order 30: the
         designations of each distinct-part partition, and minimality decided
-        from the shape of the parts.  The x-slices of one uncapped walk of
-        each kind count every raft count, and the x = -1 view that the
-        registry reads is the signed sum."""
+        from the shape of the parts.  One uncapped walk of each kind counts
+        every raft count, the 0 rafts included, and is cut at each x-order;
+        the x = -1 view that the registry reads is the signed sum."""
         N = 30
-        rafted = {k: [0] * (N + 1) for k in range(1, 5)}
-        minimal = {k: [0] * (N + 1) for k in range(1, 5)}
+        rafted = {k: [0] * (N + 1) for k in range(5)}
+        minimal = {k: [0] * (N + 1) for k in range(5)}
         signed = [0] * (N + 1)
         for p in all_distinct(N):
             for d in enumerate_designations(p):
@@ -178,19 +178,21 @@ class TestSignedDesignations:
         # k rafts weigh at least 3k^2, so k = 4 counts nothing at order 30
         assert all(any(rafted[k]) and any(minimal[k]) for k in (1, 2, 3))
         assert not any(rafted[4])
-        designations, minimal_walk = idn.rafted_oracle(N), idn.minimal_oracle(N)
-        for k in range(1, 5):
-            assert designations.slice(k).coeffs == tuple(rafted[k]), k
-            assert minimal_walk.slice(k).coeffs == tuple(minimal[k]), k
+
+        def cut(counts, nx):
+            return XQSeries(nx, N, {k: QSeries(N, tuple(c)) for k, c in counts.items() if k <= nx})
+
+        for nx in (N, N // 3, 2, 1, 0):
+            assert idn.rafted_oracle(nx, N) == cut(rafted, nx), nx
+            assert idn.minimal_oracle(nx, N) == cut(minimal, nx), nx
         assert REGISTRY["inclusion-exclusion"].rhs(N).coeffs == tuple(signed)
 
     def test_raft_slices_start_at_3k_squared(self):
-        """The premise of ``_x_slice``: each raft walk's x-order is its q-order
-        and its x^k slice is zero below q^(3k^2), so every slice past the
-        x-order is zero."""
+        """k rafts weigh at least 3k^2 > k, so each raft walk's x^k slice is
+        zero below q^(3k^2), and the x-order N at which ``_plan`` builds a
+        viewed side keeps every raft count, as the x = -1 view needs."""
         for N in range(41):
-            for walked in (idn.rafted_oracle(N), idn.minimal_oracle(N)):
-                assert walked.x_trunc == walked.q_trunc == N
+            for walked in (idn.rafted_oracle(N, N), idn.minimal_oracle(N, N)):
                 for k, sl in walked.terms.items():
                     assert not any(sl.coeffs[: 3 * k * k]), (N, k)
 
@@ -229,11 +231,29 @@ def _walk_args(build) -> tuple:
     return args
 
 
-def _oracle_walks(build, bivariate):
-    """The walks of one oracle family at orders 0..40, 100 and 200, x-orders N and N//3."""
+# every oracle family, by its builder at (x-order, q-order)
+ORACLES = {
+    **{f"gap-{d}": partial(idn.d_distinct_xq, d) for d in range(1, 8)},
+    **{f"no-kseq-{k}": partial(idn.no_kseq_oracle, k) for k in range(1, 7)},
+    "rafted": idn.rafted_oracle,
+    "minimal": idn.minimal_oracle,
+}
+
+
+@pytest.mark.parametrize("family", list(ORACLES))
+def test_walk_is_the_same_at_every_x_order(family):
+    """No step reads the x-order: what a builder hands to ``_walk`` walks to
+    the same final states and packed ints at x-orders N, N//3 and 0, so
+    ``_xq`` alone cuts there and one walk per (family, N) stands for all."""
+    for N in (*range(41), 100):
+        walks = [idn._walk(*_walk_args(lambda: ORACLES[family](nx, N))) for nx in (N, N // 3, 0)]
+        assert walks[1] == walks[0] and walks[2] == walks[0], N
+
+
+def _oracle_walks(build):
+    """The walks of one oracle family at orders 0..40, 100 and 200."""
     for N in (*range(41), 100, 200):
-        for Nx in {N, N // 3} if bivariate else {N}:
-            yield _walk_args(lambda: build(Nx, N))
+        yield _walk_args(lambda: build(N, N))
 
 
 def _capped_walks(build, k):
@@ -243,8 +263,7 @@ def _capped_walks(build, k):
     def capped(step):
         return lambda state, taken: [new for new in step(state, taken) if new[3] <= k]
 
-    return [(n, start, capped(step))
-            for n, start, step in _oracle_walks(lambda Nx, N: build(N), False)]
+    return [(n, start, capped(step)) for n, start, step in _oracle_walks(build)]
 
 
 def _bound_walks():
@@ -266,15 +285,10 @@ def _bound_counts(n):
 
 
 WALKS = {
-    **{f"gap-{d}": lambda d=d: _oracle_walks(
-        lambda Nx, N: idn.d_distinct_xq(d, Nx, N), True) for d in range(1, 8)},
-    **{f"no-kseq-{k}": lambda k=k: _oracle_walks(
-        lambda Nx, N: idn.no_kseq_oracle(k, Nx, N), True) for k in range(1, 7)},
-    "rafted": lambda: _oracle_walks(lambda Nx, N: idn.rafted_oracle(N), False),
-    "minimal": lambda: _oracle_walks(lambda Nx, N: idn.minimal_oracle(N), False),
-    **{f"rafted-{k}": lambda k=k: _capped_walks(idn.rafted_oracle, k) for k in range(1, 5)},
-    **{f"minimal-{k}": lambda k=k: _capped_walks(idn.minimal_oracle, k) for k in range(1, 5)},
-    "signed": lambda: _oracle_walks(lambda Nx, N: REGISTRY["inclusion-exclusion"].rhs(N), False),
+    **{family: partial(_oracle_walks, build) for family, build in ORACLES.items()},
+    **{f"rafted-{k}": partial(_capped_walks, idn.rafted_oracle, k) for k in range(1, 5)},
+    **{f"minimal-{k}": partial(_capped_walks, idn.minimal_oracle, k) for k in range(1, 5)},
+    "signed": lambda: _oracle_walks(lambda _, N: REGISTRY["inclusion-exclusion"].rhs(N)),
     "bound-plus": _bound_walks,
 }
 
@@ -385,8 +399,8 @@ class TestForAnyParameter:
 
     @pytest.mark.parametrize("k, N", RAFT_CASES)
     def test_raft_gfs_count_designations(self, k, N):
-        assert idn.minimal_gf(k, N) == idn.minimal_oracle(N).slice(k)
-        assert idn.rafted_gf(k, N) == idn.rafted_oracle(N).slice(k)
+        assert idn.minimal_gf(k, N) == idn.minimal_oracle(N, N).slice(k)
+        assert idn.rafted_gf(k, N) == idn.rafted_oracle(N, N).slice(k)
 
     @pytest.mark.parametrize("N", [60, 200])
     def test_qgauss_every_triple(self, N):
@@ -698,15 +712,18 @@ class TestCrossWeb:
             assert s.coefficient(n * n) == 1
 
 
-# Each side of a bivariate check, keyed by name.
-X_SIDES = {f"{name}-{side}": getattr(check, side)
-           for name, check in REGISTRY.items() if check.bivariate
-           for side in ("lhs", "rhs")}
+# Each side of a bivariate check, and the build behind each viewed side of a
+# univariate one, keyed by name.
+X_SIDES = {f"{name}-{side}": s if check.bivariate else lambda nx, nq, s=s: s.build((nx, nq))
+           for name, check in REGISTRY.items() for side in ("lhs", "rhs")
+           for s in [getattr(check, side)]
+           if check.bivariate or s.x_power is not None or s.x_slice is not None}
 
 
 @pytest.mark.parametrize("side", list(X_SIDES))
 def test_x_valuation(side):
-    """The x^n slice starts at q^n or later: the premise of substitute_x_power."""
+    """The x^n slice starts at q^n or later: the premise of substitute_x_power
+    and of ``_x_slice``."""
     s = X_SIDES[side](20, 20)
     for n, sl in s.terms.items():
         assert not any(sl.coeffs[:n]), f"x^{n} slice has a term below q^{n}"
@@ -906,7 +923,7 @@ class TestSharedSides:
         assert all(r.passed for r in run_many(list(REGISTRY), 20, x_trunc))
         xt = 20 if x_trunc is None else x_trunc
         assert calls == Counter({
-            ("rafted_oracle", (20,)): 1, ("minimal_oracle", (20,)): 1,
+            ("rafted_oracle", (20, 20)): 1, ("minimal_oracle", (20, 20)): 1,
             ("no_kseq_oracle", (3, xt, 20)): 1, ("no_kseq_oracle", (4, xt, 20)): 1,
             **{("d_distinct_xq", (d, xt, 20)): 1 for d in range(2, 6)},
             ("d_distinct_xq", (2, 20, 20)): 1,  # the x = 1 view, at x-order 20

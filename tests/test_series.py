@@ -221,6 +221,22 @@ class TestXQSeries:
         # x -> 1 keeps exponents
         assert a.substitute_x_power(0) == poly(0, 1, 0, 1, trunc=10)
 
+    def test_substitute_signed_x_power(self):
+        a = XQSeries(6, 10, {0: poly(1, trunc=10), 1: poly(0, 1, 2, trunc=10),
+                             2: poly(0, 0, 0, 1, trunc=10), 3: poly(0, 0, 0, 5, trunc=10)})
+        # x -> -1 is sum_d (-1)^d slice_d, degree by degree
+        want = [sum((-1) ** d * s.coeffs[e] for d, s in a.terms.items()) for e in range(11)]
+        assert a.substitute_x_power(0, -1) == QSeries(10, tuple(want))
+        assert a.substitute_x_power(0, -1) == poly(1, -1, -2, -4, trunc=10)
+        # x -> -q: 1 - (q + 2q^2) q + q^3 q^2 - 5q^3 q^3
+        assert a.substitute_x_power(1, -1) == poly(1, 0, -1, -2, 0, 1, -5, trunc=10)
+        # x -> -q^2: 1 - (q + 2q^2) q^2 + q^3 q^4 - 5q^3 q^6
+        assert a.substitute_x_power(2, -1) == poly(1, 0, 0, -1, -2, 0, 0, 1, 0, -5, trunc=10)
+        assert a.substitute_x_power(1, 1) == a.substitute_x_power(1)
+        for sign in (2, 0, -2):
+            with pytest.raises(ValueError, match="sign must be"):
+                a.substitute_x_power(0, sign)
+
 
 class TestXQPochhammer:
     """The tests' reference (x, q)-products, ``product_forms._xq_poch``, against
