@@ -12,8 +12,11 @@ generator, ``_terms``, runs every sum: it keeps the running term as a
 coefficient list, started by the caller (with ``_product`` where it carries
 an infinite product), steps it by factor i of each Pochhammer family of the
 ratio, and yields it with its q-shift e(i); ``_add_term`` or
-``_add_shifted`` files it.  One double sum, ``bmn_gf``, builds C_k and, at
-k = 2, the paper's master sum.
+``_add_shifted`` files it.  Both share one cancellation rule: what a
+quotient has on both sides is dropped from both before any step, a factor
+in ``_product`` and a family of the ratio in ``_terms``, since every factor
+is a unit modulo q^(N+1) and the steps commute.  One double sum,
+``bmn_gf``, builds C_k and, at k = 2, the paper's master sum.
 
 ``_terms`` also owns the cutoff and the cut.  It stops at the first index
 whose shift passes the truncation order N, since the shifts never decrease
@@ -41,7 +44,9 @@ x-slice), which builds at (N, N).  ``run_many`` builds each distinct
 (builder, arguments, truncations) once per call and keeps it only until the
 last check that uses it; the view is applied per check.  The master sum is
 ``bmn_gf(2, ...)``, so the master identity, C_2 and their specialisations
-share one build.  Every oracle takes (x-order, q-order) and is one uncapped
+share one build, and one rafted table, every raft count's closed form by
+x-degree, serves each rafted-gf-k check as a slice and the signed sum at
+x = -1.  Every oracle takes (x-order, q-order) and is one uncapped
 walk by (part or raft count, weight): no step reads the x-order, and ``_xq``
 alone cuts the final states there.  Read through the views, each automaton
 is walked once per run: the designation walk, x marking the rafts, serves
@@ -114,13 +119,21 @@ def _terms(trunc: int, shift: Callable[[int], int], term: list[int],
 
     ``term`` is term_0, stepped in place: term_i is term_{i-1} times factor i
     of each family in ``num`` and divided by factor i of each in ``den``,
-    where factor i of (s q^b; q^t) is (1 - s q^(b+(i-1)t)).  Before its steps,
-    term_i is cut to its first trunc+1-shift(i) coefficients, those that
-    q^shift(i) keeps within trunc.  The sum ends at the first index whose
-    shift passes trunc, or where ``stop(i)`` holds.  Shifts must be >= 0 and
-    must not decrease, which is what makes both the end and the cut exact;
-    ValueError otherwise.  The yielded list is the running term itself.
+    where factor i of (s q^b; q^t) is (1 - s q^(b+(i-1)t)).  A family in both
+    is dropped from both, as a multiset, before index 1: its factors are
+    units modulo q^(trunc+1) and the steps commute, so no index needs them.
+    Before its steps, term_i is cut to its first trunc+1-shift(i)
+    coefficients, those that q^shift(i) keeps within trunc.  The sum ends at
+    the first index whose shift passes trunc, or where ``stop(i)`` holds.
+    Shifts must be >= 0 and must not decrease, which is what makes both the
+    end and the cut exact; ValueError otherwise.  The yielded list is the
+    running term itself.
     """
+    num, den = list(num), list(den)
+    for f in num[:]:
+        if f in den:
+            num.remove(f)
+            den.remove(f)
     last = 0
     for i in count():
         e = shift(i)
@@ -228,12 +241,21 @@ def rafted_gf(k: int, trunc: int) -> QSeries:
     return QSeries(trunc, tuple(row))
 
 
+def rafted_table(x_trunc: int, q_trunc: int) -> XQSeries:
+    """Configurations by (number of rafts, weight), x marking the rafts: row 0
+    is (-q;q)_inf, the distinct-part partitions with no raft, and row k is
+    rafted_gf(k).  k rafts weigh at least 3k^2, so rows past isqrt(q_trunc // 3)
+    are zero and none is built."""
+    rows = {0: QSeries(q_trunc, tuple(_product(q_trunc, [PochhammerSpec(-1, 1, 1)])))}
+    for k in range(1, min(x_trunc, isqrt(q_trunc // 3)) + 1):
+        rows[k] = rafted_gf(k, q_trunc)
+    return XQSeries(x_trunc, q_trunc, rows)
+
+
 def no_raft_gf(trunc: int) -> QSeries:
-    """(-q;q)_inf + sum_{k>=1} (-1)^k rafted_gf(k): the signed designation sum."""
-    total = _product(trunc, [PochhammerSpec(-1, 1, 1)])  # the k = 0 term
-    for k in range(1, isqrt(trunc // 3) + 1):  # k rafts weigh at least 3k^2
-        _add_shifted(total, rafted_gf(k, trunc).coeffs, -1 if k % 2 else 1, 0)
-    return QSeries(trunc, tuple(total))
+    """(-q;q)_inf + sum_{k>=1} (-1)^k rafted_gf(k): the signed designation sum,
+    ``rafted_table`` at x = -1."""
+    return rafted_table(trunc, trunc).substitute_x_power(0, -1)
 
 
 def qgauss_lhs(a_exp: int, b_exp: int, c_exp: int, trunc: int) -> QSeries:
@@ -810,12 +832,13 @@ def run_many(names, q_trunc: int, x_trunc: int | None = None) -> list[CheckRepor
 _MASTER = _Side("bmn_gf", (2,))
 _S19, _S15_ALT = _Side("slater19_sum"), _Side("slater15_alt_sum")
 _RR1, _RR2 = _Side("rr_product", ((1, 4), 5)), _Side("rr_product", ((2, 3), 5))
-_NO_RAFT = _Side("no_raft_gf")
-# each oracle automaton is walked once per run: one designation walk serves
-# every raft count and the signed sum, one minimal walk serves every minimal
-# count, and distinct parts with no 2-sequence are those with gaps >= 2, so
-# the gap-2 walk serves inclusion-exclusion-2-distinct at x = 1, bmn-k2 and
-# staircase-d0
+_NO_RAFT = _Side("rafted_table", x_power=0, x_sign=-1)
+# the rafted table serves every rafted-gf check and, at x = -1, the signed
+# sum.  Each oracle automaton is walked once per run: one designation walk
+# serves every raft count and the signed sum, one minimal walk serves every
+# minimal count, and distinct parts with no 2-sequence are those with gaps
+# >= 2, so the gap-2 walk serves inclusion-exclusion-2-distinct at x = 1,
+# bmn-k2 and staircase-d0
 REGISTRY: dict[str, IdentityCheck] = {row[0]: IdentityCheck(*row) for row in [
     ("slater-19", False, _S19, _RR1,
      "alternating raft sum against the modulus-5 product for gaps >= 2"),
@@ -826,7 +849,8 @@ REGISTRY: dict[str, IdentityCheck] = {row[0]: IdentityCheck(*row) for row in [
     *[row for k in (1, 2, 3) for row in [
         (f"minimal-gf-k{k}", False, _Side("minimal_gf", (k,)), _Side("minimal_oracle", x_slice=k),
          f"closed form vs definition count for minimal {k}-raft configurations"),
-        (f"rafted-gf-k{k}", False, _Side("rafted_gf", (k,)), _Side("rafted_oracle", x_slice=k),
+        (f"rafted-gf-k{k}", False, _Side("rafted_table", x_slice=k),
+         _Side("rafted_oracle", x_slice=k),
          f"closed form vs designation count for exactly {k} rafts"),
     ]],
     ("inclusion-exclusion", False, _NO_RAFT, _Side("rafted_oracle", x_power=0, x_sign=-1),

@@ -13,12 +13,14 @@ Products and quotients are built by in-place factor steps on raw coefficient
 lists: ``mul_factor``/``div_factor`` multiply or divide by (1 - s*q^a)
 modulo q^len(c).  Multiplying is one descending pass and dividing one
 ascending pass, so a step costs O(len(c)), and a list cut to its first L
-coefficients stays exact on them.  ``_product`` counts the factors of each
-side up to the truncation order (every later factor is 1 modulo it), cancels
-the factors the numerator and denominator share, and steps only the rest:
-each factor is a unit modulo the truncation and the steps commute, so the
-cancellation is exact.  A bivariate builder keeps one coefficient list per
-x-degree and files them with ``_from_buffers``.
+coefficients stays exact on them.  One cancellation rule: what a quotient
+has on both sides is dropped from both before any step, since each factor
+is a unit modulo the truncation and the steps commute.  ``_product`` counts
+the factors of each side up to the truncation order (every later factor is
+1 modulo it), cancels the factors the numerator and denominator share, and
+steps only the rest; ``identities._terms`` cancels the Pochhammer families
+that its ratio names on both sides.  A bivariate builder keeps one
+coefficient list per x-degree and files them with ``_from_buffers``.
 """
 
 from __future__ import annotations
@@ -149,19 +151,21 @@ def _product(trunc: int, num: Sequence[PochhammerSpec] = (),
 
     Each family is a PochhammerSpec.  Exponents increase, so a family's
     factors stop at the first one past trunc: every later factor is 1 modulo
-    q^(trunc+1).  A factor (1 - sign*q^a) on both sides cancels, and one step
-    is applied per factor left over.
+    q^(trunc+1).  power[sign][a] tallies the net multiplicity of the factor
+    (1 - sign*q^a), one strided slice per family, so a factor on both sides
+    cancels, and one step is applied per factor left over.
     """
-    power: dict[tuple[int, int], int] = {}
+    power = {1: [0] * (trunc + 1), -1: [0] * (trunc + 1)}
     for families, side in ((num, 1), (den, -1)):
         for f in families:
-            for a in range(f.base_exp, trunc + 1, f.step_exp):
-                power[f.sign, a] = power.get((f.sign, a), 0) + side
+            p = power[f.sign]
+            p[f.base_exp::f.step_exp] = [m + side for m in p[f.base_exp::f.step_exp]]
     c = [1] + [0] * trunc
-    for (sign, a), p in power.items():
-        apply = mul_factor if p > 0 else div_factor
-        for _ in range(abs(p)):
-            apply(c, sign, a)
+    for sign, p in power.items():
+        for a, m in enumerate(p):
+            apply = mul_factor if m > 0 else div_factor
+            for _ in range(abs(m)):
+                apply(c, sign, a)
     return c
 
 

@@ -383,6 +383,22 @@ def test_walk_refuses_steps_past_its_width_bound(moves):
 RAFT_CASES = [(k, N) for N in (60, 200) for k in range(1, N) if 3 * k * k <= N]
 
 
+class TestRaftedTable:
+    """The closed-form rows by raft count: ``rafted-gf-k{k}`` reads row k and
+    the signed sum reads the table at x = -1."""
+
+    @pytest.mark.parametrize("N", [60, 200])
+    def test_table_equals_the_designation_walk(self, N):
+        for nx in (N, N // 3, 1):
+            assert idn.rafted_table(nx, N) == idn.rafted_oracle(nx, N), (N, nx)
+
+    @pytest.mark.parametrize("N", [60, 200])
+    def test_x_minus_one_view_is_the_modulus_5_product(self, N):
+        rr1 = idn.rr_product((1, 4), 5, N)
+        assert REGISTRY["inclusion-exclusion-rr1"].lhs(N) == rr1
+        assert idn.no_raft_gf(N) == rr1
+
+
 class TestForAnyParameter:
     """The paper's families checked far past the registry's members."""
 
@@ -566,10 +582,28 @@ class TestCoefficientCuts:
                 got.append(i)
             assert got == want, trunc
 
+    def test_terms_steps_no_family_on_both_sides(self, monkeypatch):
+        """A family in both num and den cancels, as a multiset, before index 1:
+        with num [f, g] and den [f, h] only g's and h's factors are stepped,
+        and a second copy of f in num is stepped once per index."""
+        f, g, h = (ser.PochhammerSpec(1, 1, 1), ser.PochhammerSpec(-1, 2, 3),
+                   ser.PochhammerSpec(1, 2, 2))
+        stepped = []
+        monkeypatch.setattr(idn, "mul_factor", lambda c, sign, a: stepped.append(("mul", sign, a)))
+        monkeypatch.setattr(idn, "div_factor", lambda c, sign, a: stepped.append(("div", sign, a)))
+        for num, den, want in (
+            ([f, g], [f, h], [("mul", -1, 2), ("div", 1, 2), ("mul", -1, 5), ("div", 1, 4)]),
+            ([f, f], [f], [("mul", 1, 1), ("mul", 1, 2)]),
+        ):
+            stepped.clear()
+            list(idn._terms(20, lambda i: i, idn._unit(20), num, den, stop=lambda i: i > 2))
+            assert stepped == want, (num, den)
+
     @pytest.mark.parametrize("build, work", [
         (lambda: idn.slater19_sum(85), 4716),
         (lambda: idn.minimal_gf(2, 85), 3513),
-        (lambda: idn.qgauss_lhs(1, 1, 3, 85), 10881),
+        (lambda: idn.qgauss_lhs(1, 1, 3, 85), 7269),  # (q;q) on both sides cancels
+        (lambda: idn.qgauss_lhs(2, 2, 5, 85), 10715),  # no family on both sides
         (lambda: idn.qgauss_rhs(1, 1, 3, 85), 169),
         (lambda: idn.gauss_step_lhs(2, 85), 1623),
         (lambda: idn.gauss_step_rhs(2, 85), 161),
@@ -578,9 +612,9 @@ class TestCoefficientCuts:
         (lambda: idn.bmn_gf(3, 85, 85), 2897),
         (lambda: idn.staircase_gf(0, 85, 85), 61721),
         (lambda: idn.staircase_gf(2, 85, 85), 6083),
-    ], ids=["slater19_sum", "minimal_gf-2", "qgauss_lhs", "qgauss_rhs", "gauss_step_lhs",
-            "gauss_step_rhs", "master_rhs", "bmn_gf-2", "bmn_gf-3", "staircase_gf-0",
-            "staircase_gf-2"])
+    ], ids=["slater19_sum", "minimal_gf-2", "qgauss_lhs", "qgauss_lhs-2-2-5", "qgauss_rhs",
+            "gauss_step_lhs", "gauss_step_rhs", "master_rhs", "bmn_gf-2", "bmn_gf-3",
+            "staircase_gf-0", "staircase_gf-2"])
     def test_work_counts(self, monkeypatch, build, work):
         """Coefficients touched at order 85: len(c) - a per factor step, plus
         every element ``_add_shifted`` adds.  A cut taken out, even one whose
@@ -881,7 +915,7 @@ class TestReports:
         assert rep.passed and rep.x_trunc == 4
 
 
-SPIED = ("staircase_gf", "bmn_gf", "slater19_sum", "no_raft_gf", "rr_product")
+SPIED = ("staircase_gf", "bmn_gf", "slater19_sum", "rafted_table", "rr_product")
 WALKERS = ("d_distinct_xq", "no_kseq_oracle", "rafted_oracle", "minimal_oracle")
 
 
@@ -905,7 +939,7 @@ class TestSharedSides:
         assert set(calls) == {
             *[("staircase_gf", (d, xt, 20)) for d in range(4)],
             *[("bmn_gf", (k, xt, 20)) for k in (2, 3, 4)], ("bmn_gf", (2, 20, 20)),
-            ("slater19_sum", (20,)), ("no_raft_gf", (20,)),
+            ("slater19_sum", (20,)), ("rafted_table", (20, 20)),
             ("rr_product", ((1, 4), 5, 20)), ("rr_product", ((2, 3), 5, 20)),
         }
         assert set(calls.values()) == {1}
@@ -937,6 +971,17 @@ class TestSharedSides:
             failed = [r.name for r in run_many(list(REGISTRY), n, x_trunc) if not r.passed]
             assert not failed, (n, failed)
 
+    def test_minimal_gf_is_built_once_alone_and_once_per_table_row(self, monkeypatch):
+        """minimal-gf-k{k} builds minimal_gf(k) as its side, and the rafted
+        table builds it again inside rafted_gf(k) for each raft count that
+        fits: 3k^2 <= 20 for k = 1, 2.  The table cannot read the minimal
+        sides through a view, since row k is minimal_gf(k) / (q^2;q^2)_k."""
+        calls = Counter()
+        _spy(monkeypatch, calls, ("minimal_gf",))
+        assert all(r.passed for r in run_many(list(REGISTRY), 20))
+        assert calls == Counter({("minimal_gf", (1, 20)): 2, ("minimal_gf", (2, 20)): 2,
+                                 ("minimal_gf", (3, 20)): 1})
+
     def test_each_check_alone_builds_its_own_sides(self, monkeypatch):
         calls = Counter()
         _spy(monkeypatch, calls)
@@ -960,10 +1005,10 @@ class TestSharedSides:
         assert reused == {
             "slater-15-alt": (None, "slater-15"),
             **{f"minimal-gf-k{k}": (None, "minimal-gf-k1") for k in (2, 3)},
-            **{f"rafted-gf-k{k}": (None, "rafted-gf-k1") for k in (2, 3)},
-            "inclusion-exclusion": (None, "rafted-gf-k1"),
-            "inclusion-exclusion-2-distinct": ("inclusion-exclusion", None),
-            "inclusion-exclusion-rr1": ("inclusion-exclusion", "slater-19"),
+            **{f"rafted-gf-k{k}": ("rafted-gf-k1", "rafted-gf-k1") for k in (2, 3)},
+            "inclusion-exclusion": ("rafted-gf-k1", "rafted-gf-k1"),
+            "inclusion-exclusion-2-distinct": ("rafted-gf-k1", None),
+            "inclusion-exclusion-rr1": ("rafted-gf-k1", "slater-19"),
             "master-at-x-q": ("master-identity", "slater-15-alt"),
             "master-at-x-1": ("master-identity", "slater-19"),
             "bmn-k2": ("master-identity", "inclusion-exclusion-2-distinct"),
@@ -980,20 +1025,20 @@ class TestSharedSides:
     def test_a_raising_shared_side_fails_every_check_that_uses_it(self, monkeypatch):
         calls = []
 
-        def broken(trunc):
-            calls.append(trunc)
+        def broken(*truncs):
+            calls.append(truncs)
             raise ZeroDivisionError("boom")
 
-        monkeypatch.setattr(idn, "no_raft_gf", broken)
+        monkeypatch.setattr(idn, "rafted_table", broken)
         reports = {r.name: r for r in run_many(list(REGISTRY), 12)}
-        users = ["inclusion-exclusion", "inclusion-exclusion-2-distinct",
-                 "inclusion-exclusion-rr1"]
+        users = [*[f"rafted-gf-k{k}" for k in (1, 2, 3)], "inclusion-exclusion",
+                 "inclusion-exclusion-2-distinct", "inclusion-exclusion-rr1"]
         assert {n for n, r in reports.items() if not r.passed} == set(users)
         for name in users:
             r = reports[name]
             assert r.error == ("ZeroDivisionError", "boom") and r.first_diff is None
             assert (r.lhs_ms, r.rhs_ms, r.lhs_from, r.rhs_from) == (0, 0, None, None)
-        assert calls == [12, 12, 12]  # nothing is kept from a raise
+        assert calls == [(12, 12)] * 6  # nothing is kept from a raise
         assert reports["slater-19"].passed
 
 
