@@ -79,15 +79,8 @@ def _check_parts(parts: tuple[int, ...]) -> None:
 
 def runs_of(parts: tuple[int, ...]) -> list[tuple[int, int]]:
     """(start, length) of each maximal consecutive block, in order."""
-    out = []
-    i, n = 0, len(parts)
-    while i < n:
-        j = i
-        while j + 1 < n and parts[j + 1] == parts[j] + 1:
-            j += 1
-        out.append((parts[i], j - i + 1))
-        i = j + 1
-    return out
+    starts = [i for i, p in enumerate(parts) if not i or parts[i - 1] != p - 1]
+    return [(parts[i], j - i) for i, j in zip(starts, starts[1:] + [len(parts)])]
 
 
 def _eligible_rafts(parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -104,14 +97,6 @@ def _eligible_rafts(parts: tuple[int, ...]) -> tuple[int, ...]:
 # enumeration
 
 
-def _check_gap(gap: int, min_part: int) -> None:
-    """Parts are positive and strictly increase, so both bounds must be >= 1."""
-    if gap < 1:
-        raise ValueError(f"need gap >= 1, got {gap}")
-    if min_part < 1:
-        raise ValueError(f"need min_part >= 1, got {min_part}")
-
-
 def iter_gap_exact(weight: int, gap: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:
     """Gap->= gap partitions of exact weight, lexicographically ascending.
 
@@ -119,7 +104,11 @@ def iter_gap_exact(weight: int, gap: int, min_part: int = 1) -> Iterator[tuple[i
     least p + gap, so p <= (remaining - gap) // 2; every p in that range has
     at least the one-part tail, and the last part sorts after all of them.
     """
-    _check_gap(gap, min_part)
+    # parts are positive and strictly increase, so both bounds must be >= 1
+    if gap < 1:
+        raise ValueError(f"need gap >= 1, got {gap}")
+    if min_part < 1:
+        raise ValueError(f"need min_part >= 1, got {min_part}")
     if weight < 0:
         return
     if weight == 0:
@@ -147,12 +136,11 @@ def render_rafted_text(parts: tuple[int, ...], rafts: tuple[int, ...]) -> str:
     """Bracketed text: designated raft pairs fuse into one [k,k+1] item."""
     if not parts:
         return "()"
-    raft_set = set(rafts)
     items = []
-    i = 0
-    while i < len(parts):
+    i, n = 0, len(parts)
+    while i < n:
         p = parts[i]
-        if p in raft_set and i + 1 < len(parts) and parts[i + 1] == p + 1:
+        if p in rafts and i + 1 < n and parts[i + 1] == p + 1:
             items.append(f"[{p},{p + 1}]")
             i += 2
         else:
@@ -198,8 +186,9 @@ def parse_rafted_text(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if text[pos] != ",":
             raise ValueError(f"expected ',' at offset {pos} of {text!r}")
         pos += 1
-    if min(parts) < 1:
-        raise ValueError(f"parts must be positive, got {min(parts)}")
-    if len(set(parts)) != len(parts):
+    parts.sort()
+    if parts[0] < 1:
+        raise ValueError(f"parts must be positive, got {parts[0]}")
+    if not all(map(lt, parts, parts[1:])):
         raise ValueError(f"repeated part in {text!r}")
-    return tuple(sorted(parts)), tuple(sorted(rafts))
+    return tuple(parts), tuple(sorted(rafts))

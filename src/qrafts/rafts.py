@@ -29,8 +29,8 @@ part rule, then the raft rules in one pass over the sorted rafts, one bisect
 each.  Since parts strictly increase, rafts a < b share a run exactly when
 their indices differ by b - a.  The pass keeps the first raft that breaks
 each rule, and the RaftError names the first broken rule in a fixed order.
-A move builds its state through _checked_state, which runs that validator
-without the dataclass dispatch.
+Every state the package builds, not only a move's, comes from _checked_state,
+which runs that validator without the dataclass dispatch.
 
 A configuration is minimal when no designated raft can move backward.
 Minimal configurations have rigid structure (consecutive parts from 1 up with
@@ -106,8 +106,7 @@ class RaftedPartition:
 
     @classmethod
     def parse(cls, text: str) -> "RaftedPartition":
-        parts, rafts = parse_rafted_text(text)
-        return cls(Partition(parts), rafts)
+        return _checked_state(*parse_rafted_text(text))
 
     @property
     def weight(self) -> int:
@@ -238,19 +237,28 @@ def _valid_rafts(partition: Partition, rafts) -> tuple[int, ...]:
     return rafts
 
 
+# bound once: object.__new__, and the slots' member descriptors, whose __set__
+# writes a field of a frozen instance past the dataclass's __setattr__ guard
+_new = object.__new__
+_set_parts = Partition.parts.__set__
+_set_partition = RaftedPartition.partition.__set__
+_set_rafts = RaftedPartition.rafts.__set__
+
+
 def _checked_state(parts: tuple[int, ...], rafts: tuple[int, ...]) -> RaftedPartition:
     """RaftedPartition(Partition(parts), rafts), built without the dataclass calls.
 
-    Every state a move makes comes from here.  Partition's part rule and
-    every raft rule still run; only the __init__ and __post_init__ dispatch
-    of the two frozen dataclasses is skipped.
+    Every state the package builds comes from here: parse, to_rafted, both
+    enumerations and the moves.  Partition's part rule and every raft rule
+    still run; only the two frozen dataclasses' __init__ and __post_init__
+    dispatch is skipped.
     """
     _check_parts(parts)
-    p = object.__new__(Partition)
-    object.__setattr__(p, "parts", parts)
-    rp = object.__new__(RaftedPartition)
-    object.__setattr__(rp, "partition", p)
-    object.__setattr__(rp, "rafts", _valid_rafts(p, rafts))
+    p = _new(Partition)
+    _set_parts(p, parts)
+    rp = _new(RaftedPartition)
+    _set_partition(rp, p)
+    _set_rafts(rp, _valid_rafts(p, rafts))
     return rp
 
 
@@ -270,6 +278,7 @@ def decompose_with_trace(
     current = rp
     counts: list[int] = []  # smallest raft first
     moves: list[tuple[RaftedPartition, int, RaftedPartition]] = []
+    record = moves.append
     for rank in range(len(rp.rafts)):
         n = 0
         while True:
@@ -278,7 +287,7 @@ def decompose_with_trace(
             if step[3]:
                 break
             nxt = current._move(rank, step)
-            moves.append((current, k, nxt))
+            record((current, k, nxt))
             current = nxt
             n += 1
         counts.append(2 * n)
@@ -309,12 +318,13 @@ def compose_with_trace(
         raise MoveError(f"not-minimal: {beta} admits a backward move")
     current = beta
     moves: list[tuple[RaftedPartition, int, RaftedPartition]] = []
+    record = moves.append
     for i, amount in enumerate(eta.parts):
         rank = k - 1 - i  # largest raft first
         for _ in range(amount // 2):
             raft = current.rafts[rank]
             nxt = current._move(rank, current._forward_step(raft))
-            moves.append((current, raft, nxt))
+            record((current, raft, nxt))
             current = nxt
     return current, moves
 
@@ -370,7 +380,7 @@ class MinimalProfile:
         r = self.raft_positions
         missing = {rj + 2 for rj in r[:-1]}
         low = [p for p in range(1, r[-1] + 2) if p not in missing]
-        return RaftedPartition(Partition(tuple(low) + self.tail), r)
+        return _checked_state(tuple(low) + self.tail, r)
 
 
 def minimal_profile(rp: RaftedPartition) -> MinimalProfile:
@@ -414,11 +424,12 @@ def enumerate_minimal(k: int, max_weight: int,
 
     found: list[RaftedPartition] = []
     for r in vectors(()):
-        low = r[-1] + 3
+        # r is checked once; a bad tail would break the state's own rules
+        head = MinimalProfile(r, ()).to_rafted().partition.parts
         base = prefix_weight(r)
         for w in range(max(0, min_weight - base), max_weight - base + 1):
-            for tail in iter_gap_exact(w, 1, low):
-                found.append(MinimalProfile.from_positions(r, tail).to_rafted())
+            for tail in iter_gap_exact(w, 1, r[-1] + 3):
+                found.append(_checked_state(head + tail, r))
     found.sort(key=lambda rp: (rp.weight, rp.partition.parts, rp.rafts))
     yield from found
 
@@ -438,6 +449,5 @@ def enumerate_rafted(k: int, max_weight: int,
         for parts in iter_gap_exact(w, 1):
             elig = _eligible_rafts(parts)
             if len(elig) >= k:
-                p = Partition(parts)
                 for combo in itertools.combinations(elig, k):
-                    yield RaftedPartition(p, combo)
+                    yield _checked_state(parts, combo)

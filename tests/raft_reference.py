@@ -5,13 +5,34 @@ sorted part tuple.  This module keeps the set-based forms it replaced: it
 looks every membership up in ``set(parts)``, maps each part to its run
 through ``runs_of``, and re-sorts the parts after each move.  It shares no
 index arithmetic with the library, so the tests judge the splices and the
-bisect validation against it.
+bisect validation against it.  ``reference_render`` is a frozen copy of the
+renderer over a raft set, so a change to ``render_rafted_text`` is judged
+against the text it gave before.
 """
 
 from dataclasses import dataclass
 
-from qrafts.partitions import Partition, render_rafted_text, runs_of
+from qrafts.partitions import Partition, runs_of
 from qrafts.rafts import MoveError, RaftError
+
+
+def reference_render(parts: tuple[int, ...], rafts) -> str:
+    """``render_rafted_text`` as one loop: a part in the raft set fuses with
+    the next part when that part is one more, and the pair is skipped."""
+    if not parts:
+        return "()"
+    raft_set = set(rafts)
+    items = []
+    i = 0
+    while i < len(parts):
+        p = parts[i]
+        if p in raft_set and i + 1 < len(parts) and parts[i + 1] == p + 1:
+            items.append(f"[{p},{p + 1}]")
+            i += 2
+        else:
+            items.append(str(p))
+            i += 1
+    return ",".join(items)
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,7 +69,7 @@ class ReferenceRafted:
                                 f"raft [{k},{k + 1}] has {k + 2} present in {self.partition}")
 
     def __str__(self) -> str:
-        return render_rafted_text(self.partition.parts, self.rafts)
+        return reference_render(self.partition.parts, self.rafts)
 
     def _require_raft(self, k: int) -> None:
         if k not in self.rafts:

@@ -15,12 +15,55 @@ from qrafts.partitions import (
     runs_of,
 )
 
-from brute import enumerate_designations
+from brute import all_distinct, enumerate_designations
+from raft_reference import reference_render
 
 parts_strategy = st.builds(
     lambda s: tuple(sorted(s)),
     st.sets(st.integers(1, 18), max_size=8),
 )
+
+
+def _at(offset: int, text: str, what: str = "a part or a raft [k,k+1]") -> str:
+    return f"expected {what} at offset {offset} of {text!r}"
+
+
+# every rejected text and its exact message: the first syntax error by offset,
+# unless a raft item before it is not a consecutive pair; then positivity, then
+# repeats
+PARSE_ERRORS = {
+    "": "empty input; the empty partition is written '()'",
+    "x": _at(0, "x"),
+    "1,,2": _at(2, "1,,2"),
+    "1,[2],3": _at(2, "1,[2],3"),
+    "[2,4]": "a raft must be a consecutive pair, got [2,4]",
+    "1,[2,3": _at(2, "1,[2,3"),
+    "2,3]": _at(3, "2,3]", "','"),
+    "[1,2,3]": _at(0, "[1,2,3]"),
+    "()(": _at(0, "()("),
+    "0,1": "parts must be positive, got 0",
+    "-1,2": _at(0, "-1,2"),
+    "1,[a,b]": _at(2, "1,[a,b]"),
+    "1 2": _at(2, "1 2", "','"),
+    "1[2,3]": _at(1, "1[2,3]", "','"),
+    "[1,2][4,5]": _at(5, "[1,2][4,5]", "','"),
+    "1,2,": _at(4, "1,2,"),
+    "[1,2],": _at(6, "[1,2],"),
+    ",1": _at(0, ",1"),
+    "1,()": _at(2, "1,()"),
+    "[ 2,3 ] x": _at(8, "[ 2,3 ] x", "','"),
+    "1,1": "repeated part in '1,1'",
+    "   ": "empty input; the empty partition is written '()'",
+    "12 3": _at(3, "12 3", "','"),
+    "[1,2 ]]": _at(6, "[1,2 ]]", "','"),
+    "1,[2,3],5 ,": _at(11, "1,[2,3],5 ,"),
+    "[2,3],[2,3]": "repeated part in '[2,3],[2,3]'",
+    "[2,4],x": "a raft must be a consecutive pair, got [2,4]",
+    "x,[2,4]": _at(0, "x,[2,4]"),
+    "[2,4],0": "a raft must be a consecutive pair, got [2,4]",
+    "0,[2,4]": "a raft must be a consecutive pair, got [2,4]",
+    "1,1,[2,4]": "a raft must be a consecutive pair, got [2,4]",
+}
 
 
 class TestPartition:
@@ -155,20 +198,39 @@ class TestTextFormat:
         assert render_rafted_text((1, 2, 3, 5), (2,)) == "1,[2,3],5"
         assert render_rafted_text((2, 3, 4), (3,)) == "2,[3,4]"
 
+    def test_render_matches_reference(self):
+        compared = 0
+        for p in all_distinct(24):
+            parts = p.parts
+            top = max(parts, default=0)
+            lists = list(enumerate_designations(p))
+            # non-pairs and absent values are ignored, any consecutive pair
+            # fuses, and of two overlapping pairs the lower one does
+            lists += [(k,) for k in range(top + 2)]
+            lists += [(k, k + 1) for k in parts]
+            lists += [d[::-1] + d for d in lists if len(d) > 1]
+            for rafts in lists:
+                assert render_rafted_text(parts, rafts) == reference_render(parts, rafts), \
+                    (parts, rafts)
+                compared += 1
+        assert compared > 16000
+
     def test_parse_examples(self):
         assert parse_rafted_text("()") == ((), ())
+        assert parse_rafted_text(" () ") == ((), ())
         assert parse_rafted_text("1,[2,3],5") == ((1, 2, 3, 5), (2,))
         assert parse_rafted_text(" 1, [2,3] ,5 ") == ((1, 2, 3, 5), (2,))
+        assert parse_rafted_text(" 1 , [ 2 , 3 ] , 5 ") == ((1, 2, 3, 5), (2,))
+        assert parse_rafted_text("1,\n[2,3]") == ((1, 2, 3), (2,))
+        assert parse_rafted_text("1,[03,4]") == ((1, 3, 4), (3,))
+        # parts come back sorted; the order rule is Partition's, not the parser's
+        assert parse_rafted_text("3,1") == ((1, 3), ())
 
-    @pytest.mark.parametrize("bad", [
-        "", "x", "1,,2", "1,[2],3", "[2,4]", "1,[2,3", "2,3]",
-        "[1,2,3]", "()(", "0,1", "-1,2", "1,[a,b]",
-        "1 2", "1[2,3]", "[1,2][4,5]", "1,2,", "[1,2],", ",1", "1,()",
-    ])
+    @pytest.mark.parametrize("bad", list(PARSE_ERRORS))
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError) as e:
             parse_rafted_text(bad)
-        assert "invalid literal" not in str(e.value)  # a message of our own, not int()'s
+        assert str(e.value) == PARSE_ERRORS[bad]
 
     @given(parts_strategy, st.data())
     def test_roundtrip(self, parts, data):

@@ -1,5 +1,6 @@
 """Moves, minimality, the (beta, eta) bijection, and constructive enumeration."""
 
+import collections
 import itertools
 import random
 import re
@@ -70,8 +71,10 @@ class TestValidation:
         assert RaftedPartition.parse(str(rp)) == rp
 
     def test_parse_semantic_failure(self):
-        with pytest.raises(RaftError):
+        with pytest.raises(RaftError) as e:
             RaftedPartition.parse("1,[2,3],[4,5]")
+        assert e.value.reason == "colliding-rafts"
+        assert str(e.value) == "colliding-rafts: rafts [2,3] and [4,5] share a run in 1,2,3,4,5"
 
 
 class TestMoves:
@@ -215,6 +218,74 @@ class TestAgainstReference:
                                     == _built(lambda: RaftedPartition(Partition(q), given))), \
                                 (q, given)
         assert reasons == {"ok", "raft-pair-broken", "colliding-rafts", "raft-not-terminal"}
+
+
+def _route_inputs():
+    """Every state to weight 20, its text, and the minimal ones' (beta, eta)."""
+    states = list(all_rafted(20))
+    minimal = [rp for rp in states if rp.is_minimal()]
+    return states, minimal, [decompose(rp) for rp in states]
+
+
+# each route builds a list of states from the inputs above
+_ROUTES = {
+    "parse": lambda states, minimal, pairs:
+        [RaftedPartition.parse(str(rp)) for rp in states],
+    "to_rafted": lambda states, minimal, pairs:
+        [MinimalProfile.from_positions(rp.rafts, minimal_profile(rp).tail).to_rafted()
+         for rp in minimal],
+    "enumerate_minimal": lambda states, minimal, pairs:
+        [rp for k in (1, 2, 3) for rp in enumerate_minimal(k, 20)],
+    "enumerate_rafted": lambda states, minimal, pairs:
+        [rp for k in (0, 1, 2, 3) for rp in enumerate_rafted(k, 20)],
+    "forward": lambda states, minimal, pairs:
+        [rp.forward(k) for rp in states for k in rp.rafts if rp.can_forward(k)],
+    "backward": lambda states, minimal, pairs:
+        [rp.backward(k) for rp in states for k in rp.rafts if rp.can_backward(k)],
+    "decompose_with_trace": lambda states, minimal, pairs:
+        [after for rp in states for _, _, after in decompose_with_trace(rp)[2]],
+    "compose_with_trace": lambda states, minimal, pairs:
+        [after for beta, eta in pairs for _, _, after in compose_with_trace(beta, eta)[1]],
+}
+
+
+class TestConstructionRoutes:
+    """Every route that builds a state runs the part rule and the raft rules on it."""
+
+    @pytest.mark.parametrize("route", list(_ROUTES))
+    def test_route_runs_both_rules_on_every_state(self, route, monkeypatch):
+        import qrafts.partitions
+        import qrafts.rafts
+
+        inputs = _route_inputs()
+        checked_parts, checked_rafts = [], []
+        check_parts, valid_rafts = qrafts.rafts._check_parts, qrafts.rafts._valid_rafts
+
+        def spy_parts(parts):
+            checked_parts.append(parts)
+            return check_parts(parts)
+
+        def spy_rafts(partition, rafts):
+            out = valid_rafts(partition, rafts)
+            checked_rafts.append((partition.parts, out))
+            return out
+
+        # the public constructor's part rule lives in partitions' namespace
+        monkeypatch.setattr(qrafts.partitions, "_check_parts", spy_parts)
+        monkeypatch.setattr(qrafts.rafts, "_check_parts", spy_parts)
+        monkeypatch.setattr(qrafts.rafts, "_valid_rafts", spy_rafts)
+        built = _ROUTES[route](*inputs)
+        monkeypatch.undo()
+
+        assert len(built) > 20, route
+        keys = [(rp.partition.parts, rp.rafts) for rp in built]
+        # each state's parts and rafts went through both rules, once per state at least
+        assert collections.Counter(checked_parts) >= collections.Counter(p for p, _ in keys)
+        assert collections.Counter(checked_rafts) >= collections.Counter(keys)
+        for rp, (parts, rafts) in zip(built, keys):
+            assert type(rp) is RaftedPartition and type(rp.partition) is Partition
+            rebuilt = RaftedPartition(Partition(parts), rafts)
+            assert rp == rebuilt and hash(rp) == hash(rebuilt), str(rp)
 
 
 class TestMinimality:
