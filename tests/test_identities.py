@@ -1,5 +1,6 @@
 """Formula builders vs enumeration oracles, report machinery, the registry."""
 
+import random
 import time
 from collections import Counter
 from functools import partial
@@ -26,6 +27,7 @@ from qrafts.series import QSeries, XQSeries
 
 import product_forms as ref
 from brute import all_distinct, enumerate_designations, is_minimal_structural
+from staircase_reference import list_rows_pass
 from walk_reference import reference_walk
 
 
@@ -475,7 +477,9 @@ class TestCoefficientCuts:
     """
 
     def test_staircase_retires_rows_at_x_trunc(self, monkeypatch):
-        """No row of the (k, m) table is divided and filed once n + j > x_trunc."""
+        """At d >= 1 no row of the (k, m) table is divided and filed once
+        n + j > x_trunc.  (At d = 0 the rows are divided packed together, and
+        ``test_packed_pass_reads_no_slot_past_x_trunc`` holds the cut.)"""
         overshoot = []
         add_term = idn._add_term
 
@@ -484,11 +488,22 @@ class TestCoefficientCuts:
             add_term(acc, size, xd, e, sign, term)
 
         monkeypatch.setattr(idn, "_add_term", spy)
-        for d in (0, 1, 3):
+        for d in (1, 3):
             for nx in (5, 20, 60):
                 overshoot.clear()
                 idn.staircase_gf(d, nx, 60)
                 assert overshoot and max(overshoot) <= 0, (d, nx)
+
+    def test_packed_pass_reads_no_slot_past_x_trunc(self, monkeypatch):
+        """At d = 0 the packed pass reads back slots 0..min(t, x_trunc) of the
+        int for q^t and no slot past them: slot x_trunc + 1 would be
+        x^(x_trunc+1), which no build may file."""
+        reads = _spy_reads(monkeypatch)
+        for nx in (0, 5, 20, 60, 80):
+            reads.clear()
+            idn.staircase_gf(0, nx, 60)
+            # one 64-bit word per slot at order 60
+            assert reads == [min(t, nx) + 1 for t in range(61)], nx
 
 
     @pytest.mark.parametrize("build", [
@@ -610,7 +625,7 @@ class TestCoefficientCuts:
         (lambda: idn.master_rhs(85, 85), 1023),
         (lambda: idn.bmn_gf(2, 85, 85), 3850),
         (lambda: idn.bmn_gf(3, 85, 85), 2897),
-        (lambda: idn.staircase_gf(0, 85, 85), 61721),
+        (lambda: idn.staircase_gf(0, 85, 85), 18126),  # pass (a) and the packed pass's bound
         (lambda: idn.staircase_gf(2, 85, 85), 6083),
     ], ids=["slater19_sum", "minimal_gf-2", "qgauss_lhs", "qgauss_lhs-2-2-5", "qgauss_rhs",
             "gauss_step_lhs", "gauss_step_rhs", "master_rhs", "bmn_gf-2", "bmn_gf-3",
@@ -639,6 +654,72 @@ class TestCoefficientCuts:
             monkeypatch.setattr(module, "_add_shifted", count_add)
         build()
         assert done[0] == work
+
+
+def _spy_reads(monkeypatch) -> list[int]:
+    """The words of each int that the packed pass reads back, in q order:
+    it reads each q-degree's int through one array("q") made from bytes,
+    and makes no other array of that type from bytes."""
+    reads = []
+    make = idn.array
+
+    def spy(code, *init):
+        made = make(code, *init)
+        if code == "q" and init and isinstance(init[0], bytes):
+            reads.append(len(made))
+        return made
+
+    monkeypatch.setattr(idn, "array", spy)
+    return reads
+
+
+class TestPackedRowsPass:
+    """Pass (b) of the d = 0 staircase sum, every row packed across x-degree,
+    against the list pass it replaced (tests/staircase_reference.py), at
+    slots of one, two and three 64-bit words: the words per slot are those
+    of the first int read back, q^0's, which holds one slot."""
+
+    @pytest.mark.parametrize("N, nx, words", [
+        (64, 64, 1), (64, 21, 1), (64, 1, 1), (85, 85, 1), (85, 28, 1), (85, 1, 1),
+        (200, 200, 2), (200, 66, 2), (200, 1, 1),
+    ])
+    def test_staircase_rows(self, monkeypatch, N, nx, words):
+        """Each build's own (k, m) table; order 200 needs two words per slot
+        (its bound takes 74 bits, against 45 at order 85)."""
+        tables = []
+        packed_pass = idn._packed_rows_pass
+
+        def spy(rows, x_trunc, q_trunc):
+            tables.append({j: row[:] for j, row in rows.items()})
+            return packed_pass(rows, x_trunc, q_trunc)
+
+        monkeypatch.setattr(idn, "_packed_rows_pass", spy)
+        reads = _spy_reads(monkeypatch)
+        got = idn.staircase_gf(0, nx, N)
+        assert got == list_rows_pass(tables[0], nx, N)
+        assert reads[0] == words
+
+    @pytest.mark.parametrize("low, high, words", [
+        (-(1 << 150), 1 << 150, 3),  # three words per row coefficient
+        (-(1 << 70), 1 << 70, 2),  # two
+        (-(1 << 40), -1, 1),
+        (-(1 << 100), -(1 << 90), 2),
+    ], ids=["150-bit", "70-bit", "negative-40-bit", "negative-100-bit"])
+    def test_synthetic_rows(self, monkeypatch, low, high, words):
+        """Seeded random rows, row j absent where j = 1 mod 3, with
+        coefficients of up to 150 bits or all negative; the slot widths are
+        those at (40, 40)."""
+        rnd = random.Random(low)
+        reads = _spy_reads(monkeypatch)
+        for N, nx in ((40, 40), (40, 13), (40, 1), (7, 7), (7, 20), (0, 0)):
+            rows = {j: [rnd.randint(low, high) for _ in range(N + 1 - j)]
+                    for j in range(min(nx, N) + 1) if j % 3 != 1}
+            want = list_rows_pass(rows, nx, N)
+            reads.clear()
+            assert idn._packed_rows_pass({j: row[:] for j, row in rows.items()}, nx, N) == want, \
+                (N, nx)
+            if (N, nx) == (40, 40):
+                assert reads[0] == words
 
 
 ORDERS = range(41)
