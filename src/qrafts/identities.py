@@ -3,18 +3,19 @@
 Every check compares two independently built series to a truncation order and
 reports the first differing coefficient, if any.  Formula sides are truncated
 infinite q-sums and quotients of infinite products, and both are built by
-in-place factor steps from ``series``, each O(len) on the list it steps: no
-formula side multiplies or inverts a whole series.  One pass steps packed
-ints in place of lists: at d = 0 the staircase sum divides all its rows by
-(q;q)_n at once, packed across x-degree into one int per q-degree
-(``_packed_rows_pass``), where each factor step is the same recurrence of
-adds on whole packed ints.  ``series._product``
-builds a product side as a coefficient list, one factor step per factor that
-numerator and denominator do not share.  Every sum is hypergeometric: its
-summand i+1 is summand i times a ratio of factors (1 - s*q^a).  One
-generator, ``_terms``, runs every sum: it keeps the running term as a
-coefficient list, started by the caller (with ``_product`` where it carries
-an infinite product), steps it by factor i of each Pochhammer family of the
+factor steps from ``series``, each O(len) on what it steps: no formula side
+multiplies or inverts a whole series.  ``series._product`` builds a quotient
+of Pochhammer products on one packed int, q = 2^w, one shift and add (or
+log-many, to divide) per factor that numerator and denominator do not
+share, and reads it back as a coefficient list.  At d = 0 the staircase sum
+divides all its rows by (q;q)_n at once, packed across x-degree into one
+int per q-degree (``_packed_rows_pass``), where each factor step is the same
+recurrence of adds on whole packed ints, and reads them back through the
+same ``series._signed_slots``.  Every sum is hypergeometric: its summand
+i+1 is summand i times a ratio of factors (1 - s*q^a).  One generator,
+``_terms``, runs every sum: it keeps the running term as a coefficient
+list, started by the caller (with ``_product`` where it carries an infinite
+product), steps it in place by factor i of each Pochhammer family of the
 ratio, and yields it with its q-shift e(i); ``_add_term`` or
 ``_add_shifted`` files it.  Both share one cancellation rule: what a
 quotient has on both sides is dropped from both before any step, a factor
@@ -61,23 +62,26 @@ as it is and, at x = 1, the count of partitions with gaps >= 2 by weight.
 
 from __future__ import annotations
 
-import sys
 import time
 from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import count, repeat, zip_longest
 from math import isqrt
-from operator import add, lshift, rshift
+from operator import rshift
 from typing import Callable, Iterator, Sequence
 
 from .series import (
+    _BIG_ENDIAN,
+    _WORD,
     PochhammerSpec,
     QSeries,
     XQSeries,
     _add_shifted,
     _from_buffers,
     _product,
+    _signed_slots,
+    _slot_bits,
     div_factor,
     mul_factor,
 )
@@ -94,9 +98,6 @@ __all__ = [
 ]
 
 PROFILES = {"quick": 30, "standard": 60, "deep": 100}
-
-_WORD = (1 << 64) - 1
-_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _b2(a: int) -> int:
@@ -431,15 +432,13 @@ def _packed_rows_pass(rows: dict[int, list[int]], x_trunc: int, q_trunc: int) ->
     Exactness.  Packing, the recurrence, the shifts and the adds are exact
     integer arithmetic on sum_D s_D 2^(w D), whatever size the slots s_D
     reach, so acc[t] = sum_D s_D(t) 2^(w D) with s_D(t) the coefficient of
-    x^D q^t.  Reading slots D < L back takes acc[t] modulo 2^(w L), which
-    drops every higher slot, and needs only |s_D(t)| < 2^(w-1) for D < L:
-    adding 2^(w-1) to each of those slots then carries out of none, and
-    flipping that bit again leaves each slot's w-bit two's complement.  The
-    bound: [q^i] rows[j] / (q;q)_n = sum_s rows[j][i-s] p_n(s), with p_n(s)
-    the partitions of s into parts <= n, so its size is at most
-    M sum_{s<=N} p_n(s), where M = max |rows[j][i]|, and p_n <= p_{n_max}
-    coefficientwise for the last step n_max; slot D of acc[t] sums one such
-    coefficient per step.  So every slot is at most
+    x^D q^t.  ``series._signed_slots`` reads slots D < L back from acc[t]
+    modulo 2^(w L), which drops every higher slot, and needs only
+    |s_D(t)| < 2^(w-1) for D < L.  The bound: [q^i] rows[j] / (q;q)_n =
+    sum_s rows[j][i-s] p_n(s), with p_n(s) the partitions of s into parts
+    <= n, so its size is at most M sum_{s<=N} p_n(s), where
+    M = max |rows[j][i]|, and p_n <= p_{n_max} coefficientwise for the last
+    step n_max; slot D of acc[t] sums one such coefficient per step.  So every slot is at most
     (n_max + 1) M sum_{s<=N} p_{n_max}(s) in size, computed exactly from
     n_max ``div_factor`` steps on a unit list, and w = 64 r bits for the least
     r that leaves a bit above it.  Summand n of row j starts at
@@ -452,7 +451,7 @@ def _packed_rows_pass(rows: dict[int, list[int]], x_trunc: int, q_trunc: int) ->
     past i start past q^i.  So each row is emptied as it is packed, and the
     table and V are never held in full together.  The words go through
     ``array`` in the host's byte order, swapped to little-endian on a
-    big-endian host, so packing and reading back are C loops.  A row
+    big-endian host, so packing is a C loop, as reading back is.  A row
     coefficient is packed as its two's complement in the low rp words of
     its slot, the least rp that holds M, with bit 64 rp - 1 flipped to
     offset it by 2^(64 rp - 1); one subtraction of those offsets leaves
@@ -469,10 +468,7 @@ def _packed_rows_pass(rows: dict[int, list[int]], x_trunc: int, q_trunc: int) ->
     rp = big.bit_length() // 64 + 1
     w = 64 * r
 
-    def offsets(bit: int, slots: int) -> int:  # 2^bit in each of the first ``slots`` slots
-        return int.from_bytes((1 << bit).to_bytes(8 * r, "little") * slots, "little")
-
-    flip = offsets(64 * rp - 1, top + 1)
+    flip = _slot_bits(64 * rp - 1, r, top + 1)
     table = [rows.pop(j) if j in rows else [0] * (N + 1 - j) for j in range(top + 1)]
     packed = [0] * (N + 1)  # V, by q-degree
     for i in range(N, -1, -1):
@@ -497,19 +493,10 @@ def _packed_rows_pass(rows: dict[int, list[int]], x_trunc: int, q_trunc: int) ->
         for t, v in enumerate(packed, e):
             acc[t] += v << shift
 
-    bias = offsets(w - 1, min(x_trunc, N) + 1)
     out = []  # the slots of acc[t], by x-degree
     for t in range(N + 1):
-        slots = min(t, x_trunc) + 1
-        words = array("q", (((acc[t] + bias) ^ bias) & ((1 << (w * slots)) - 1))
-                      .to_bytes(8 * r * slots, "little"))
+        out.append(_signed_slots(acc[t], r, min(t, x_trunc) + 1))
         acc[t] = 0
-        if _BIG_ENDIAN:
-            words.byteswap()
-        vals = words[r - 1::r]  # each slot's top word, signed
-        for s in range(r - 2, -1, -1):
-            vals = map(add, map(lshift, vals, repeat(64)), map(_WORD.__and__, words[s::r]))
-        out.append(list(vals))
     return XQSeries(x_trunc, N, {D: QSeries(N, col) for D, col
                                  in enumerate(zip_longest(*out, fillvalue=0)) if any(col)})
 

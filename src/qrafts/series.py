@@ -9,23 +9,32 @@ degrees are the zero series, and every stored slice shares one q-truncation.
 The containers are read-only values: they validate on construction, read
 coefficients, slice and substitute, but compute nothing from one another.
 
-Products and quotients are built by in-place factor steps on raw coefficient
-lists: ``mul_factor``/``div_factor`` multiply or divide by (1 - s*q^a)
-modulo q^len(c).  Multiplying is one descending pass and dividing one
-ascending pass, so a step costs O(len(c)), and a list cut to its first L
-coefficients stays exact on them.  One cancellation rule: what a quotient
-has on both sides is dropped from both before any step, since each factor
-is a unit modulo the truncation and the steps commute.  ``_product`` counts
-the factors of each side up to the truncation order (every later factor is
-1 modulo it), cancels the factors the numerator and denominator share, and
-steps only the rest; ``identities._terms`` cancels the Pochhammer families
-that its ratio names on both sides.  A bivariate builder keeps one
-coefficient list per x-degree and files them with ``_from_buffers``.
+Running terms are stepped in place on raw coefficient lists:
+``mul_factor``/``div_factor`` multiply or divide by (1 - s*q^a) modulo
+q^len(c).  Multiplying is one descending pass and dividing one ascending
+pass, so a step costs O(len(c)), and a list cut to its first L coefficients
+stays exact on them.  ``_product`` builds a quotient of Pochhammer products
+on one packed int instead (Kronecker substitution q = 2^w): a multiply is
+one shift and add, a divide log-many, and ``_signed_slots`` reads the
+signed w-bit slots back, for ``identities``' packed staircase pass too.
+One cancellation rule: what a quotient has on both sides is dropped from
+both before any step, since each factor is a unit modulo the truncation and
+the steps commute.  ``_product`` counts the factors of each side up to the
+truncation order (every later factor is 1 modulo it), cancels the factors
+the numerator and denominator share, and steps only the rest;
+``identities._terms`` cancels the Pochhammer families that its ratio names
+on both sides.  A bivariate builder keeps one coefficient list per x-degree
+and files them with ``_from_buffers``.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
+from math import isqrt
+from operator import add, lshift
 from typing import Mapping, Sequence
 
 __all__ = [
@@ -37,6 +46,10 @@ __all__ = [
     "TruncationMismatchError",
     "NonUnitConstantError",
 ]
+
+
+_WORD = (1 << 64) - 1
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class TruncationMismatchError(ValueError):
@@ -153,20 +166,104 @@ def _product(trunc: int, num: Sequence[PochhammerSpec] = (),
     factors stop at the first one past trunc: every later factor is 1 modulo
     q^(trunc+1).  power[sign][a] tallies the net multiplicity of the factor
     (1 - sign*q^a), one strided slice per family, so a factor on both sides
-    cancels, and one step is applied per factor left over.
+    cancels, and ``_packed_factor`` applies each factor left over.
+
+    The steps run on one int x, the series at q = 2^w (Kronecker
+    substitution), kept modulo 2^(w L) for L = trunc + 1 slots of w = 64 r
+    bits, r = ``_slot_words(F, trunc)`` for the F families of num and den.
+    Exactness.  q -> 2^w is a ring homomorphism from Z[q]/(q^L) onto
+    Z/2^(w L), and every step is a ring operation there: a multiply by
+    1 - s q^a, or a divide by it as a multiply by its inverse modulo q^L.
+    So x is congruent to sum_n c_n 2^(w n) modulo 2^(w L), with c_n the
+    exact result, whatever size the intermediate values reach, and only the
+    result must fit its slots: ``_signed_slots`` reads each c_n back when
+    |c_n| < 2^(w-1).  The bound.  Coefficientwise |1 - s q^a| <= 1/(1 - q^a)
+    and |1/(1 - s q^a)| = |sum_j s^j q^(a j)| <= 1/(1 - q^a), and absolute
+    values of a product are at most the product of the majorants.  A
+    family's exponents are distinct and >= 1, so the family or its inverse
+    is at most 1/(q;q)_inf, and |c_n| <= p_F(n), the coefficient of (q;q)_inf^-F, F-coloured partitions
+    of n.  Apostol's argument for p(n) (Introduction to Analytic Number
+    Theory, ch. 14) runs unchanged on P(x)^F: log p_F(n) < F pi^2 / (6 t)
+    + n t for x = e^-t, and t = pi sqrt(F / (6 n)) gives
+    p_F(n) < exp(pi sqrt(2 F n / 3)), which grows with n.  That is
+    pi sqrt(2/3) / ln 2 < 3.71 < 15/4 bits per unit of sqrt(F n) < isqrt(F n)
+    + 1, so ``_slot_words`` takes ceil(15 (isqrt(F trunc) + 1) / 4) bits and
+    one sign bit.
     """
     power = {1: [0] * (trunc + 1), -1: [0] * (trunc + 1)}
     for families, side in ((num, 1), (den, -1)):
         for f in families:
             p = power[f.sign]
             p[f.base_exp::f.step_exp] = [m + side for m in p[f.base_exp::f.step_exp]]
-    c = [1] + [0] * trunc
+    r = _slot_words(len(num) + len(den), trunc)
+    w = 64 * r
+    mask = (1 << (w * (trunc + 1))) - 1
+    x = 1
     for sign, p in power.items():
         for a, m in enumerate(p):
-            apply = mul_factor if m > 0 else div_factor
-            for _ in range(abs(m)):
-                apply(c, sign, a)
-    return c
+            if m:
+                x = _packed_factor(x, sign, a, m, w, mask)
+    return _signed_slots(x, r, trunc + 1)
+
+
+def _slot_words(families: int, trunc: int) -> int:
+    """64-bit words per slot that hold every coefficient of a quotient of
+    ``families`` Pochhammer families to q^trunc, as ``_product`` proves."""
+    bits = -(-15 * (isqrt(families * trunc) + 1) // 4) + 1
+    return -(-bits // 64)
+
+
+def _packed_factor(x: int, sign: int, a: int, m: int, w: int, mask: int) -> int:
+    """x times (1 - sign*q^a)^m at q = 2^w, modulo mask + 1 = 2^(w L); a >= 1.
+
+    A multiply is x - sign*(x << w a).  A divide multiplies by
+    1/(1 - y) = (1 + y)(1 + y^2)(1 + y^4)... for y = sign*q^a: y^(2^k) =
+    q^(2^k a) for k >= 1, and the rounds stop once 2^k a >= L, where the
+    shift leaves nothing below q^L.
+    """
+    shift = w * a
+    if m > 0:
+        for _ in range(m):
+            x = (x - (x << shift) if sign == 1 else x + (x << shift)) & mask
+        return x
+    end = mask.bit_length()
+    for _ in range(-m):
+        x = (x + (x << shift) if sign == 1 else x - (x << shift)) & mask
+        s = shift << 1
+        while s < end:
+            x = (x + (x << s)) & mask
+            s <<= 1
+    return x
+
+
+# ---------------------------------------------------------------------------
+# signed slots
+
+
+def _slot_bits(bit: int, r: int, slots: int) -> int:
+    """2^bit in each of the first ``slots`` slots of 64 r bits."""
+    return int.from_bytes((1 << bit).to_bytes(8 * r, "little") * slots, "little")
+
+
+def _signed_slots(v: int, r: int, slots: int) -> list[int]:
+    """Slots 0..slots-1 of v, each 64 r bits and signed.
+
+    v is congruent to sum_D s_D 2^(w D) modulo 2^(w slots), w = 64 r, with
+    |s_D| < 2^(w-1).  Adding 2^(w-1) to each slot then carries out of none,
+    so taking the sum modulo 2^(w slots) and flipping that bit again leaves
+    each slot's w-bit two's complement.  The words go through ``array`` in
+    the host's byte order, swapped to little-endian on a big-endian host:
+    each slot's top word is read signed and the words below it unsigned.
+    """
+    bias = _slot_bits(64 * r - 1, r, slots)
+    words = array("q", (((v + bias) ^ bias) & ((1 << (64 * r * slots)) - 1))
+                  .to_bytes(8 * r * slots, "little"))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    vals = words[r - 1::r]
+    for t in range(r - 2, -1, -1):
+        vals = map(add, map(lshift, vals, repeat(64)), map(_WORD.__and__, words[t::r]))
+    return list(vals)
 
 
 # ---------------------------------------------------------------------------

@@ -503,7 +503,7 @@ class TestCoefficientCuts:
             reads.clear()
             idn.staircase_gf(0, nx, 60)
             # one 64-bit word per slot at order 60
-            assert reads == [min(t, nx) + 1 for t in range(61)], nx
+            assert reads == [(1, min(t, nx) + 1) for t in range(61)], nx
 
 
     @pytest.mark.parametrize("build", [
@@ -614,28 +614,32 @@ class TestCoefficientCuts:
             list(idn._terms(20, lambda i: i, idn._unit(20), num, den, stop=lambda i: i > 2))
             assert stepped == want, (num, den)
 
-    @pytest.mark.parametrize("build, work", [
-        (lambda: idn.slater19_sum(85), 4716),
-        (lambda: idn.minimal_gf(2, 85), 3513),
-        (lambda: idn.qgauss_lhs(1, 1, 3, 85), 7269),  # (q;q) on both sides cancels
-        (lambda: idn.qgauss_lhs(2, 2, 5, 85), 10715),  # no family on both sides
-        (lambda: idn.qgauss_rhs(1, 1, 3, 85), 169),
-        (lambda: idn.gauss_step_lhs(2, 85), 1623),
-        (lambda: idn.gauss_step_rhs(2, 85), 161),
-        (lambda: idn.master_rhs(85, 85), 1023),
-        (lambda: idn.bmn_gf(2, 85, 85), 3850),
-        (lambda: idn.bmn_gf(3, 85, 85), 2897),
-        (lambda: idn.staircase_gf(0, 85, 85), 18126),  # pass (a) and the packed pass's bound
-        (lambda: idn.staircase_gf(2, 85, 85), 6083),
+    @pytest.mark.parametrize("build, work, steps", [
+        (lambda: idn.slater19_sum(85), 1061, 85),
+        (lambda: idn.minimal_gf(2, 85), 1235, 67),
+        (lambda: idn.qgauss_lhs(1, 1, 3, 85), 7269, 0),  # (q;q) on both sides cancels
+        (lambda: idn.qgauss_lhs(2, 2, 5, 85), 10715, 0),  # no family on both sides
+        (lambda: idn.qgauss_rhs(1, 1, 3, 85), 0, 2),  # 336 with no factor cancelled
+        (lambda: idn.gauss_step_lhs(2, 85), 1623, 0),
+        (lambda: idn.gauss_step_rhs(2, 85), 0, 2),  # 160 with no factor cancelled
+        (lambda: idn.master_rhs(85, 85), 1023, 0),
+        (lambda: idn.bmn_gf(2, 85, 85), 3850, 0),
+        (lambda: idn.bmn_gf(3, 85, 85), 2897, 0),
+        (lambda: idn.staircase_gf(0, 85, 85), 18126, 0),  # pass (a) and the packed pass's bound
+        (lambda: idn.staircase_gf(2, 85, 85), 6083, 0),
     ], ids=["slater19_sum", "minimal_gf-2", "qgauss_lhs", "qgauss_lhs-2-2-5", "qgauss_rhs",
             "gauss_step_lhs", "gauss_step_rhs", "master_rhs", "bmn_gf-2", "bmn_gf-3",
             "staircase_gf-0", "staircase_gf-2"])
-    def test_work_counts(self, monkeypatch, build, work):
+    def test_work_counts(self, monkeypatch, build, work, steps):
         """Coefficients touched at order 85: len(c) - a per factor step, plus
         every element ``_add_shifted`` adds.  A cut taken out, even one whose
-        term is cut again before it is filed, raises the count."""
-        done = [0]
-        add_shifted = ser._add_shifted
+        term is cut again before it is filed, raises the count.  A product
+        built by ``series._product`` steps one packed int in place of a list:
+        ``steps`` counts its factors, each multiply or divide by one
+        (1 - s*q^a), so a factor that numerator and denominator share and
+        that is stepped on both sides raises it."""
+        done, packed = [0], [0]
+        add_shifted, packed_factor = ser._add_shifted, ser._packed_factor
 
         def counted(step):
             def count_step(c, sign, a):
@@ -647,45 +651,48 @@ class TestCoefficientCuts:
             done[0] += max(min(len(src), len(dst) - a), 0)
             add_shifted(dst, src, coeff, a)
 
+        def count_factor(x, sign, a, m, w, mask):
+            packed[0] += abs(m)
+            return packed_factor(x, sign, a, m, w, mask)
+
         count_mul, count_div = counted(ser.mul_factor), counted(ser.div_factor)
         for module in (ser, idn):
             monkeypatch.setattr(module, "mul_factor", count_mul)
             monkeypatch.setattr(module, "div_factor", count_div)
             monkeypatch.setattr(module, "_add_shifted", count_add)
+        monkeypatch.setattr(ser, "_packed_factor", count_factor)
         build()
-        assert done[0] == work
+        assert (done[0], packed[0]) == (work, steps)
 
 
-def _spy_reads(monkeypatch) -> list[int]:
-    """The words of each int that the packed pass reads back, in q order:
-    it reads each q-degree's int through one array("q") made from bytes,
-    and makes no other array of that type from bytes."""
+def _spy_reads(monkeypatch) -> list[tuple[int, int]]:
+    """(words per slot, slots) of each int that the packed pass reads back,
+    in q order: it reads each q-degree's int through ``_signed_slots``."""
     reads = []
-    make = idn.array
+    signed_slots = idn._signed_slots
 
-    def spy(code, *init):
-        made = make(code, *init)
-        if code == "q" and init and isinstance(init[0], bytes):
-            reads.append(len(made))
-        return made
+    def spy(v, r, slots):
+        reads.append((r, slots))
+        return signed_slots(v, r, slots)
 
-    monkeypatch.setattr(idn, "array", spy)
+    monkeypatch.setattr(idn, "_signed_slots", spy)
     return reads
 
 
 class TestPackedRowsPass:
     """Pass (b) of the d = 0 staircase sum, every row packed across x-degree,
     against the list pass it replaced (tests/staircase_reference.py), at
-    slots of one, two and three 64-bit words: the words per slot are those
-    of the first int read back, q^0's, which holds one slot."""
+    slots of one, two and three 64-bit words: ``series._signed_slots`` reads
+    the int for q^t back at min(t, x_trunc) + 1 slots of that many words."""
 
     @pytest.mark.parametrize("N, nx, words", [
         (64, 64, 1), (64, 21, 1), (64, 1, 1), (85, 85, 1), (85, 28, 1), (85, 1, 1),
-        (200, 200, 2), (200, 66, 2), (200, 1, 1),
+        (200, 200, 2), (200, 66, 2), (200, 1, 1), (800, 40, 3),
     ])
     def test_staircase_rows(self, monkeypatch, N, nx, words):
         """Each build's own (k, m) table; order 200 needs two words per slot
-        (its bound takes 74 bits, against 45 at order 85)."""
+        (its bound takes 74 bits, against 45 at order 85), and order 800
+        three, already at x-order 40."""
         tables = []
         packed_pass = idn._packed_rows_pass
 
@@ -697,7 +704,7 @@ class TestPackedRowsPass:
         reads = _spy_reads(monkeypatch)
         got = idn.staircase_gf(0, nx, N)
         assert got == list_rows_pass(tables[0], nx, N)
-        assert reads[0] == words
+        assert reads == [(words, min(t, nx) + 1) for t in range(N + 1)]
 
     @pytest.mark.parametrize("low, high, words", [
         (-(1 << 150), 1 << 150, 3),  # three words per row coefficient
@@ -719,7 +726,7 @@ class TestPackedRowsPass:
             assert idn._packed_rows_pass({j: row[:] for j, row in rows.items()}, nx, N) == want, \
                 (N, nx)
             if (N, nx) == (40, 40):
-                assert reads[0] == words
+                assert reads == [(words, t + 1) for t in range(41)]
 
 
 ORDERS = range(41)

@@ -3,6 +3,7 @@ list reference and Gaussian binomials."""
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -17,6 +18,7 @@ from qrafts.series import (
     XQSeries,
     _from_buffers,
     _product,
+    _slot_words,
     div_factor,
     mul_factor,
 )
@@ -26,6 +28,7 @@ from product_forms import (
     _geometric,
     _inv_poch,
     _mul,
+    _poch,
     _xadd,
     _xq_poch,
     gaussian_binomial,
@@ -147,6 +150,64 @@ class TestProductCancellation:
         assert got == _stepped(25, [q_q], [mq_q]) and got[1] == -2
         # one factor of (q;q)_inf^2 left over
         assert _product(25, [q_q, q_q], [q_q]) == _product(25, [q_q])
+
+
+def _multiplied_out(trunc, num, den):
+    """prod(num) / prod(den), every family multiplied out by product_forms."""
+    c = [1] + [0] * trunc
+    for families, inverse in ((num, False), (den, True)):
+        for f in families:
+            c = _mul(list(_poch(f.sign, f.base_exp, f.step_exp, None, trunc, inverse)), c)
+    return c
+
+
+class TestPackedProduct:
+    """``_product`` steps one int that packs every coefficient in a signed
+    slot of ``_slot_words`` 64-bit words.  It equals the products multiplied
+    out in tests/product_forms.py, and its slots hold the widest quotient of
+    F families, 1/(q;q)_inf^F."""
+
+    @pytest.mark.parametrize("F", range(1, 7))
+    def test_seeded_families(self, F):
+        """Seeded lists of F families (mixed signs, base 1-4, step 1-3), at
+        every split into num and den, at orders 0, 1, 2, 7, 40 and 200."""
+        rnd = random.Random(F)
+        for _ in range(3):
+            families = [rnd.choice(SPECS) for _ in range(F)]
+            for k in range(F + 1):
+                num, den = families[:k], families[k:]
+                want = _multiplied_out(200, num, den)
+                for trunc in (0, 1, 2, 7, 40, 200):
+                    assert _product(trunc, num, den) == want[:trunc + 1], (num, den, trunc)
+
+    @pytest.mark.parametrize("F", range(1, 7))
+    def test_seeded_families_at_order_800(self, F):
+        """One seeded list of F families at order 800, at a seeded split,
+        drawn from four families so that product_forms builds each once."""
+        rnd = random.Random(800 + F)
+        pool = [PochhammerSpec(1, 1, 1), PochhammerSpec(-1, 1, 1),
+                PochhammerSpec(1, 2, 3), PochhammerSpec(-1, 4, 2)]
+        families = [rnd.choice(pool) for _ in range(F)]
+        k = rnd.randint(0, F)
+        num, den = families[:k], families[k:]
+        assert _product(800, num, den) == _multiplied_out(800, num, den), (num, den)
+
+    def test_widest_quotient(self):
+        """1/(q;q)_inf^6 at order 800, whose coefficients take 231 bits."""
+        den = [PochhammerSpec(1, 1, 1)] * 6
+        got = _product(800, den=den)
+        assert got == _multiplied_out(800, [], den)
+        assert max(got).bit_length() == 231
+
+    @pytest.mark.parametrize("N", [200, 800])
+    def test_slots_hold_the_widest_quotient(self, N):
+        """Every coefficient of 1/(q;q)_inf^F to q^N, F = 1..6, fits a
+        signed slot: its size takes fewer bits than the slot has."""
+        inverse = list(_poch(1, 1, 1, None, N, True))
+        c = [1] + [0] * N
+        for F in range(1, 7):
+            c = _mul(inverse, c)
+            assert max(c).bit_length() < 64 * _slot_words(F, N), F
 
 
 class TestGaussianBinomial:
