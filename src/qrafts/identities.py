@@ -494,8 +494,9 @@ def _packed_rows_pass(rows: dict[int, list[int]], x_trunc: int, q_trunc: int) ->
             acc[t] += v << shift
 
     out = []  # the slots of acc[t], by x-degree
+    bias = _slot_bits(w - 1, r, min(N, x_trunc) + 1)  # for the widest read
     for t in range(N + 1):
-        out.append(_signed_slots(acc[t], r, min(t, x_trunc) + 1))
+        out.append(_signed_slots(acc[t], r, min(t, x_trunc) + 1, bias))
         acc[t] = 0
     return XQSeries(x_trunc, N, {D: QSeries(N, col) for D, col
                                  in enumerate(zip_longest(*out, fillvalue=0)) if any(col)})

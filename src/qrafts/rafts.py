@@ -15,22 +15,22 @@ mirror (remove a+1, add a-1, where a is the start of the raft's run), refused
 when it would need a part 0 or land on a+1-type conflicts with a designated
 raft ending at a-2.
 
-The engine works on the sorted part tuple by index.  Since k+2 is absent and
-a-1 is absent, each move is a two-slot splice that keeps the tuple sorted:
-slots i, i+1 take (low, low+1), with low = k+1 forward (slots of k, k+1) and
-low = a-1 backward (slots of a, a+1).  One step helper per direction finds
-the splice and the refusal, bisect_left giving the raft's slot and walking
-the neighbouring indices the run's end or start.  The can_* methods read its
-refusal; _move raises on it or makes the splice, for forward, backward and
-both traces.
+The engine works on one int bitset of the parts, bit p set when p is a part.
+Each move is one flip of two bits, bits ^ (5 << low) with low = k forward
+(k leaves, k+2 joins) and low = a-1 backward (a+1 leaves, a-1 joins), and
+the weight moves by 2.  The run start a is one past the highest clear bit
+below k, (~bits & ((1 << k) - 1)).bit_length(), and the end of an obstacle
+run one below the lowest clear bit above k+3.  One step helper per direction
+finds the flip and the refusal; the can_* methods read its refusal, and
+_move raises on it or makes the flip, for forward, backward and both traces.
 
-One validator runs on every state, those the moves make included: Partition's
-part rule, then the raft rules in one pass over the sorted rafts, one bisect
-each.  Since parts strictly increase, rafts a < b share a run exactly when
-their indices differ by b - a.  The pass keeps the first raft that breaks
-each rule, and the RaftError names the first broken rule in a fixed order.
-Every state the package builds, not only a move's, comes from _checked_state,
-which runs that validator without the dataclass dispatch.
+Every state the package builds comes from _state, which runs the part rule
+on the bitset (no part 0: a bitset holds no repeated or unsorted part), then
+one validator of the raft rules: a sorted designation passes with one shift
+per raft, and any other is sorted or refused with a RaftError that names the
+first broken rule in a fixed order.  A state built from a part tuple (the
+constructor, parse, to_rafted, both enumerations) runs Partition's part rule
+on the tuple first, in _checked_state.
 
 A configuration is minimal when no designated raft can move backward.
 Minimal configurations have rigid structure (consecutive parts from 1 up with
@@ -41,9 +41,9 @@ configuration decomposes uniquely as moves applied to a minimal one.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
-from dataclasses import dataclass
-from operator import lt
+from dataclasses import FrozenInstanceError, dataclass
+from itertools import repeat
+from operator import attrgetter, lshift, lt
 from typing import Iterator
 
 from .partitions import (
@@ -83,20 +83,32 @@ class MoveError(ValueError):
     """A raft move that is not applicable in the current configuration."""
 
 
-@dataclass(frozen=True, slots=True)
+def _refuse(name: str):
+    """A property setter that refuses, as a frozen dataclass does."""
+    def refuse(self, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    return refuse
+
+
 class RaftedPartition:
     """A distinct-part partition plus a set of designated rafts.
 
     Rafts are named by their smaller member and stored sorted.  Validation
     enforces, in order: both pair members present; at most one designated
     raft per run; k+2 absent for every designated raft k.
+
+    The parts are held as one int bitset, bit p set when p is a part, beside
+    the sorted rafts and the weight; ``partition`` is built from the bitset
+    where it is read.  The bitset takes one bit per integer up to the largest
+    part: a part near 10^6 costs about 125 KB in every state that holds it.
+    Instances are frozen, and equal states hash equal.
     """
 
-    partition: Partition
-    rafts: tuple[int, ...]
+    __slots__ = ("_bits", "_rafts", "_weight", "_parts")
+    __match_args__ = ("partition", "rafts")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rafts", _valid_rafts(self.partition, self.rafts))
+    def __new__(cls, partition: Partition, rafts) -> "RaftedPartition":
+        return _checked_state(partition.parts, rafts)
 
     # -- conveniences -------------------------------------------------------
 
@@ -108,47 +120,79 @@ class RaftedPartition:
     def parse(cls, text: str) -> "RaftedPartition":
         return _checked_state(*parse_rafted_text(text))
 
-    @property
-    def weight(self) -> int:
-        return self.partition.weight
+    def _part_tuple(self) -> tuple[int, ...]:
+        """The parts, ascending: read from the bitset once, then kept."""
+        parts = self._parts
+        if parts is None:
+            parts = self._parts = _parts_of(self._bits)
+        return parts
+
+    def _partition(self) -> Partition:
+        p = _new(Partition)
+        _set_parts(p, self._part_tuple())
+        return p
+
+    # the fields read through properties, so that the package's own code
+    # stores the slots directly; assigning a field raises, as on a frozen
+    # dataclass
+    partition = property(_partition, _refuse("partition"))
+    rafts = property(attrgetter("_rafts"), _refuse("rafts"), doc="The designated rafts, sorted.")
+    weight = property(attrgetter("_weight"), _refuse("weight"), doc="The sum of the parts.")
 
     def __str__(self) -> str:
-        return render_rafted_text(self.partition.parts, self.rafts)
+        return render_rafted_text(self._part_tuple(), self._rafts)
+
+    def __repr__(self) -> str:
+        return f"RaftedPartition(partition={self.partition!r}, rafts={self.rafts!r})"
+
+    def __eq__(self, other):
+        if type(other) is not RaftedPartition:
+            return NotImplemented
+        return self._bits == other._bits and self._rafts == other._rafts
+
+    def __hash__(self) -> int:
+        return hash((self._bits, self._rafts))
+
+    def __reduce__(self):
+        return RaftedPartition, (self.partition, self._rafts)
+
+    # -- moves --------------------------------------------------------------
 
     def _rank(self, k: int) -> int:
         """Index of designated raft k in self.rafts; MoveError when k is not one."""
-        if k not in self.rafts:
+        if k not in self._rafts:
             raise MoveError(f"move-not-applicable: {k} is not a designated raft of {self}")
-        return self.rafts.index(k)
+        return self._rafts.index(k)
 
     def _move(self, rank: int, step: tuple[int, int, int, str | None]) -> "RaftedPartition":
         """The raft at this rank moved by its step; MoveError when the step is refused."""
-        i, low, new_raft, refusal = step
+        flip, new_raft, gain, refusal = step
         if refusal:
             raise MoveError(f"move-not-applicable: {refusal}")
-        parts, rafts = self.partition.parts, self.rafts
-        return _checked_state(parts[:i] + (low, low + 1) + parts[i + 2:],
-                              rafts[:rank] + (new_raft,) + rafts[rank + 1:])
+        rafts = list(self._rafts)
+        rafts[rank] = new_raft
+        return _state(self._bits ^ flip, tuple(rafts), self._weight + gain)
 
     # -- forward move -------------------------------------------------------
 
     def _forward_step(self, k: int) -> tuple[int, int, int, str | None]:
-        """Raft k's forward splice (i, low, new raft, refusal or None): low = k+1."""
-        parts = self.partition.parts
-        i = bisect_left(parts, k)
-        j = i + 2
-        if j == len(parts) or parts[j] != k + 3:
-            return i, k + 1, k + 1, None
-        while j + 1 < len(parts) and parts[j + 1] == parts[j] + 1:
-            j += 1
-        e = parts[j]
-        if e - 1 in self.rafts:
-            return i, k + 1, e - 1, (f"raft [{k},{k + 1}] is blocked by designated "
-                                     f"raft [{e - 1},{e}] at the end of the run ahead")
-        return i, k + 1, e - 1, None
+        """Raft k's forward step (flip, new raft, gain, refusal or None): k
+        leaves and k+2 joins, so the flip is bits k and k+2 (5 << k) and the
+        gain 2."""
+        flip = 5 << k
+        ahead = self._bits >> k + 3
+        if not ahead & 1:
+            return flip, k + 1, 2, None
+        # the run ahead is k+3..e: ahead ^ (ahead + 1) has one bit per part
+        # of it and one more
+        e = k + 1 + (ahead ^ (ahead + 1)).bit_length()
+        if e - 1 in self._rafts:
+            return flip, e - 1, 2, (f"raft [{k},{k + 1}] is blocked by designated "
+                                    f"raft [{e - 1},{e}] at the end of the run ahead")
+        return flip, e - 1, 2, None
 
     def can_forward(self, k: int) -> bool:
-        return k in self.rafts and self._forward_step(k)[3] is None
+        return k in self._rafts and self._forward_step(k)[3] is None
 
     def forward(self, k: int) -> "RaftedPartition":
         """Move raft k up, gaining weight 2: remove k, add k+2."""
@@ -157,21 +201,21 @@ class RaftedPartition:
     # -- backward move ------------------------------------------------------
 
     def _backward_step(self, k: int) -> tuple[int, int, int, str | None]:
-        """Raft k's backward splice (i, low, new raft, refusal or None): low = new raft = a-1."""
-        parts = self.partition.parts
-        i = bisect_left(parts, k)
-        while i and parts[i - 1] == parts[i] - 1:
-            i -= 1
-        a = parts[i]
+        """Raft k's backward step (flip, new raft, gain, refusal or None): with
+        a the start of its run, a+1 leaves and a-1 joins, so the flip is bits
+        a-1 and a+1 (5 << a-1), the raft becomes a-1 and the gain is -2."""
+        # the highest absent number below k is a-1; 0 is never a part
+        a = (~self._bits & ((1 << k) - 1)).bit_length()
+        flip = 5 << a - 1
         if a < 2:
-            return i, a - 1, a - 1, f"raft [{k},{k + 1}] sits on a run starting at 1"
-        if a - 3 in self.rafts:
-            return i, a - 1, a - 1, (f"raft [{k},{k + 1}] is blocked by designated "
+            return flip, a - 1, -2, f"raft [{k},{k + 1}] sits on a run starting at 1"
+        if a - 3 in self._rafts:
+            return flip, a - 1, -2, (f"raft [{k},{k + 1}] is blocked by designated "
                                      f"raft [{a - 3},{a - 2}] just below its run")
-        return i, a - 1, a - 1, None
+        return flip, a - 1, -2, None
 
     def can_backward(self, k: int) -> bool:
-        return k in self.rafts and self._backward_step(k)[3] is None
+        return k in self._rafts and self._backward_step(k)[3] is None
 
     def backward(self, k: int) -> "RaftedPartition":
         """Move raft k down, losing weight 2: remove a+1, add a-1 (a = run start)."""
@@ -181,85 +225,114 @@ class RaftedPartition:
 
     def is_minimal(self) -> bool:
         """No designated raft admits a backward move."""
-        return all(not self.can_backward(k) for k in self.rafts)
+        return all(not self.can_backward(k) for k in self._rafts)
 
 
-def _valid_rafts(partition: Partition, rafts) -> tuple[int, ...]:
-    """rafts as a sorted tuple, once every raft rule holds in partition.
+def _parts_of(bits: int) -> tuple[int, ...]:
+    """The parts of a bitset, ascending: where its binary digits, lowest
+    first, hold a 1.  str.find skips the 0s in C, so a sparse bitset with a
+    part near 10^6 takes milliseconds."""
+    digits = bin(bits)[:1:-1]
+    parts = []
+    p = digits.find("1")
+    while p >= 0:
+        parts.append(p)
+        p = digits.find("1", p + 1)
+    return tuple(parts)
 
-    One pass over the sorted rafts, one bisect each, states each rule once
-    and keeps the first raft that breaks it: its pair present, no repeat, no
-    run shared with the raft before it, and k+2 absent.  After the pass the
-    RaftError names the first broken rule in this order: pair-broken, then
-    colliding (a repeated raft, then a shared run), then not-terminal.  A
-    sorted tuple is neither copied nor sorted; any other designation is
-    validated as its sorted copy.
+
+def _check_bits(bits: int) -> None:
+    """The part rule on a bitset: no part 0.  A bitset holds no repeated or
+    unsorted part, so that is the whole of Partition's rule."""
+    if bits & 1:
+        raise ValueError(f"parts must be strictly increasing positive integers, "
+                         f"got {_parts_of(bits)}")
+
+
+def _valid_rafts(bits: int, rafts) -> tuple[int, ...]:
+    """rafts as a sorted tuple, once every raft rule holds on the bitset.
+
+    Raft k >= 1 keeps its own rules when bits k and k+1 are set and bit k+2
+    is clear: bits >> k & 7 == 3.  Two such rafts a < b never share a run:
+    b = a+1 would need a+2 present, and for b >= a+2 the absent a+2 lies
+    between them.  So a strictly increasing tuple that passes the test, one
+    shift per raft, keeps every rule and is neither copied nor sorted; any
+    other designation goes to _sorted_rafts.
     """
     if type(rafts) is not tuple:
         rafts = tuple(rafts)
-    parts = partition.parts
-    n = len(parts)
-    broken = shared = open_top = None
-    repeated = False
-    # parts strictly increase, so rafts a < b share a run exactly when their
-    # indices differ by b - a; from (rafts[0], -1) the first raft never does
-    prev_k, prev_i = (rafts[0] if rafts else 0), -1
+    prev = 0
     for k in rafts:
-        if k < prev_k:
-            return _valid_rafts(partition, tuple(sorted(rafts)))
-        i = bisect_left(parts, k)
-        # a raft that breaks one rule is not tried on the later ones, which
-        # rank below it
-        if i + 1 >= n or parts[i] != k or parts[i + 1] != k + 1:
-            if broken is None:
-                broken = k
-        elif i - prev_i == k - prev_k:
-            if k == prev_k:
-                repeated = True
-            elif shared is None:
-                shared = prev_k, k
-        elif i + 2 < n and parts[i + 2] == k + 2 and open_top is None:
-            open_top = k
-        prev_k, prev_i = k, i
-    if broken is not None:
-        raise RaftError("raft-pair-broken",
-                        f"raft [{broken},{broken + 1}] needs both members in {partition}")
-    if repeated:
-        raise RaftError("colliding-rafts", f"repeated raft in {rafts}")
-    if shared is not None:
-        lo, k = shared
-        raise RaftError("colliding-rafts",
-                        f"rafts [{lo},{lo + 1}] and [{k},{k + 1}] share a run in {partition}")
-    if open_top is not None:
-        k = open_top
-        raise RaftError("raft-not-terminal",
-                        f"raft [{k},{k + 1}] has {k + 2} present in {partition}")
+        if k <= prev or bits >> k & 7 != 3:
+            return _sorted_rafts(bits, rafts)
+        prev = k
     return rafts
 
 
-# bound once: object.__new__, and the slots' member descriptors, whose __set__
-# writes a field of a frozen instance past the dataclass's __setattr__ guard
+def _sorted_rafts(bits: int, rafts: tuple[int, ...]) -> tuple[int, ...]:
+    """rafts sorted, once every raft rule holds on the bitset.
+
+    The RaftError names the first broken rule in this order: pair-broken,
+    then colliding (a repeated raft, then a shared run), then not-terminal;
+    within a rule, the lowest raft that breaks it.  The message renders the
+    parts only when it raises.
+    """
+    rafts = tuple(sorted(rafts))
+    for k in rafts:
+        if k < 1 or bits >> k & 3 != 3:
+            raise RaftError("raft-pair-broken",
+                            f"raft [{k},{k + 1}] needs both members in {_text(bits)}")
+    if len(set(rafts)) < len(rafts):
+        raise RaftError("colliding-rafts", f"repeated raft in {rafts}")
+    for a, b in zip(rafts, rafts[1:]):
+        # a and b share a run when none of a..b-1 is absent
+        if not ~bits >> a & (1 << b - a) - 1:
+            raise RaftError("colliding-rafts",
+                            f"rafts [{a},{a + 1}] and [{b},{b + 1}] share a run in {_text(bits)}")
+    for k in rafts:
+        if bits >> k + 2 & 1:
+            raise RaftError("raft-not-terminal",
+                            f"raft [{k},{k + 1}] has {k + 2} present in {_text(bits)}")
+    return rafts
+
+
+def _text(bits: int) -> str:
+    """The parts of a bitset as Partition renders them."""
+    return render_rafted_text(_parts_of(bits), ())
+
+
+# bound once: object.__new__, and Partition's slot descriptor, whose __set__
+# writes the field of a frozen dataclass past its __setattr__ guard
 _new = object.__new__
 _set_parts = Partition.parts.__set__
-_set_partition = RaftedPartition.partition.__set__
-_set_rafts = RaftedPartition.rafts.__set__
 
 
-def _checked_state(parts: tuple[int, ...], rafts: tuple[int, ...]) -> RaftedPartition:
-    """RaftedPartition(Partition(parts), rafts), built without the dataclass calls.
+def _state(bits: int, rafts, weight: int, parts: tuple[int, ...] | None = None) -> RaftedPartition:
+    """The state with this bitset, designation and weight, once both rules hold.
 
-    Every state the package builds comes from here: parse, to_rafted, both
-    enumerations and the moves.  Partition's part rule and every raft rule
-    still run; only the two frozen dataclasses' __init__ and __post_init__
-    dispatch is skipped.
+    Every state the package builds comes from here: the tuple routes through
+    _checked_state, and the moves.  The part rule (_check_bits) and every
+    raft rule (_valid_rafts) run on each state.  parts, when given, is the
+    bitset's part tuple, kept for the readers of ``partition``.
+    """
+    _check_bits(bits)
+    rp = _new(RaftedPartition)
+    rp._bits = bits
+    rp._rafts = _valid_rafts(bits, rafts)
+    rp._weight = weight
+    rp._parts = parts
+    return rp
+
+
+def _checked_state(parts: tuple[int, ...], rafts) -> RaftedPartition:
+    """RaftedPartition(Partition(parts), rafts): Partition's rule on the tuple,
+    then the state of its bitset.
+
+    The route of every state built from a part tuple: the public
+    constructor, parse, to_rafted and both enumerations.
     """
     _check_parts(parts)
-    p = _new(Partition)
-    _set_parts(p, parts)
-    rp = _new(RaftedPartition)
-    _set_partition(rp, p)
-    _set_rafts(rp, _valid_rafts(p, rafts))
-    return rp
+    return _state(sum(map(lshift, repeat(1), parts)), rafts, sum(parts), parts)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +355,7 @@ def decompose_with_trace(
     for rank in range(len(rp.rafts)):
         n = 0
         while True:
-            k = current.rafts[rank]
+            k = current._rafts[rank]
             step = current._backward_step(k)
             if step[3]:
                 break
@@ -322,7 +395,7 @@ def compose_with_trace(
     for i, amount in enumerate(eta.parts):
         rank = k - 1 - i  # largest raft first
         for _ in range(amount // 2):
-            raft = current.rafts[rank]
+            raft = current._rafts[rank]
             nxt = current._move(rank, current._forward_step(raft))
             record((current, raft, nxt))
             current = nxt
@@ -422,16 +495,17 @@ def enumerate_minimal(k: int, max_weight: int,
                 break
             yield from vectors(prefix + (r,))
 
-    found: list[RaftedPartition] = []
+    found: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
     for r in vectors(()):
         # r is checked once; a bad tail would break the state's own rules
         head = MinimalProfile(r, ()).to_rafted().partition.parts
         base = prefix_weight(r)
         for w in range(max(0, min_weight - base), max_weight - base + 1):
             for tail in iter_gap_exact(w, 1, r[-1] + 3):
-                found.append(_checked_state(head + tail, r))
-    found.sort(key=lambda rp: (rp.weight, rp.partition.parts, rp.rafts))
-    yield from found
+                found.append((base + w, head + tail, r))
+    found.sort()
+    for _, parts, r in found:
+        yield _checked_state(parts, r)
 
 
 def enumerate_rafted(k: int, max_weight: int,

@@ -245,7 +245,7 @@ def _slot_bits(bit: int, r: int, slots: int) -> int:
     return int.from_bytes((1 << bit).to_bytes(8 * r, "little") * slots, "little")
 
 
-def _signed_slots(v: int, r: int, slots: int) -> list[int]:
+def _signed_slots(v: int, r: int, slots: int, bias: int | None = None) -> list[int]:
     """Slots 0..slots-1 of v, each 64 r bits and signed.
 
     v is congruent to sum_D s_D 2^(w D) modulo 2^(w slots), w = 64 r, with
@@ -254,8 +254,15 @@ def _signed_slots(v: int, r: int, slots: int) -> list[int]:
     each slot's w-bit two's complement.  The words go through ``array`` in
     the host's byte order, swapped to little-endian on a big-endian host:
     each slot's top word is read signed and the words below it unsigned.
+
+    A caller that reads many ints passes bias, ``_slot_bits(w - 1, r, S)``
+    for some S >= slots, built once; its top S - slots slots are shifted off
+    here, which leaves the same bits in fewer slots.
     """
-    bias = _slot_bits(64 * r - 1, r, slots)
+    if bias is None:
+        bias = _slot_bits(64 * r - 1, r, slots)
+    else:
+        bias >>= bias.bit_length() - 64 * r * slots
     words = array("q", (((v + bias) ^ bias) & ((1 << (64 * r * slots)) - 1))
                   .to_bytes(8 * r * slots, "little"))
     if _BIG_ENDIAN:

@@ -1,11 +1,11 @@
 """Reference raft validator and moves, built on part sets and a run table.
 
-The library's ``RaftedPartition`` validates and moves rafts by index on the
-sorted part tuple.  This module keeps the set-based forms it replaced: it
-looks every membership up in ``set(parts)``, maps each part to its run
-through ``runs_of``, and re-sorts the parts after each move.  It shares no
-index arithmetic with the library, so the tests judge the splices and the
-bisect validation against it.  ``reference_render`` is a frozen copy of the
+The library's ``RaftedPartition`` validates and moves rafts on one int
+bitset of the parts.  This module keeps set-based forms: it looks every
+membership up in ``set(parts)``, maps each part to its run through
+``runs_of``, and re-sorts the parts after each move.  It shares no bit
+arithmetic with the library, so the tests judge the two-bit flips and the
+bitset validation against it.  ``reference_render`` is a frozen copy of the
 renderer over a raft set, so a change to ``render_rafted_text`` is judged
 against the text it gave before.
 """

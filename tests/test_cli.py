@@ -365,3 +365,37 @@ class TestTrace:
         assert code == 0
         assert "eta: ()" in out
         assert "roundtrip: ok" in out
+
+    # the whole output, digests taken before the parts became a bitset; the
+    # second example's moves both jump an obstacle run
+    @pytest.mark.parametrize("text, digest", [
+        ("1,[2,3],5,[7,8]",
+         "e30ce0d6ae2bfd8e1597a9ba377b5839b8e73023396cd284dbf3a1b035ea2fd7"),
+        ("3,4,[5,6],8",
+         "1bd43ad2e58a0925979dc799396beb65d8fa73d12884baee48552d588b3c2a58"),
+    ])
+    def test_trace_digest(self, capsys, text, digest):
+        code, out, _ = run(capsys, "trace", text)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_part_near_a_million(self, capsys):
+        """A part of 10^6 takes a bitset of 10^6 bits in every state."""
+        code, out, _ = run(capsys, "trace", "1,[2,3],1000000")
+        assert code == 0
+        assert out.splitlines() == [
+            "input: 1,[2,3],1000000",
+            "beta: 1,[2,3],1000000",
+            "eta: (0)",
+            "roundtrip: ok",
+        ]
+        code, out, _ = run(capsys, "trace", "1,[2,3],5,[7,8],999999")
+        assert code == 0
+        assert out.splitlines() == [
+            "input: 1,[2,3],5,[7,8],999999",
+            "1,[2,3],5,[7,8],999999  --bwd(raft=7)-->  1,[2,3],5,[6,7],999999",
+            "beta: 1,[2,3],5,[6,7],999999",
+            "eta: (2, 0)",
+            "1,[2,3],5,[6,7],999999  --fwd(raft=6)-->  1,[2,3],5,[7,8],999999",
+            "roundtrip: ok",
+        ]

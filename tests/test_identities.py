@@ -671,9 +671,9 @@ def _spy_reads(monkeypatch) -> list[tuple[int, int]]:
     reads = []
     signed_slots = idn._signed_slots
 
-    def spy(v, r, slots):
+    def spy(v, r, slots, *bias):
         reads.append((r, slots))
-        return signed_slots(v, r, slots)
+        return signed_slots(v, r, slots, *bias)
 
     monkeypatch.setattr(idn, "_signed_slots", spy)
     return reads

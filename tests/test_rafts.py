@@ -1,9 +1,12 @@
 """Moves, minimality, the (beta, eta) bijection, and constructive enumeration."""
 
 import collections
+import copy
 import itertools
+import pickle
 import random
 import re
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,7 @@ from qrafts.rafts import (
     enumerate_rafted,
     minimal_profile,
     _checked_state,
+    _state,
 )
 
 from brute import all_distinct, enumerate_designations, is_minimal_structural
@@ -69,6 +73,26 @@ class TestValidation:
         assert rp.partition.parts == (1, 2, 3, 5, 7, 8, 9)
         assert rp.rafts == (2, 8)
         assert RaftedPartition.parse(str(rp)) == rp
+
+    def test_frozen_value(self):
+        rp = RaftedPartition.parse("1,[2,3],5")
+        for field, value in (("partition", Partition((1,))), ("rafts", ()), ("weight", 0)):
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{field}'"):
+                setattr(rp, field, value)
+        assert (rp.partition.parts, rp.rafts, rp.weight) == ((1, 2, 3, 5), (2,), 11)
+        for copied in (copy.copy(rp), copy.deepcopy(rp), pickle.loads(pickle.dumps(rp))):
+            assert copied == rp and hash(copied) == hash(rp)
+        match rp:
+            case RaftedPartition(Partition(parts), rafts):
+                assert (parts, rafts) == ((1, 2, 3, 5), (2,))
+            case _:
+                pytest.fail("no positional match")
+
+    def test_bitset_part_rule(self):
+        """The part rule on a bitset refuses a part 0, as Partition does."""
+        with pytest.raises(ValueError, match=re.escape(
+                "parts must be strictly increasing positive integers, got (0, 1, 2)")):
+            _state(0b111, (1,), 3)
 
     def test_parse_semantic_failure(self):
         with pytest.raises(RaftError) as e:
@@ -219,6 +243,40 @@ class TestAgainstReference:
                                 (q, given)
         assert reasons == {"ok", "raft-pair-broken", "colliding-rafts", "raft-not-terminal"}
 
+    def test_traces_match_reference(self):
+        """Both traces of every configuration to weight 22, replayed move by
+        move on the reference: each state's parts, rafts, weight, text, repr
+        and hash."""
+        checked = 0
+        for p in all_distinct(22):
+            for rafts in enumerate_designations(p):
+                rp = RaftedPartition(p, rafts)
+                beta, eta, back = decompose_with_trace(rp)
+                again, fwd = compose_with_trace(beta, eta)
+                assert again == rp and hash(again) == hash(rp), str(rp)
+                for start, moves, step in ((rp, back, ReferenceRafted.backward),
+                                           (beta, fwd, ReferenceRafted.forward)):
+                    ref = ReferenceRafted(Partition(start.partition.parts), start.rafts)
+                    _assert_matches(start, ref)
+                    for before, raft, after in moves:
+                        assert before == start
+                        ref, start = step(ref, raft), after
+                        _assert_matches(after, ref)
+                        checked += 1
+        assert checked > 1000
+
+
+def _assert_matches(state, ref):
+    """A state has the reference state's parts, rafts, weight, text and
+    dataclass repr, and equals and hashes as the same state built afresh."""
+    parts = ref.partition.parts
+    assert (state.partition.parts, state.rafts) == (parts, ref.rafts), str(ref)
+    assert state.weight == sum(parts)
+    assert str(state) == str(ref)
+    assert repr(state) == repr(ref).replace("ReferenceRafted", "RaftedPartition", 1)
+    rebuilt = RaftedPartition(Partition(parts), ref.rafts)
+    assert state == rebuilt and hash(state) == hash(rebuilt)
+
 
 def _route_inputs():
     """Every state to weight 20, its text, and the minimal ones' (beta, eta)."""
@@ -229,6 +287,8 @@ def _route_inputs():
 
 # each route builds a list of states from the inputs above
 _ROUTES = {
+    "constructor": lambda states, minimal, pairs:
+        [RaftedPartition(rp.partition, rp.rafts) for rp in states],
     "parse": lambda states, minimal, pairs:
         [RaftedPartition.parse(str(rp)) for rp in states],
     "to_rafted": lambda states, minimal, pairs:
@@ -248,40 +308,56 @@ _ROUTES = {
         [after for beta, eta in pairs for _, _, after in compose_with_trace(beta, eta)[1]],
 }
 
+# the routes that build a state from a part tuple, not from a move
+_TUPLE_ROUTES = ("constructor", "parse", "to_rafted", "enumerate_minimal", "enumerate_rafted")
+
+
+def _bit_parts(bits: int) -> tuple[int, ...]:
+    """The parts of a bitset, read bit by bit."""
+    return tuple(p for p in range(bits.bit_length()) if bits >> p & 1)
+
 
 class TestConstructionRoutes:
     """Every route that builds a state runs the part rule and the raft rules on it."""
 
     @pytest.mark.parametrize("route", list(_ROUTES))
     def test_route_runs_both_rules_on_every_state(self, route, monkeypatch):
-        import qrafts.partitions
         import qrafts.rafts
 
         inputs = _route_inputs()
-        checked_parts, checked_rafts = [], []
-        check_parts, valid_rafts = qrafts.rafts._check_parts, qrafts.rafts._valid_rafts
+        checked_tuples, checked_bits, checked_rafts = [], [], []
+        check_parts = qrafts.rafts._check_parts
+        check_bits, valid_rafts = qrafts.rafts._check_bits, qrafts.rafts._valid_rafts
 
         def spy_parts(parts):
-            checked_parts.append(parts)
+            checked_tuples.append(parts)
             return check_parts(parts)
 
-        def spy_rafts(partition, rafts):
-            out = valid_rafts(partition, rafts)
-            checked_rafts.append((partition.parts, out))
+        def spy_bits(bits):
+            checked_bits.append(_bit_parts(bits))
+            return check_bits(bits)
+
+        def spy_rafts(bits, rafts):
+            out = valid_rafts(bits, rafts)
+            checked_rafts.append((_bit_parts(bits), out))
             return out
 
-        # the public constructor's part rule lives in partitions' namespace
-        monkeypatch.setattr(qrafts.partitions, "_check_parts", spy_parts)
         monkeypatch.setattr(qrafts.rafts, "_check_parts", spy_parts)
+        monkeypatch.setattr(qrafts.rafts, "_check_bits", spy_bits)
         monkeypatch.setattr(qrafts.rafts, "_valid_rafts", spy_rafts)
         built = _ROUTES[route](*inputs)
         monkeypatch.undo()
 
         assert len(built) > 20, route
         keys = [(rp.partition.parts, rp.rafts) for rp in built]
-        # each state's parts and rafts went through both rules, once per state at least
-        assert collections.Counter(checked_parts) >= collections.Counter(p for p, _ in keys)
+        parts = collections.Counter(p for p, _ in keys)
+        # each state's bitset went through the part rule and the raft rules,
+        # once per state at least
+        assert collections.Counter(checked_bits) >= parts
         assert collections.Counter(checked_rafts) >= collections.Counter(keys)
+        # and a state built from a part tuple ran Partition's rule on the tuple
+        if route in _TUPLE_ROUTES:
+            assert collections.Counter(checked_tuples) >= parts
         for rp, (parts, rafts) in zip(built, keys):
             assert type(rp) is RaftedPartition and type(rp.partition) is Partition
             rebuilt = RaftedPartition(Partition(parts), rafts)
