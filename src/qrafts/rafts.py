@@ -20,9 +20,12 @@ Each move is one flip of two bits, bits ^ (5 << low) with low = k forward
 (k leaves, k+2 joins) and low = a-1 backward (a+1 leaves, a-1 joins), and
 the weight moves by 2.  The run start a is one past the highest clear bit
 below k, (~bits & ((1 << k) - 1)).bit_length(), and the end of an obstacle
-run one below the lowest clear bit above k+3.  One step helper per direction
-finds the flip and the refusal; the can_* methods read its refusal, and
-_move raises on it or makes the flip, for forward, backward and both traces.
+run one below the lowest clear bit above k+3.  One step function per
+direction, _forward_step and _backward_step on (bits, rafts, k), finds the
+flip, the new raft, the gain and the refusal.  The can_* methods and
+is_minimal read its refusal; forward and backward raise on it or make the
+flip; both traces call it with the bitset, rafts and weight kept in locals,
+build each state through _state and take the rafts back from it.
 
 Every state the package builds comes from _state, which runs the part rule
 on the bitset (no part 0: a bitset holds no repeated or unsorted part), then
@@ -31,6 +34,11 @@ per raft, and any other is sorted or refused with a RaftError that names the
 first broken rule in a fixed order.  A state built from a part tuple (the
 constructor, parse, to_rafted, both enumerations) runs Partition's part rule
 on the tuple first, in _checked_state.
+
+The rafted listing recurses over the distinct-part partitions of each weight
+with the open run's length and the eligible rafts so far, and skips every
+subtree whose remaining weight cannot hold enough new runs of length >= 2 to
+reach k rafts (_runs_exact).
 
 A configuration is minimal when no designated raft can move backward.
 Minimal configurations have rigid structure (consecutive parts from 1 up with
@@ -50,7 +58,6 @@ from .partitions import (
     EvenPartition,
     Partition,
     _check_parts,
-    _eligible_rafts,
     iter_gap_exact,
     parse_rafted_text,
     render_rafted_text,
@@ -168,64 +175,71 @@ class RaftedPartition:
         """The raft at this rank moved by its step; MoveError when the step is refused."""
         flip, new_raft, gain, refusal = step
         if refusal:
-            raise MoveError(f"move-not-applicable: {refusal}")
+            raise _refused(refusal)
         rafts = list(self._rafts)
         rafts[rank] = new_raft
         return _state(self._bits ^ flip, tuple(rafts), self._weight + gain)
 
-    # -- forward move -------------------------------------------------------
-
-    def _forward_step(self, k: int) -> tuple[int, int, int, str | None]:
-        """Raft k's forward step (flip, new raft, gain, refusal or None): k
-        leaves and k+2 joins, so the flip is bits k and k+2 (5 << k) and the
-        gain 2."""
-        flip = 5 << k
-        ahead = self._bits >> k + 3
-        if not ahead & 1:
-            return flip, k + 1, 2, None
-        # the run ahead is k+3..e: ahead ^ (ahead + 1) has one bit per part
-        # of it and one more
-        e = k + 1 + (ahead ^ (ahead + 1)).bit_length()
-        if e - 1 in self._rafts:
-            return flip, e - 1, 2, (f"raft [{k},{k + 1}] is blocked by designated "
-                                    f"raft [{e - 1},{e}] at the end of the run ahead")
-        return flip, e - 1, 2, None
-
     def can_forward(self, k: int) -> bool:
-        return k in self._rafts and self._forward_step(k)[3] is None
+        return k in self._rafts and _forward_step(self._bits, self._rafts, k)[3] is None
 
     def forward(self, k: int) -> "RaftedPartition":
         """Move raft k up, gaining weight 2: remove k, add k+2."""
-        return self._move(self._rank(k), self._forward_step(k))
-
-    # -- backward move ------------------------------------------------------
-
-    def _backward_step(self, k: int) -> tuple[int, int, int, str | None]:
-        """Raft k's backward step (flip, new raft, gain, refusal or None): with
-        a the start of its run, a+1 leaves and a-1 joins, so the flip is bits
-        a-1 and a+1 (5 << a-1), the raft becomes a-1 and the gain is -2."""
-        # the highest absent number below k is a-1; 0 is never a part
-        a = (~self._bits & ((1 << k) - 1)).bit_length()
-        flip = 5 << a - 1
-        if a < 2:
-            return flip, a - 1, -2, f"raft [{k},{k + 1}] sits on a run starting at 1"
-        if a - 3 in self._rafts:
-            return flip, a - 1, -2, (f"raft [{k},{k + 1}] is blocked by designated "
-                                     f"raft [{a - 3},{a - 2}] just below its run")
-        return flip, a - 1, -2, None
+        return self._move(self._rank(k), _forward_step(self._bits, self._rafts, k))
 
     def can_backward(self, k: int) -> bool:
-        return k in self._rafts and self._backward_step(k)[3] is None
+        return k in self._rafts and _backward_step(self._bits, self._rafts, k)[3] is None
 
     def backward(self, k: int) -> "RaftedPartition":
         """Move raft k down, losing weight 2: remove a+1, add a-1 (a = run start)."""
-        return self._move(self._rank(k), self._backward_step(k))
+        return self._move(self._rank(k), _backward_step(self._bits, self._rafts, k))
 
     # -- minimality ---------------------------------------------------------
 
     def is_minimal(self) -> bool:
         """No designated raft admits a backward move."""
-        return all(not self.can_backward(k) for k in self._rafts)
+        bits, rafts = self._bits, self._rafts
+        return all(_backward_step(bits, rafts, k)[3] for k in rafts)
+
+
+# ---------------------------------------------------------------------------
+# the step of one raft, on the bitset and the sorted rafts
+
+
+def _forward_step(bits: int, rafts: tuple[int, ...], k: int) -> tuple[int, int, int, str | None]:
+    """Raft k's forward step (flip, new raft, gain, refusal or None): k leaves
+    and k+2 joins, so the flip is bits k and k+2 (5 << k) and the gain 2."""
+    flip = 5 << k
+    ahead = bits >> k + 3
+    if not ahead & 1:
+        return flip, k + 1, 2, None
+    # the run ahead is k+3..e: ahead ^ (ahead + 1) has one bit per part of it
+    # and one more
+    e = k + 1 + (ahead ^ (ahead + 1)).bit_length()
+    if e - 1 in rafts:
+        return flip, e - 1, 2, (f"raft [{k},{k + 1}] is blocked by designated "
+                                f"raft [{e - 1},{e}] at the end of the run ahead")
+    return flip, e - 1, 2, None
+
+
+def _backward_step(bits: int, rafts: tuple[int, ...], k: int) -> tuple[int, int, int, str | None]:
+    """Raft k's backward step (flip, new raft, gain, refusal or None): with a
+    the start of its run, a+1 leaves and a-1 joins, so the flip is bits a-1
+    and a+1 (5 << a-1), the raft becomes a-1 and the gain is -2."""
+    # the highest absent number below k is a-1; 0 is never a part
+    a = (~bits & ((1 << k) - 1)).bit_length()
+    flip = 5 << a - 1
+    if a < 2:
+        return flip, a - 1, -2, f"raft [{k},{k + 1}] sits on a run starting at 1"
+    if a - 3 in rafts:
+        return flip, a - 1, -2, (f"raft [{k},{k + 1}] is blocked by designated "
+                                 f"raft [{a - 3},{a - 2}] just below its run")
+    return flip, a - 1, -2, None
+
+
+def _refused(refusal: str) -> MoveError:
+    """The error of a refused step, for the methods and the traces alike."""
+    return MoveError(f"move-not-applicable: {refusal}")
 
 
 def _parts_of(bits: int) -> tuple[int, ...]:
@@ -349,17 +363,23 @@ def decompose_with_trace(
     holds (before, raft, after) triples in execution order.
     """
     current = rp
+    bits, rafts, weight = rp._bits, rp._rafts, rp._weight
     counts: list[int] = []  # smallest raft first
     moves: list[tuple[RaftedPartition, int, RaftedPartition]] = []
     record = moves.append
-    for rank in range(len(rp.rafts)):
+    for rank in range(len(rafts)):
         n = 0
         while True:
-            k = current._rafts[rank]
-            step = current._backward_step(k)
-            if step[3]:
+            k = rafts[rank]
+            flip, new_raft, gain, refusal = _backward_step(bits, rafts, k)
+            if refusal:
                 break
-            nxt = current._move(rank, step)
+            bits ^= flip
+            weight += gain
+            moved = list(rafts)
+            moved[rank] = new_raft
+            nxt = _state(bits, tuple(moved), weight)
+            rafts = nxt._rafts
             record((current, k, nxt))
             current = nxt
             n += 1
@@ -390,13 +410,22 @@ def compose_with_trace(
     if not beta.is_minimal():
         raise MoveError(f"not-minimal: {beta} admits a backward move")
     current = beta
+    bits, rafts, weight = beta._bits, beta._rafts, beta._weight
     moves: list[tuple[RaftedPartition, int, RaftedPartition]] = []
     record = moves.append
     for i, amount in enumerate(eta.parts):
         rank = k - 1 - i  # largest raft first
         for _ in range(amount // 2):
-            raft = current._rafts[rank]
-            nxt = current._move(rank, current._forward_step(raft))
+            raft = rafts[rank]
+            flip, new_raft, gain, refusal = _forward_step(bits, rafts, raft)
+            if refusal:
+                raise _refused(refusal)
+            bits ^= flip
+            weight += gain
+            moved = list(rafts)
+            moved[rank] = new_raft
+            nxt = _state(bits, tuple(moved), weight)
+            rafts = nxt._rafts
             record((current, raft, nxt))
             current = nxt
     return current, moves
@@ -512,16 +541,70 @@ def enumerate_rafted(k: int, max_weight: int,
                      min_weight: int = 0) -> Iterator[RaftedPartition]:
     """All configurations with exactly k designated rafts, weight in [min_weight, max_weight].
 
-    Filter route, streamed weight by weight: each distinct-part partition of
-    that weight, in lexicographic order, crossed with every size-k subset of
-    its eligible rafts, in lexicographic order.  So the stream is ordered by
-    (weight, parts, rafts), and nothing heavier than the last item is drawn.
+    Streamed weight by weight: each distinct-part partition of that weight
+    with at least k eligible rafts, in lexicographic order (_runs_exact),
+    crossed with every size-k subset of its eligible rafts, in lexicographic
+    order.  So the stream is ordered by (weight, parts, rafts), and nothing
+    heavier than the last item is drawn.
     """
     if k < 0:
         raise ValueError(f"raft count must be >= 0, got {k}")
     for w in range(min_weight, max_weight + 1):
-        for parts in iter_gap_exact(w, 1):
-            elig = _eligible_rafts(parts)
-            if len(elig) >= k:
-                for combo in itertools.combinations(elig, k):
-                    yield _checked_state(parts, combo)
+        for parts, elig in _runs_exact(w, k):
+            for combo in itertools.combinations(elig, k):
+                yield _checked_state(parts, combo)
+
+
+def _runs_exact(weight: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(parts, eligible rafts) of each distinct-part partition of this exact
+    weight with at least k eligible rafts, parts lexicographically ascending.
+
+    The recursion is iter_gap_exact's at gap 1, so the order is its order.
+    Beside the parts it keeps the length of the open run (the run ending at
+    the last part, low-1; 0 before any part) and the eligible rafts so far,
+    the top pair of each run of length >= 2.  The part low extends the open
+    run: from length 1 that adds raft low-1, and from length >= 2 it moves
+    the run's raft up to low-1.  Any larger part leaves the rafts as they are.
+
+    A node with weight R still to place in parts >= low is skipped when its
+    subtree cannot reach k rafts.  Every further raft comes from one of:
+      - a new run of length >= 2.  It holds two parts q, q+1 with q >= low,
+        of weight >= 2·low + 1, and two new runs share no part;
+      - the open run, when it has length 1, reaching length 2.  That takes
+        the part low, and the new runs then lie in the weight R - low left.
+    Extending a run of length >= 2 adds no raft.  So at most
+    max(R // (2·low+1), 1 + (R - low) // (2·low+1)) more rafts fit, the
+    second term only when the open run has length 1 (for R < low it is 0).
+    """
+    if weight < 0:
+        return
+    prefix: list[int] = []
+
+    def rec(remaining: int, low: int, run: int,
+            rafts: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        pair = 2 * low + 1
+        more = remaining // pair
+        if run == 1:
+            more = max(more, 1 + (remaining - low) // pair)
+        if len(rafts) + more < k:
+            return
+        # the rafts once the part low extends the open run
+        grown = rafts[:-1] + (low - 1,) if run > 1 else rafts + (low - 1,) if run else rafts
+        for p in range(low, (remaining - 1) // 2 + 1):
+            prefix.append(p)
+            if p == low:
+                yield from rec(remaining - p, p + 1, run + 1, grown)
+            else:
+                yield from rec(remaining - p, p + 1, 1, rafts)
+            prefix.pop()
+        # the last part
+        if remaining >= low:
+            last = grown if remaining == low else rafts
+            if len(last) >= k:
+                yield (*prefix, remaining), last
+
+    if weight == 0:
+        if k == 0:
+            yield (), ()
+        return
+    yield from rec(weight, 1, 0, ())

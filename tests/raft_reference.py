@@ -7,12 +7,15 @@ membership up in ``set(parts)``, maps each part to its run through
 arithmetic with the library, so the tests judge the two-bit flips and the
 bitset validation against it.  ``reference_render`` is a frozen copy of the
 renderer over a raft set, so a change to ``render_rafted_text`` is judged
-against the text it gave before.
+against the text it gave before.  ``reference_rafted`` is the filter route of
+the rafted listing, which scans every distinct-part partition for its
+eligible rafts, so the run-pruned recursion is judged against it.
 """
 
+import itertools
 from dataclasses import dataclass
 
-from qrafts.partitions import Partition, runs_of
+from qrafts.partitions import Partition, _eligible_rafts, iter_gap_exact, runs_of
 from qrafts.rafts import MoveError, RaftError
 
 
@@ -33,6 +36,16 @@ def reference_render(parts: tuple[int, ...], rafts) -> str:
             items.append(str(p))
             i += 1
     return ",".join(items)
+
+
+def reference_rafted(k: int, max_weight: int, min_weight: int = 0):
+    """``enumerate_rafted``'s (parts, rafts) by the filter route: each
+    distinct-part partition of each weight, in lexicographic order, crossed
+    with every size-k subset of its eligible rafts, in lexicographic order."""
+    for w in range(min_weight, max_weight + 1):
+        for parts in iter_gap_exact(w, 1):
+            for combo in itertools.combinations(_eligible_rafts(parts), k):
+                yield parts, combo
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrafts.partitions import EvenPartition, Partition, iter_gap_exact
+from qrafts.partitions import EvenPartition, Partition
 from qrafts.rafts import (
     MinimalProfile,
     MoveError,
@@ -25,12 +25,14 @@ from qrafts.rafts import (
     enumerate_minimal,
     enumerate_rafted,
     minimal_profile,
+    _backward_step,
     _checked_state,
+    _forward_step,
     _state,
 )
 
 from brute import all_distinct, enumerate_designations, is_minimal_structural
-from raft_reference import ReferenceRafted
+from raft_reference import ReferenceRafted, reference_rafted
 
 
 def all_rafted(max_weight):
@@ -264,6 +266,68 @@ class TestAgainstReference:
                         _assert_matches(after, ref)
                         checked += 1
         assert checked > 1000
+
+
+def _unchecked_eta(parts: tuple[int, ...]) -> EvenPartition:
+    """An EvenPartition holding parts past its own check, which refuses an
+    increasing eta."""
+    eta = object.__new__(EvenPartition)
+    object.__setattr__(eta, "parts", parts)
+    return eta
+
+
+class TestMethodsMatchTraces:
+    """The methods and both traces take each move and each refusal from the
+    same step function."""
+
+    def test_methods_give_the_trace_steps(self):
+        """Every configuration to weight 24: each traced move is the method's
+        move, every refusal a method raises is its step's, and the
+        decomposition stops where every backward method refuses."""
+        checked = 0
+        for rp in all_rafted(24):
+            beta, eta, back = decompose_with_trace(rp)
+            again, fwd = compose_with_trace(beta, eta)
+            for moves, can, move in ((back, RaftedPartition.can_backward, RaftedPartition.backward),
+                                     (fwd, RaftedPartition.can_forward, RaftedPartition.forward)):
+                for before, raft, after in moves:
+                    assert can(before, raft), (str(before), raft)
+                    moved = move(before, raft)
+                    assert moved == after and moved.weight == after.weight, (str(before), raft)
+                    checked += 1
+            for state in (rp, beta):
+                for k in state.rafts:
+                    for step, can, move in ((_forward_step, state.can_forward, state.forward),
+                                            (_backward_step, state.can_backward, state.backward)):
+                        refusal = step(state._bits, state._rafts, k)[3]
+                        assert can(k) == (refusal is None), (str(state), k)
+                        if refusal:
+                            with pytest.raises(MoveError) as exc:
+                                move(k)
+                            assert str(exc.value) == f"move-not-applicable: {refusal}"
+                assert state.is_minimal() == (not any(map(state.can_backward, state.rafts)))
+            assert beta.is_minimal(), str(rp)
+        assert checked > 1500
+
+    def test_blocked_forward_in_compose_raises_forwards_message(self):
+        """A valid eta never blocks a forward move, so each eta here moves one
+        raft of a minimal configuration one step, built past EvenPartition's
+        check: compose gives forward()'s state or raises its exact message."""
+        blocked = 0
+        for beta in all_rafted(24):
+            if not beta.is_minimal():
+                continue
+            n = len(beta.rafts)
+            for rank, raft in enumerate(beta.rafts):
+                eta = _unchecked_eta(tuple(2 * (i == n - 1 - rank) for i in range(n)))
+                want = _outcome(lambda: beta.forward(raft))
+                assert _outcome(lambda: compose(beta, eta)) == want, (str(beta), raft)
+                blocked += len(want) == 3
+        assert blocked > 10
+        with pytest.raises(MoveError, match=re.escape(
+                "move-not-applicable: raft [1,2] is blocked by designated raft [4,5] "
+                "at the end of the run ahead")):
+            compose_with_trace(RaftedPartition.parse("[1,2],[4,5]"), _unchecked_eta((0, 2)))
 
 
 def _assert_matches(state, ref):
@@ -508,16 +572,21 @@ def _minimal_pool(k):
     return _POOLS[k]
 
 
-def _record_drawn_weights(monkeypatch) -> list[int]:
-    """Make ``rafts`` log the weight of every part tuple it draws from the generator."""
+def _record_drawn_weights(monkeypatch, generator: str) -> list[int]:
+    """Make ``rafts`` log the weight of every item it draws from one of its
+    exact-weight generators: ``iter_gap_exact`` (the minimal tails) or
+    ``_runs_exact`` (the rafted listing's partitions)."""
+    import qrafts.rafts
+
     drawn = []
+    draw = getattr(qrafts.rafts, generator)
 
-    def spy(weight, gap, min_part=1):
-        for parts in iter_gap_exact(weight, gap, min_part):
+    def spy(weight, *args):
+        for item in draw(weight, *args):
             drawn.append(weight)
-            yield parts
+            yield item
 
-    monkeypatch.setattr("qrafts.rafts.iter_gap_exact", spy)
+    monkeypatch.setattr(qrafts.rafts, generator, spy)
     return drawn
 
 
@@ -546,13 +615,25 @@ class TestEnumeration:
             )
             assert list(enumerate_rafted(k, 16)) == brute
 
+    def test_rafted_matches_filter_route(self):
+        """The run-pruned recursion lists what the filter route lists, in the
+        same order, for every weight window here."""
+        windows = [(w, low) for w in (0, 1, 2, 5, 9, 26, 40)
+                   for low in (-2, 0, 1, 8, 27, 40) if low <= w]
+        for k in range(6):
+            # past weight 40 only where the pruning cuts most
+            for max_weight, low in windows + [(52, 44), (56, 52)] * (k >= 2):
+                got = [(rp.partition.parts, rp.rafts)
+                       for rp in enumerate_rafted(k, max_weight, low)]
+                assert got == list(reference_rafted(k, max_weight, low)), (k, max_weight, low)
+
     def test_ordering(self):
         for seq in (enumerate_minimal(2, 30), *(enumerate_rafted(k, 30) for k in range(4))):
             keys = [(rp.weight, rp.partition.parts, rp.rafts) for rp in seq]
             assert keys and keys == sorted(set(keys))
 
     def test_rafted_streams_weight_by_weight(self, monkeypatch):
-        drawn = _record_drawn_weights(monkeypatch)
+        drawn = _record_drawn_weights(monkeypatch, "_runs_exact")
         first = list(itertools.islice(enumerate_rafted(1, 80), 50))
         assert len(first) == 50 and drawn
         assert max(drawn) <= first[-1].weight
@@ -566,8 +647,9 @@ class TestEnumeration:
                     [rp for rp in full if rp.weight >= low], (k, low)
 
     def test_min_weight_draws_nothing_lighter(self, monkeypatch):
-        drawn = _record_drawn_weights(monkeypatch)
+        drawn = _record_drawn_weights(monkeypatch, "_runs_exact")
         assert list(enumerate_rafted(1, 30, min_weight=25)) and min(drawn) == 25
+        drawn = _record_drawn_weights(monkeypatch, "iter_gap_exact")
         for k in (1, 2, 3):
             drawn.clear()
             kept = list(enumerate_minimal(k, 40, min_weight=36))
