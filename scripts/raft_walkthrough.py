@@ -9,7 +9,6 @@ Usage:
 import sys
 
 from qrafts.identities import minimal_gf, rafted_gf
-from qrafts.partitions import runs_of
 from qrafts.rafts import (
     RaftedPartition,
     compose_with_trace,
@@ -22,9 +21,17 @@ from qrafts.rafts import (
 def main() -> int:
     text = sys.argv[1] if len(sys.argv) > 1 else "1,[2,3],5,7,[8,9]"
     rp = RaftedPartition.parse(text)
+    # (first, last) of each maximal block of consecutive parts; the top pair
+    # of each block of two or more is an eligible raft
+    runs = []
+    for p in rp.partition.parts:
+        if runs and runs[-1][1] == p - 1:
+            runs[-1] = (runs[-1][0], p)
+        else:
+            runs.append((p, p))
     print(f"partition      {rp}  (weight {rp.weight})")
-    print(f"runs           {[(s, s + n - 1) for s, n in runs_of(rp.partition.parts)]}")
-    print(f"eligible rafts {rp.partition.eligible_rafts()}")
+    print(f"runs           {runs}")
+    print(f"eligible rafts {tuple(last - 1 for first, last in runs if last > first)}")
     print(f"designated     {rp.rafts}")
     print()
 
@@ -42,8 +49,11 @@ def main() -> int:
         print(f"  {before}  --bwd(raft={raft})-->  {after}")
     print(f"  beta = {beta}   eta = {tuple(eta.parts)}")
     prof = minimal_profile(beta)
-    print(f"  profile: rafts at {prof.raft_positions}, "
-          f"mu = {prof.mu}, tail = {prof.tail}")
+    # mu_j = r_{k-j} + 2 - 3(k-j): the offsets of the k-1 missing parts
+    # against the tightest staircase 3, 6, ..., 3(k-1), largest first
+    r = prof.raft_positions
+    mu = tuple(r[-1 - j] + 2 - 3 * (len(r) - j) for j in range(1, len(r)))
+    print(f"  profile: rafts at {r}, mu = {mu}, tail = {prof.tail}")
     rebuilt, _ = compose_with_trace(beta, eta)
     print(f"  replaying eta forward recovers the input: {rebuilt == rp}")
     print()

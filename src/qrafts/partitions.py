@@ -1,10 +1,11 @@
-"""Partitions into distinct parts: the model, runs and eligible rafts, one
-exact-weight generator, and the bracketed text format.
+"""Partitions into distinct parts: the model, one exact-weight generator,
+and the bracketed text format.
 
 Parts are kept strictly increasing.  A run is a maximal block of consecutive
 parts; the top pair of any run of length >= 2 is an eligible raft, named by
 its smaller member.  A designation picks an arbitrary subset of the eligible
 rafts, so a partition with R qualifying runs has exactly 2^R designations.
+The rafts module designates, moves and lists them.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ class Partition:
     def weight(self) -> int:
         return sum(self.parts)
 
-    def eligible_rafts(self) -> tuple[int, ...]:
-        """Smaller members of the top pairs of all runs of length >= 2."""
-        return _eligible_rafts(self.parts)
-
     def __str__(self) -> str:
         return render_rafted_text(self.parts, ())
 
@@ -75,22 +72,6 @@ def _check_parts(parts: tuple[int, ...]) -> None:
     """Partition's rule: ValueError unless parts strictly increase from >= 1."""
     if not all(map(lt, (0, *parts), parts)):
         raise ValueError(f"parts must be strictly increasing positive integers, got {parts}")
-
-
-def runs_of(parts: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(start, length) of each maximal consecutive block, in order."""
-    starts = [i for i, p in enumerate(parts) if not i or parts[i - 1] != p - 1]
-    return [(parts[i], j - i) for i, j in zip(starts, starts[1:] + [len(parts)])]
-
-
-def _eligible_rafts(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Partition.eligible_rafts of a strictly increasing tuple, in one scan.
-
-    a is eligible when a+1 follows it and a+2 does not; the 0 padding the
-    last pair can never equal a+2.
-    """
-    return tuple(a for a, b, c in zip(parts, parts[1:], parts[2:] + (0,))
-                 if b == a + 1 and c != a + 2)
 
 
 # ---------------------------------------------------------------------------

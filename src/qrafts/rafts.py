@@ -22,10 +22,12 @@ the weight moves by 2.  The run start a is one past the highest clear bit
 below k, (~bits & ((1 << k) - 1)).bit_length(), and the end of an obstacle
 run one below the lowest clear bit above k+3.  One step function per
 direction, _forward_step and _backward_step on (bits, rafts, k), finds the
-flip, the new raft, the gain and the refusal.  The can_* methods and
-is_minimal read its refusal; forward and backward raise on it or make the
-flip; both traces call it with the bitset, rafts and weight kept in locals,
-build each state through _state and take the rafts back from it.
+flip, the new raft, the gain and whether the step is refused; the can_*
+methods and is_minimal read only that flag.  One loop, _move_raft, makes
+every move: once for forward and backward, until refused for
+decompose_with_trace, eta_i/2 times for compose_with_trace.  It keeps the
+bitset, rafts and weight in locals, builds each state through _state and
+takes the rafts back from it; only a refusal that raises builds its text.
 
 Every state the package builds comes from _state, which runs the part rule
 on the bitset (no part 0: a bitset holds no repeated or unsorted part), then
@@ -171,28 +173,19 @@ class RaftedPartition:
             raise MoveError(f"move-not-applicable: {k} is not a designated raft of {self}")
         return self._rafts.index(k)
 
-    def _move(self, rank: int, step: tuple[int, int, int, str | None]) -> "RaftedPartition":
-        """The raft at this rank moved by its step; MoveError when the step is refused."""
-        flip, new_raft, gain, refusal = step
-        if refusal:
-            raise _refused(refusal)
-        rafts = list(self._rafts)
-        rafts[rank] = new_raft
-        return _state(self._bits ^ flip, tuple(rafts), self._weight + gain)
-
     def can_forward(self, k: int) -> bool:
-        return k in self._rafts and _forward_step(self._bits, self._rafts, k)[3] is None
+        return k in self._rafts and not _forward_step(self._bits, self._rafts, k)[3]
 
     def forward(self, k: int) -> "RaftedPartition":
         """Move raft k up, gaining weight 2: remove k, add k+2."""
-        return self._move(self._rank(k), _forward_step(self._bits, self._rafts, k))
+        return _move_raft(self, self._rank(k), _forward_step, 1, None)[0]
 
     def can_backward(self, k: int) -> bool:
-        return k in self._rafts and _backward_step(self._bits, self._rafts, k)[3] is None
+        return k in self._rafts and not _backward_step(self._bits, self._rafts, k)[3]
 
     def backward(self, k: int) -> "RaftedPartition":
         """Move raft k down, losing weight 2: remove a+1, add a-1 (a = run start)."""
-        return self._move(self._rank(k), _backward_step(self._bits, self._rafts, k))
+        return _move_raft(self, self._rank(k), _backward_step, 1, None)[0]
 
     # -- minimality ---------------------------------------------------------
 
@@ -206,40 +199,64 @@ class RaftedPartition:
 # the step of one raft, on the bitset and the sorted rafts
 
 
-def _forward_step(bits: int, rafts: tuple[int, ...], k: int) -> tuple[int, int, int, str | None]:
-    """Raft k's forward step (flip, new raft, gain, refusal or None): k leaves
-    and k+2 joins, so the flip is bits k and k+2 (5 << k) and the gain 2."""
+def _forward_step(bits: int, rafts: tuple[int, ...], k: int) -> tuple[int, int, int, bool]:
+    """Raft k's forward step (flip, new raft, gain, refused): k leaves and k+2
+    joins, so the flip is bits k and k+2 (5 << k) and the gain 2."""
     flip = 5 << k
     ahead = bits >> k + 3
     if not ahead & 1:
-        return flip, k + 1, 2, None
+        return flip, k + 1, 2, False
     # the run ahead is k+3..e: ahead ^ (ahead + 1) has one bit per part of it
     # and one more
     e = k + 1 + (ahead ^ (ahead + 1)).bit_length()
-    if e - 1 in rafts:
-        return flip, e - 1, 2, (f"raft [{k},{k + 1}] is blocked by designated "
-                                f"raft [{e - 1},{e}] at the end of the run ahead")
-    return flip, e - 1, 2, None
+    return flip, e - 1, 2, e - 1 in rafts
 
 
-def _backward_step(bits: int, rafts: tuple[int, ...], k: int) -> tuple[int, int, int, str | None]:
-    """Raft k's backward step (flip, new raft, gain, refusal or None): with a
-    the start of its run, a+1 leaves and a-1 joins, so the flip is bits a-1
-    and a+1 (5 << a-1), the raft becomes a-1 and the gain is -2."""
+def _backward_step(bits: int, rafts: tuple[int, ...], k: int) -> tuple[int, int, int, bool]:
+    """Raft k's backward step (flip, new raft, gain, refused): with a the
+    start of its run, a+1 leaves and a-1 joins, so the flip is bits a-1 and
+    a+1 (5 << a-1), the raft becomes a-1 and the gain is -2."""
     # the highest absent number below k is a-1; 0 is never a part
     a = (~bits & ((1 << k) - 1)).bit_length()
-    flip = 5 << a - 1
-    if a < 2:
-        return flip, a - 1, -2, f"raft [{k},{k + 1}] sits on a run starting at 1"
-    if a - 3 in rafts:
-        return flip, a - 1, -2, (f"raft [{k},{k + 1}] is blocked by designated "
-                                 f"raft [{a - 3},{a - 2}] just below its run")
-    return flip, a - 1, -2, None
+    return 5 << a - 1, a - 1, -2, a < 2 or a - 3 in rafts
 
 
-def _refused(refusal: str) -> MoveError:
-    """The error of a refused step, for the methods and the traces alike."""
-    return MoveError(f"move-not-applicable: {refusal}")
+def _refusal(k: int, new: int, gain: int) -> MoveError:
+    """The error of raft k's refused step, from its new raft and gain."""
+    if gain > 0:
+        why = f"is blocked by designated raft [{new},{new + 1}] at the end of the run ahead"
+    elif new < 1:
+        why = "sits on a run starting at 1"
+    else:
+        why = f"is blocked by designated raft [{new - 2},{new - 1}] just below its run"
+    return MoveError(f"move-not-applicable: raft [{k},{k + 1}] {why}")
+
+
+def _move_raft(state: RaftedPartition, rank: int, step, limit: int | None,
+               record) -> tuple[RaftedPartition, int]:
+    """(last state, moves made): the raft at this rank moved by step up to
+    limit times, or with no limit until refused; a refusal within the limit
+    raises.  record, when given, takes each move as (before, raft, after)."""
+    bits, rafts, weight = state._bits, state._rafts, state._weight
+    n = 0
+    while n != limit:  # never equal when limit is None
+        k = rafts[rank]
+        flip, new_raft, gain, refused = step(bits, rafts, k)
+        if refused:
+            if limit is None:
+                break
+            raise _refusal(k, new_raft, gain)
+        bits ^= flip
+        weight += gain
+        moved = list(rafts)
+        moved[rank] = new_raft
+        after = _state(bits, tuple(moved), weight)
+        rafts = after._rafts
+        if record is not None:
+            record((state, k, after))
+        state = after
+        n += 1
+    return state, n
 
 
 def _parts_of(bits: int) -> tuple[int, ...]:
@@ -363,26 +380,10 @@ def decompose_with_trace(
     holds (before, raft, after) triples in execution order.
     """
     current = rp
-    bits, rafts, weight = rp._bits, rp._rafts, rp._weight
     counts: list[int] = []  # smallest raft first
     moves: list[tuple[RaftedPartition, int, RaftedPartition]] = []
-    record = moves.append
-    for rank in range(len(rafts)):
-        n = 0
-        while True:
-            k = rafts[rank]
-            flip, new_raft, gain, refusal = _backward_step(bits, rafts, k)
-            if refusal:
-                break
-            bits ^= flip
-            weight += gain
-            moved = list(rafts)
-            moved[rank] = new_raft
-            nxt = _state(bits, tuple(moved), weight)
-            rafts = nxt._rafts
-            record((current, k, nxt))
-            current = nxt
-            n += 1
+    for rank in range(len(rp._rafts)):
+        current, n = _move_raft(current, rank, _backward_step, None, moves.append)
         counts.append(2 * n)
     eta = EvenPartition(tuple(reversed(counts)))
     return current, eta, moves
@@ -410,24 +411,9 @@ def compose_with_trace(
     if not beta.is_minimal():
         raise MoveError(f"not-minimal: {beta} admits a backward move")
     current = beta
-    bits, rafts, weight = beta._bits, beta._rafts, beta._weight
     moves: list[tuple[RaftedPartition, int, RaftedPartition]] = []
-    record = moves.append
     for i, amount in enumerate(eta.parts):
-        rank = k - 1 - i  # largest raft first
-        for _ in range(amount // 2):
-            raft = rafts[rank]
-            flip, new_raft, gain, refusal = _forward_step(bits, rafts, raft)
-            if refusal:
-                raise _refused(refusal)
-            bits ^= flip
-            weight += gain
-            moved = list(rafts)
-            moved[rank] = new_raft
-            nxt = _state(bits, tuple(moved), weight)
-            rafts = nxt._rafts
-            record((current, raft, nxt))
-            current = nxt
+        current, _ = _move_raft(current, k - 1 - i, _forward_step, amount // 2, moves.append)
     return current, moves
 
 
@@ -445,7 +431,7 @@ class MinimalProfile:
     """Coordinates of a minimal configuration.
 
     raft_positions r_1 < ... < r_k; tail holds the free parts at r_k + 3 and
-    above.  The property ``mu`` is computed from the positions.
+    above.
     """
 
     raft_positions: tuple[int, ...]
@@ -461,18 +447,6 @@ class MinimalProfile:
             raise ValueError(f"tail parts must be >= {r[-1] + 3}, got {self.tail}")
         if not all(map(lt, self.tail, self.tail[1:])):
             raise ValueError(f"tail parts must be strictly increasing, got {self.tail}")
-
-    @property
-    def mu(self) -> tuple[int, ...]:
-        """mu_j = r_{k-j} + 2 - 3(k-j): the offsets of the k-1 missing parts
-        against the tightest staircase 3, 6, ..., 3(k-1), largest first.
-
-        Non-increasing, and each lies in [0, r_k - 3k + 2]: positions from >= 1
-        climbing by >= 3 give r_i >= 3i - 2 and r_k - r_i >= 3(k - i).
-        """
-        r = self.raft_positions
-        k = len(r)
-        return tuple(r[k - 1 - j] + 2 - 3 * (k - j) for j in range(1, k))
 
     @classmethod
     def from_positions(cls, raft_positions, tail=()) -> "MinimalProfile":

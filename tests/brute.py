@@ -13,6 +13,8 @@ from typing import Iterator
 from qrafts.partitions import Partition, iter_gap_exact
 from qrafts.rafts import RaftedPartition
 
+from raft_reference import eligible_rafts
+
 
 def all_distinct(max_weight: int) -> Iterator[Partition]:
     """Every distinct-part partition of weight <= max_weight, weight by weight."""
@@ -27,7 +29,7 @@ def enumerate_designations(p: Partition) -> Iterator[tuple[int, ...]]:
     Bit i of the counter toggles the i-th smallest eligible raft, so the
     order is deterministic: (), smallest alone, next alone, both, ...
     """
-    elig = p.eligible_rafts()
+    elig = eligible_rafts(p.parts)
     for mask in range(1 << len(elig)):
         yield tuple(r for i, r in enumerate(elig) if mask >> i & 1)
 

@@ -5,7 +5,9 @@ bitset of the parts.  This module keeps set-based forms: it looks every
 membership up in ``set(parts)``, maps each part to its run through
 ``runs_of``, and re-sorts the parts after each move.  It shares no bit
 arithmetic with the library, so the tests judge the two-bit flips and the
-bitset validation against it.  ``reference_render`` is a frozen copy of the
+bitset validation against it.  ``runs_of`` and ``eligible_rafts`` read the
+runs and the eligible rafts off a part tuple; the package needs neither,
+since its listing finds the rafts as it builds the parts.  ``reference_render`` is a frozen copy of the
 renderer over a raft set, so a change to ``render_rafted_text`` is judged
 against the text it gave before.  ``reference_rafted`` is the filter route of
 the rafted listing, which scans every distinct-part partition for its
@@ -15,8 +17,24 @@ eligible rafts, so the run-pruned recursion is judged against it.
 import itertools
 from dataclasses import dataclass
 
-from qrafts.partitions import Partition, _eligible_rafts, iter_gap_exact, runs_of
+from qrafts.partitions import Partition, iter_gap_exact
 from qrafts.rafts import MoveError, RaftError
+
+
+def runs_of(parts: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(start, length) of each maximal consecutive block, in order."""
+    starts = [i for i, p in enumerate(parts) if not i or parts[i - 1] != p - 1]
+    return [(parts[i], j - i) for i, j in zip(starts, starts[1:] + [len(parts)])]
+
+
+def eligible_rafts(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Smaller members of the top pairs of all runs of length >= 2, in one scan.
+
+    a is eligible when a+1 follows it and a+2 does not; the 0 padding the
+    last pair can never equal a+2.
+    """
+    return tuple(a for a, b, c in zip(parts, parts[1:], parts[2:] + (0,))
+                 if b == a + 1 and c != a + 2)
 
 
 def reference_render(parts: tuple[int, ...], rafts) -> str:
@@ -44,7 +62,7 @@ def reference_rafted(k: int, max_weight: int, min_weight: int = 0):
     with every size-k subset of its eligible rafts, in lexicographic order."""
     for w in range(min_weight, max_weight + 1):
         for parts in iter_gap_exact(w, 1):
-            for combo in itertools.combinations(_eligible_rafts(parts), k):
+            for combo in itertools.combinations(eligible_rafts(parts), k):
                 yield parts, combo
 
 

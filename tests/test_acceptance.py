@@ -14,7 +14,7 @@ import pytest
 
 from qrafts import identities as idn
 from qrafts.identities import REGISTRY, run_check
-from qrafts.partitions import EvenPartition, runs_of
+from qrafts.partitions import EvenPartition
 from qrafts.rafts import (
     RaftedPartition,
     compose_with_trace,
@@ -23,6 +23,7 @@ from qrafts.rafts import (
 )
 
 from brute import all_distinct, enumerate_designations
+from raft_reference import runs_of
 
 
 def _rafted_upto(max_weight):

@@ -21,12 +21,13 @@ from qrafts.identities import (
     run_check,
     run_many,
 )
-from qrafts.partitions import Partition, iter_gap_exact, runs_of
+from qrafts.partitions import Partition, iter_gap_exact
 from qrafts.rafts import RaftedPartition, enumerate_minimal, enumerate_rafted
 from qrafts.series import QSeries, XQSeries
 
 import product_forms as ref
 from brute import all_distinct, enumerate_designations, is_minimal_structural
+from raft_reference import runs_of
 from staircase_reference import list_rows_pass
 from walk_reference import reference_walk
 

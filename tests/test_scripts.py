@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end against the package in src/."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,6 +9,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# SHA-256 of the default run's whole stdout, taken while the package still
+# computed the runs, the eligible rafts and mu that the script now computes
+DEFAULT_STDOUT_SHA256 = "c30adbb2ca1a108975e517181760c8eda9d450f6bba88f8e98ef1f16bbca19ac"
 
 
 @pytest.mark.parametrize("args", [[], ["2,[3,4],6,7,8"]], ids=["default", "given"])
@@ -19,3 +24,6 @@ def test_raft_walkthrough(args):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "recovers the input: True" in proc.stdout
+    if not args:
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEFAULT_STDOUT_SHA256, \
+            proc.stdout
