@@ -48,12 +48,13 @@ def main() -> int:
     for before, raft, after in moves:
         print(f"  {before}  --bwd(raft={raft})-->  {after}")
     print(f"  beta = {beta}   eta = {tuple(eta.parts)}")
-    prof = minimal_profile(beta)
-    # mu_j = r_{k-j} + 2 - 3(k-j): the offsets of the k-1 missing parts
-    # against the tightest staircase 3, 6, ..., 3(k-1), largest first
-    r = prof.raft_positions
-    mu = tuple(r[-1 - j] + 2 - 3 * (len(r) - j) for j in range(1, len(r)))
-    print(f"  profile: rafts at {r}, mu = {mu}, tail = {prof.tail}")
+    if beta.rafts:  # a profile needs at least one raft
+        prof = minimal_profile(beta)
+        # mu_j = r_{k-j} + 2 - 3(k-j): the offsets of the k-1 missing parts
+        # against the tightest staircase 3, 6, ..., 3(k-1), largest first
+        r = prof.raft_positions
+        mu = tuple(r[-1 - j] + 2 - 3 * (len(r) - j) for j in range(1, len(r)))
+        print(f"  profile: rafts at {r}, mu = {mu}, tail = {prof.tail}")
     rebuilt, _ = compose_with_trace(beta, eta)
     print(f"  replaying eta forward recovers the input: {rebuilt == rp}")
     print()

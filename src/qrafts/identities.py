@@ -20,8 +20,8 @@ ratio, and yields it with its q-shift e(i); ``_add_term`` or
 ``_add_shifted`` files it.  Both share one cancellation rule: what a
 quotient has on both sides is dropped from both before any step, a factor
 in ``_product`` and a family of the ratio in ``_terms``, since every factor
-is a unit modulo q^(N+1) and the steps commute.  One double sum,
-``bmn_gf``, builds C_k and, at k = 2, the paper's master sum.
+is a unit modulo q^(N+1) and the steps commute.  ``_double_terms`` nests
+two ``_terms`` loops for both double sums: C_k and the staircase's (k, m) table.
 
 ``_terms`` also owns the cutoff and the cut.  It stops at the first index
 whose shift passes the truncation order N, since the shifts never decrease
@@ -185,6 +185,25 @@ def _q_sum(trunc: int, shift: Callable[[int], int], term: list[int],
     return QSeries(trunc, tuple(total))
 
 
+def _double_terms(q_trunc: int, c: int, exp: Callable[[int, int], int],
+                  stop: Callable[[int, int], bool],
+                  num: Callable[[int], Sequence[PochhammerSpec]] = lambda j: (),
+                  ) -> Iterator[tuple[int, int, int, list[int]]]:
+    """(j, r, exp(j, r), term) for sum_j sum_r q^exp(j, r) num_j(r) / ((q^c;q^c)_j (q;q)_r)
+    to q^q_trunc, num_j(r) the first r factors of each family in ``num(j)``.
+
+    A ``_terms`` loop steps 1 / (q^c;q^c)_j, cut at exp(j, 0), to the first j
+    where stop(j, 0) holds; a second steps a copy of it through ``num(j)`` and
+    (q;q), cut at exp(j, r), to the first r where stop(j, r) holds.  Each also
+    ends at its first summand past q^q_trunc, so exp must not decrease in j at
+    r = 0 or in r (``_terms`` raises ValueError).
+    """
+    for j, _, outer in _terms(q_trunc, lambda j: exp(j, 0), _unit(q_trunc),
+                              den=[PochhammerSpec(1, c, c)], stop=lambda j: stop(j, 0)):
+        for r, e, term in _terms(q_trunc, partial(exp, j), outer[:], num(j), _QQ, partial(stop, j)):
+            yield j, r, e, term
+
+
 # ---------------------------------------------------------------------------
 # univariate formula sides
 
@@ -330,23 +349,13 @@ def bmn_gf(k: int, x_trunc: int, q_trunc: int) -> XQSeries:
     Euler's identity (-xq^a;q)_inf = sum_r x^r q^(binom(r,2) + a r) / (q;q)_r,
     at a = 2j+1, expands it into the summands (j, r) above: x^(2j+r), and
     3j^2 + binom(r,2) + (2j+1)r = binom(2j+r+1,2) + 2 binom(j,2).
-
-    Both exponents increase in j and in r: each loop stops at the first
-    summand past either truncation, and ``_terms`` cuts 1 / (q^k;q^k)_j at
-    its shift at r = 0 and the term at its shift at (j, r).
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-
-    def q_exp(j, r):
-        return _b2(k * j + r + 1) + k * _b2(j)
-
     acc: dict[int, list[int]] = {}
-    for j, _, inv_j in _terms(q_trunc, lambda j: q_exp(j, 0), _unit(q_trunc),
-                              den=[PochhammerSpec(1, k, k)], stop=lambda j: k * j > x_trunc):
-        for r, e, term in _terms(q_trunc, partial(q_exp, j), inv_j[:], den=_QQ,
-                                 stop=lambda r: k * j + r > x_trunc):
-            _add_term(acc, q_trunc + 1, k * j + r, e, -1 if j % 2 else 1, term)
+    for j, r, e, term in _double_terms(q_trunc, k, lambda j, r: _b2(k * j + r + 1) + k * _b2(j),
+                                       lambda j, r: k * j + r > x_trunc):
+        _add_term(acc, q_trunc + 1, k * j + r, e, -1 if j % 2 else 1, term)
     return _from_buffers(x_trunc, q_trunc, acc)
 
 
@@ -386,29 +395,20 @@ def staircase_gf(d: int, x_trunc: int, q_trunc: int) -> XQSeries:
     if d < 0:
         raise ValueError(f"need d >= 0, got {d}")
 
-    def inner_exp(k, m):
-        return 3 * k * k + d * _b2(2 * k) + m + d * _b2(m) + 2 * d * k * m
-
-    def shift(n, j):
-        return _b2(n + 1) + d * _b2(n) + d * n * j + j
-
     rows: dict[int, list[int]] = {}  # pass (a): j -> G_j / q^j
-    for k, _, u in _terms(q_trunc, lambda k: inner_exp(k, 0), _unit(q_trunc),
-                          den=[PochhammerSpec(1, 2, 2)], stop=lambda k: 2 * k > x_trunc):
-        # running u (q^(2k);q)_m / (q;q)_m, with u = 1 / (q^2;q^2)_k
-        for m, e, term in _terms(q_trunc, partial(inner_exp, k), u[:],
-                                 [PochhammerSpec(1, 2 * k, 1)] if k else [], _QQ,
-                                 stop=lambda m: 2 * k + m > x_trunc or (k == 0 and m > 0)):
-            j = 2 * k + m
-            _add_term(rows, q_trunc + 1 - j, j, e - j,
-                      -1 if (k + m) % 2 else 1, term)
+    for k, m, e, term in _double_terms(
+            q_trunc, 2, lambda k, m: 3 * k * k + d * _b2(2 * k) + m + d * _b2(m) + 2 * d * k * m,
+            lambda k, m: 2 * k + m > x_trunc or (k == 0 and m > 0),
+            lambda k: [PochhammerSpec(1, 2 * k, 1)] if k else []):
+        j = 2 * k + m
+        _add_term(rows, q_trunc + 1 - j, j, e - j, -1 if (k + m) % 2 else 1, term)
 
     if d == 0:
         return _packed_rows_pass(rows, x_trunc, q_trunc)
     acc: dict[int, list[int]] = {}  # pass (b): row j becomes G_j / (q^j (q;q)_n)
     for j, row in rows.items():
-        for n, e, term in _terms(q_trunc, lambda n: shift(n, j), row, den=_QQ,
-                                 stop=lambda n: n + j > x_trunc):
+        for n, e, term in _terms(q_trunc, lambda n: _b2(n + 1) + d * _b2(n) + d * n * j + j,
+                                 row, den=_QQ, stop=lambda n: n + j > x_trunc):
             _add_term(acc, q_trunc + 1, n + j, e, 1, term)
     return _from_buffers(x_trunc, q_trunc, acc)
 

@@ -615,6 +615,51 @@ class TestCoefficientCuts:
             list(idn._terms(20, lambda i: i, idn._unit(20), num, den, stop=lambda i: i > 2))
             assert stepped == want, (num, den)
 
+    @pytest.mark.parametrize("c, exp, stop, num", [
+        (2, lambda j, r: ref._b2(2 * j + r + 1) + 2 * ref._b2(j), lambda j, r: 2 * j + r > 6,
+         lambda j: ()),  # bmn_gf(2) at x-order 6
+        (3, lambda j, r: ref._b2(3 * j + r + 1) + 3 * ref._b2(j), lambda j, r: False,
+         lambda j: ()),  # bmn_gf(3), ended by the q-cutoff alone
+        (2, lambda j, r: 3 * j * j + r, lambda j, r: 2 * j + r > 7 or (j == 0 and r > 0),
+         lambda j: [ser.PochhammerSpec(1, 2 * j, 1)] if j else []),  # staircase_gf(0)'s table
+        (1, lambda j, r: j * j + j * r, lambda j, r: r > 3,  # equal shifts at j = 0
+         lambda j: [ser.PochhammerSpec(-1, j + 2, 3), ser.PochhammerSpec(1, 1, 1)]),
+    ], ids=["bmn-2-x6", "bmn-3", "staircase-0-x7", "flat-row-stopped"])
+    def test_double_terms_yields_exactly_the_pairs_within_the_cutoff(self, c, exp, stop, num):
+        """(j, r) is yielded iff a double loop that ends each index at its
+        first shift past trunc or its first stop keeps it, with its term cut
+        to trunc + 1 - exp(j, r) coefficients and equal there to
+        prod num(j)_r / ((q^c;q^c)_j (q;q)_r), multiplied out."""
+        for trunc in (0, 1, 5, 12, 40):
+            want = []
+            for j in range(50):
+                if exp(j, 0) > trunc or stop(j, 0):
+                    break
+                for r in range(50):
+                    if exp(j, r) > trunc or stop(j, r):
+                        break
+                    want.append((j, r))
+            got = []
+            for j, r, e, term in idn._double_terms(trunc, c, exp, stop, num):
+                n = trunc + 1 - e
+                assert e == exp(j, r) and len(term) == n, (trunc, j, r)
+                full = ref._mul(list(ref._inv_poch(1, c, c, j, trunc)),
+                                list(ref._inv_poch(1, 1, 1, r, trunc)))
+                for f in num(j):
+                    full = ref._mul(full, list(ref._poch(f.sign, f.base_exp, f.step_exp, r,
+                                                         trunc)))
+                assert term == full[:n], (trunc, j, r)
+                got.append((j, r))
+            assert got == want, trunc
+
+    @pytest.mark.parametrize("exp", [lambda j, r: 10 - j + r, lambda j, r: 5 + j - r],
+                             ids=["decreasing-in-j", "decreasing-in-r"])
+    def test_double_terms_refuses_a_decreasing_exponent(self, exp):
+        """Both loops end and cut on ``_terms``' shifts, so an exponent that
+        decreases in j at r = 0, or in r, raises its ValueError."""
+        with pytest.raises(ValueError, match="must not decrease"):
+            list(idn._double_terms(20, 2, exp, lambda j, r: j > 3 or r > 3))
+
     @pytest.mark.parametrize("build, work, steps", [
         (lambda: idn.slater19_sum(85), 1061, 85),
         (lambda: idn.minimal_gf(2, 85), 1235, 67),
@@ -628,9 +673,17 @@ class TestCoefficientCuts:
         (lambda: idn.bmn_gf(3, 85, 85), 2897, 0),
         (lambda: idn.staircase_gf(0, 85, 85), 18126, 0),  # pass (a) and the packed pass's bound
         (lambda: idn.staircase_gf(2, 85, 85), 6083, 0),
+        # x-order 4 < q-order 85: an outer loop that ran on past stop(j, 0) to
+        # the q-cutoff would step 1 / (q^c;q^c)_j further and raise the count
+        (lambda: idn.bmn_gf(2, 4, 85), 1341, 0),
+        (lambda: idn.bmn_gf(3, 4, 85), 1032, 0),
+        (lambda: idn.staircase_gf(0, 4, 85), 1209, 0),
+        (lambda: idn.staircase_gf(2, 4, 85), 2174, 0),
+        (lambda: idn.master_rhs(4, 85), 704, 0),
     ], ids=["slater19_sum", "minimal_gf-2", "qgauss_lhs", "qgauss_lhs-2-2-5", "qgauss_rhs",
             "gauss_step_lhs", "gauss_step_rhs", "master_rhs", "bmn_gf-2", "bmn_gf-3",
-            "staircase_gf-0", "staircase_gf-2"])
+            "staircase_gf-0", "staircase_gf-2", "bmn_gf-2-x4", "bmn_gf-3-x4",
+            "staircase_gf-0-x4", "staircase_gf-2-x4", "master_rhs-x4"])
     def test_work_counts(self, monkeypatch, build, work, steps):
         """Coefficients touched at order 85: len(c) - a per factor step, plus
         every element ``_add_shifted`` adds.  A cut taken out, even one whose
@@ -638,7 +691,8 @@ class TestCoefficientCuts:
         built by ``series._product`` steps one packed int in place of a list:
         ``steps`` counts its factors, each multiply or divide by one
         (1 - s*q^a), so a factor that numerator and denominator share and
-        that is stepped on both sides raises it."""
+        that is stepped on both sides raises it.  The x-order-4 builds pin
+        where each outer sum ends by x-degree, not by q-shift."""
         done, packed = [0], [0]
         add_shifted, packed_factor = ser._add_shifted, ser._packed_factor
 

@@ -15,7 +15,8 @@ ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_STDOUT_SHA256 = "c30adbb2ca1a108975e517181760c8eda9d450f6bba88f8e98ef1f16bbca19ac"
 
 
-@pytest.mark.parametrize("args", [[], ["2,[3,4],6,7,8"]], ids=["default", "given"])
+@pytest.mark.parametrize("args", [[], ["2,[3,4],6,7,8"], ["1,3,5"]],
+                         ids=["default", "given", "raftless"])
 def test_raft_walkthrough(args):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "raft_walkthrough.py"), *args],
