@@ -15,32 +15,38 @@ mirror (remove a+1, add a-1, where a is the start of the raft's run), refused
 when it would need a part 0 or land on a+1-type conflicts with a designated
 raft ending at a-2.
 
-The engine works on one int bitset of the parts, bit p set when p is a part.
-Each move is one flip of two bits, bits ^ (5 << low) with low = k forward
-(k leaves, k+2 joins) and low = a-1 backward (a+1 leaves, a-1 joins), and
-the weight moves by 2.  The run start a is one past the highest clear bit
-below k, (~bits & ((1 << k) - 1)).bit_length(), and the end of an obstacle
-run one below the lowest clear bit above k+3.  One step function per
-direction, _forward_step and _backward_step on (bits, rafts, k), finds the
-flip, the new raft, the gain and whether the step is refused; the can_*
-methods and is_minimal read only that flag.  One loop, _move_raft, makes
-every move: once for forward and backward, until refused for
-decompose_with_trace, eta_i/2 times for compose_with_trace.  It keeps the
-bitset, rafts and weight in locals, builds each state through _state and
-takes the rafts back from it; only a refusal that raises builds its text.
+The engine works on two int bitsets: the parts, bit p set when p is a part,
+and the designation, bit k set when [k,k+1] is a designated raft.  A move
+flips two bits of the parts, 5 << low with low = k forward (k leaves, k+2
+joins) and low = a-1 backward (a+1 leaves, a-1 joins), moves the raft's bit
+of the designation from k to its new place, and moves the weight by 2.  The
+run start a is one past the highest clear bit below k,
+(~bits & ((1 << k) - 1)).bit_length(), and the end of an obstacle run one
+below the lowest clear bit above k+3.  One step function per direction,
+_forward_step and _backward_step on (bits, rmask, k), finds the new raft and
+whether the step is refused; the can_* methods and is_minimal read only that
+flag.  One loop, _move_raft, makes every move: once for forward and
+backward, until refused for decompose_with_trace, eta_i/2 times for
+compose_with_trace.  It keeps both bitsets, the weight and the moving raft's
+place in locals and builds each state through _state; only a refusal that
+raises builds its text.  The traces and is_minimal take each raft's place
+off the designation bitset, so no move path builds a raft tuple.
 
 Every state the package builds comes from _state, which runs the part rule
-on the bitset (no part 0: a bitset holds no repeated or unsorted part), then
-one validator of the raft rules: a sorted designation passes with one shift
-per raft, and any other is sorted or refused with a RaftError that names the
-first broken rule in a fixed order.  A state built from a part tuple (the
-constructor, parse, to_rafted, both enumerations) runs Partition's part rule
-on the tuple first, in _checked_state.
+(no part 0: a bitset holds no repeated or unsorted part) and the raft rules
+as a few int tests on the two bitsets, with no loop.  A state built from a
+part tuple (the constructor, parse, to_rafted, both enumerations) runs
+Partition's part rule on the tuple first, in _checked_state, and maps its
+rafts to their bitset: a strictly increasing tuple directly, any other
+through _sorted_rafts, which sorts it or raises the RaftError that names
+the first broken rule.  A designation bitset that breaks a rule reaches
+_sorted_rafts too, so every RaftError has one text.  The sorted raft tuple
+is built from the bitset only where it is read.
 
 The rafted listing recurses over the distinct-part partitions of each weight
 with the open run's length and the eligible rafts so far, and skips every
-subtree whose remaining weight cannot hold enough new runs of length >= 2 to
-reach k rafts (_runs_exact).
+subtree whose remaining weight cannot hold the new runs of length >= 2 that
+k rafts still need (_runs_exact).
 
 A configuration is minimal when no designated raft can move backward.
 Minimal configurations have rigid structure (consecutive parts from 1 up with
@@ -102,18 +108,20 @@ def _refuse(name: str):
 class RaftedPartition:
     """A distinct-part partition plus a set of designated rafts.
 
-    Rafts are named by their smaller member and stored sorted.  Validation
+    Rafts are named by their smaller member and read sorted.  Validation
     enforces, in order: both pair members present; at most one designated
     raft per run; k+2 absent for every designated raft k.
 
-    The parts are held as one int bitset, bit p set when p is a part, beside
-    the sorted rafts and the weight; ``partition`` is built from the bitset
-    where it is read.  The bitset takes one bit per integer up to the largest
-    part: a part near 10^6 costs about 125 KB in every state that holds it.
-    Instances are frozen, and equal states hash equal.
+    A state is two int bitsets and the weight: the parts, bit p set when p
+    is a part, and the designation (rmask), bit k set when raft k is
+    designated.  ``partition`` and ``rafts`` are built from them where they
+    are read.  Each bitset takes one bit per integer up to its top: a part
+    near 10^6 costs about 125 KB in every state that holds it, and a raft
+    there about 125 KB more.  Instances are frozen, and equal states hash
+    equal.
     """
 
-    __slots__ = ("_bits", "_rafts", "_weight", "_parts")
+    __slots__ = ("_bits", "_rmask", "_weight", "_parts", "_rafts")
     __match_args__ = ("partition", "rafts")
 
     def __new__(cls, partition: Partition, rafts) -> "RaftedPartition":
@@ -133,8 +141,15 @@ class RaftedPartition:
         """The parts, ascending: read from the bitset once, then kept."""
         parts = self._parts
         if parts is None:
-            parts = self._parts = _parts_of(self._bits)
+            parts = self._parts = _ones(self._bits)
         return parts
+
+    def _raft_tuple(self) -> tuple[int, ...]:
+        """The rafts, ascending: read from the designation once, then kept."""
+        rafts = self._rafts
+        if rafts is None:
+            rafts = self._rafts = _ones(self._rmask)
+        return rafts
 
     def _partition(self) -> Partition:
         p = _new(Partition)
@@ -145,11 +160,11 @@ class RaftedPartition:
     # stores the slots directly; assigning a field raises, as on a frozen
     # dataclass
     partition = property(_partition, _refuse("partition"))
-    rafts = property(attrgetter("_rafts"), _refuse("rafts"), doc="The designated rafts, sorted.")
+    rafts = property(_raft_tuple, _refuse("rafts"), doc="The designated rafts, sorted.")
     weight = property(attrgetter("_weight"), _refuse("weight"), doc="The sum of the parts.")
 
     def __str__(self) -> str:
-        return render_rafted_text(self._part_tuple(), self._rafts)
+        return render_rafted_text(self._part_tuple(), self._raft_tuple())
 
     def __repr__(self) -> str:
         return f"RaftedPartition(partition={self.partition!r}, rafts={self.rafts!r})"
@@ -157,73 +172,80 @@ class RaftedPartition:
     def __eq__(self, other):
         if type(other) is not RaftedPartition:
             return NotImplemented
-        return self._bits == other._bits and self._rafts == other._rafts
+        return self._bits == other._bits and self._rmask == other._rmask
 
     def __hash__(self) -> int:
-        return hash((self._bits, self._rafts))
+        return hash((self._bits, self._rmask))
 
     def __reduce__(self):
-        return RaftedPartition, (self.partition, self._rafts)
+        return RaftedPartition, (self.partition, self.rafts)
 
     # -- moves --------------------------------------------------------------
 
-    def _rank(self, k: int) -> int:
-        """Index of designated raft k in self.rafts; MoveError when k is not one."""
-        if k not in self._rafts:
+    def _raft(self, k: int) -> int:
+        """k, when it is a designated raft; MoveError otherwise."""
+        if k not in self.rafts:
             raise MoveError(f"move-not-applicable: {k} is not a designated raft of {self}")
-        return self._rafts.index(k)
+        return k
 
     def can_forward(self, k: int) -> bool:
-        return k in self._rafts and not _forward_step(self._bits, self._rafts, k)[3]
+        return k in self.rafts and not _forward_step(self._bits, self._rmask, k)[1]
 
     def forward(self, k: int) -> "RaftedPartition":
         """Move raft k up, gaining weight 2: remove k, add k+2."""
-        return _move_raft(self, self._rank(k), _forward_step, 1, None)[0]
+        return _move_raft(self, self._raft(k), _forward_step, 1, None)[0]
 
     def can_backward(self, k: int) -> bool:
-        return k in self._rafts and not _backward_step(self._bits, self._rafts, k)[3]
+        return k in self.rafts and not _backward_step(self._bits, self._rmask, k)[1]
 
     def backward(self, k: int) -> "RaftedPartition":
         """Move raft k down, losing weight 2: remove a+1, add a-1 (a = run start)."""
-        return _move_raft(self, self._rank(k), _backward_step, 1, None)[0]
+        return _move_raft(self, self._raft(k), _backward_step, 1, None)[0]
 
     # -- minimality ---------------------------------------------------------
 
     def is_minimal(self) -> bool:
         """No designated raft admits a backward move."""
-        bits, rafts = self._bits, self._rafts
-        return all(_backward_step(bits, rafts, k)[3] for k in rafts)
+        bits, rmask = self._bits, self._rmask
+        rest = rmask
+        while rest:
+            k = rest.bit_length() - 1
+            if not _backward_step(bits, rmask, k)[1]:
+                return False
+            rest ^= 1 << k
+        return True
 
 
 # ---------------------------------------------------------------------------
-# the step of one raft, on the bitset and the sorted rafts
+# the step of one raft, on the two bitsets
 
 
-def _forward_step(bits: int, rafts: tuple[int, ...], k: int) -> tuple[int, int, int, bool]:
-    """Raft k's forward step (flip, new raft, gain, refused): k leaves and k+2
-    joins, so the flip is bits k and k+2 (5 << k) and the gain 2."""
-    flip = 5 << k
+def _forward_step(bits: int, rmask: int, k: int) -> tuple[int, int]:
+    """Raft k's forward step (new raft, refused): k leaves and k+2 joins,
+    and the raft ends at the top of the run it reaches.  refused is truthy
+    when that run's top pair, at e-1 >= k+3, is designated."""
     ahead = bits >> k + 3
     if not ahead & 1:
-        return flip, k + 1, 2, False
+        return k + 1, 0
     # the run ahead is k+3..e: ahead ^ (ahead + 1) has one bit per part of it
     # and one more
     e = k + 1 + (ahead ^ (ahead + 1)).bit_length()
-    return flip, e - 1, 2, e - 1 in rafts
+    return e - 1, rmask >> e - 1 & 1
 
 
-def _backward_step(bits: int, rafts: tuple[int, ...], k: int) -> tuple[int, int, int, bool]:
-    """Raft k's backward step (flip, new raft, gain, refused): with a the
-    start of its run, a+1 leaves and a-1 joins, so the flip is bits a-1 and
-    a+1 (5 << a-1), the raft becomes a-1 and the gain is -2."""
+def _backward_step(bits: int, rmask: int, k: int) -> tuple[int, int]:
+    """Raft k's backward step (new raft, refused): with a the start of its
+    run, a+1 leaves and a-1 joins, and the raft becomes a-1.  refused is
+    truthy when a < 2 or raft a-3 is designated; there is no raft a-3 at
+    a = 2, so no shift count is negative."""
     # the highest absent number below k is a-1; 0 is never a part
     a = (~bits & ((1 << k) - 1)).bit_length()
-    return 5 << a - 1, a - 1, -2, a < 2 or a - 3 in rafts
+    return a - 1, a < 2 or a > 2 and rmask >> a - 3 & 1
 
 
-def _refusal(k: int, new: int, gain: int) -> MoveError:
-    """The error of raft k's refused step, from its new raft and gain."""
-    if gain > 0:
+def _refusal(k: int, new: int) -> MoveError:
+    """The error of raft k's refused step to new: forward when new > k."""
+    if new > k:
         why = f"is blocked by designated raft [{new},{new + 1}] at the end of the run ahead"
     elif new < 1:
         why = "sits on a run starting at 1"
@@ -232,72 +254,61 @@ def _refusal(k: int, new: int, gain: int) -> MoveError:
     return MoveError(f"move-not-applicable: raft [{k},{k + 1}] {why}")
 
 
-def _move_raft(state: RaftedPartition, rank: int, step, limit: int | None,
+def _move_raft(state: RaftedPartition, k: int, step, limit: int | None,
                record) -> tuple[RaftedPartition, int]:
-    """(last state, moves made): the raft at this rank moved by step up to
-    limit times, or with no limit until refused; a refusal within the limit
-    raises.  record, when given, takes each move as (before, raft, after)."""
-    bits, rafts, weight = state._bits, state._rafts, state._weight
+    """(last state, moves made): designated raft k moved by step up to limit
+    times, or with no limit until refused; a refusal within the limit raises.
+    record, when given, takes each move as (before, raft, after).
+
+    Each move flips two bits of the parts, 5 << k forward and 5 << new
+    backward, and moves the raft's bit of the designation from k to new.  No
+    other raft moves, so each new designation is rest, the other rafts'
+    bits, with 1 << new.
+    """
+    bits, rmask, weight = state._bits, state._rmask, state._weight
+    rest = rmask ^ 1 << k
     n = 0
     while n != limit:  # never equal when limit is None
-        k = rafts[rank]
-        flip, new_raft, gain, refused = step(bits, rafts, k)
+        new, refused = step(bits, rmask, k)
         if refused:
             if limit is None:
                 break
-            raise _refusal(k, new_raft, gain)
-        bits ^= flip
-        weight += gain
-        moved = list(rafts)
-        moved[rank] = new_raft
-        after = _state(bits, tuple(moved), weight)
-        rafts = after._rafts
+            raise _refusal(k, new)
+        if new > k:
+            bits ^= 5 << k
+            weight += 2
+        else:
+            bits ^= 5 << new
+            weight -= 2
+        rmask = rest | 1 << new
+        after = _state(bits, rmask, weight)
         if record is not None:
             record((state, k, after))
-        state = after
+        state, k = after, new
         n += 1
     return state, n
 
 
-def _parts_of(bits: int) -> tuple[int, ...]:
-    """The parts of a bitset, ascending: where its binary digits, lowest
+def _ones(bits: int) -> tuple[int, ...]:
+    """The set bits of a bitset, ascending: where its binary digits, lowest
     first, hold a 1.  str.find skips the 0s in C, so a sparse bitset with a
-    part near 10^6 takes milliseconds."""
+    bit near 10^6 takes milliseconds."""
     digits = bin(bits)[:1:-1]
-    parts = []
+    ones = []
     p = digits.find("1")
     while p >= 0:
-        parts.append(p)
+        ones.append(p)
         p = digits.find("1", p + 1)
-    return tuple(parts)
+    return tuple(ones)
 
 
-def _check_bits(bits: int) -> None:
-    """The part rule on a bitset: no part 0.  A bitset holds no repeated or
-    unsorted part, so that is the whole of Partition's rule."""
+def _broken_rule(bits: int, rmask: int) -> None:
+    """Raise the error of the first rule a state breaks: the part rule's
+    ValueError, else the RaftError of its sorted rafts."""
     if bits & 1:
         raise ValueError(f"parts must be strictly increasing positive integers, "
-                         f"got {_parts_of(bits)}")
-
-
-def _valid_rafts(bits: int, rafts) -> tuple[int, ...]:
-    """rafts as a sorted tuple, once every raft rule holds on the bitset.
-
-    Raft k >= 1 keeps its own rules when bits k and k+1 are set and bit k+2
-    is clear: bits >> k & 7 == 3.  Two such rafts a < b never share a run:
-    b = a+1 would need a+2 present, and for b >= a+2 the absent a+2 lies
-    between them.  So a strictly increasing tuple that passes the test, one
-    shift per raft, keeps every rule and is neither copied nor sorted; any
-    other designation goes to _sorted_rafts.
-    """
-    if type(rafts) is not tuple:
-        rafts = tuple(rafts)
-    prev = 0
-    for k in rafts:
-        if k <= prev or bits >> k & 7 != 3:
-            return _sorted_rafts(bits, rafts)
-        prev = k
-    return rafts
+                         f"got {_ones(bits)}")
+    _sorted_rafts(bits, _ones(rmask))
 
 
 def _sorted_rafts(bits: int, rafts: tuple[int, ...]) -> tuple[int, ...]:
@@ -329,7 +340,7 @@ def _sorted_rafts(bits: int, rafts: tuple[int, ...]) -> tuple[int, ...]:
 
 def _text(bits: int) -> str:
     """The parts of a bitset as Partition renders them."""
-    return render_rafted_text(_parts_of(bits), ())
+    return render_rafted_text(_ones(bits), ())
 
 
 # bound once: object.__new__, and Partition's slot descriptor, whose __set__
@@ -338,32 +349,59 @@ _new = object.__new__
 _set_parts = Partition.parts.__set__
 
 
-def _state(bits: int, rafts, weight: int, parts: tuple[int, ...] | None = None) -> RaftedPartition:
-    """The state with this bitset, designation and weight, once both rules hold.
+def _state(bits: int, rmask: int, weight: int, parts: tuple[int, ...] | None = None,
+           rafts: tuple[int, ...] | None = None) -> RaftedPartition:
+    """The state with these two bitsets and weight, once every rule holds.
 
     Every state the package builds comes from here: the tuple routes through
-    _checked_state, and the moves.  The part rule (_check_bits) and every
-    raft rule (_valid_rafts) run on each state.  parts, when given, is the
-    bitset's part tuple, kept for the readers of ``partition``.
+    _checked_state, and the moves.  The rules are a few int tests on the two
+    bitsets, with no loop.  The part rule is bits & 1 == 0: a bitset holds
+    no repeated or unsorted part, so no part 0 is the whole of Partition's
+    rule.  Raft k keeps its own rules when k and k+1 are parts and k+2 is
+    not; raft 0 never does, as 0 is never a part.  Over the designation:
+    bits holds rmask and rmask << 1, and misses rmask << 2.  Two such rafts
+    a < b never share a run: b = a+1 would need a+2 present, and for
+    b >= a+2 the absent a+2 lies between them; a bitset holds no repeated
+    raft.  So these tests cover every raft rule.  The first test takes the
+    part rule and the last raft rule in one, bits & (rmask << 2 | 1); a
+    state that fails a test goes to _broken_rule.
+
+    parts and rafts, when given, are the bitsets' tuples, kept for their
+    readers.
     """
-    _check_bits(bits)
+    if bits & (rmask << 2 | 1) or bits | rmask | rmask << 1 != bits:
+        _broken_rule(bits, rmask)
     rp = _new(RaftedPartition)
     rp._bits = bits
-    rp._rafts = _valid_rafts(bits, rafts)
+    rp._rmask = rmask
     rp._weight = weight
     rp._parts = parts
+    rp._rafts = rafts
     return rp
 
 
 def _checked_state(parts: tuple[int, ...], rafts) -> RaftedPartition:
     """RaftedPartition(Partition(parts), rafts): Partition's rule on the tuple,
-    then the state of its bitset.
+    then the state of its bitset and its rafts' bitset.
 
     The route of every state built from a part tuple: the public
-    constructor, parse, to_rafted and both enumerations.
+    constructor, parse, to_rafted and both enumerations.  Rafts that are not
+    strictly increasing from 1 go to _sorted_rafts, which sorts them or
+    raises the RaftError that names the first broken rule.
     """
     _check_parts(parts)
-    return _state(sum(map(lshift, repeat(1), parts)), rafts, sum(parts), parts)
+    bits = sum(map(lshift, repeat(1), parts))
+    if type(rafts) is not tuple:
+        rafts = tuple(rafts)
+    rmask = prev = 0
+    for k in rafts:
+        if k <= prev:
+            rafts = _sorted_rafts(bits, rafts)
+            rmask = sum(map(lshift, repeat(1), rafts))
+            break
+        rmask |= 1 << k
+        prev = k
+    return _state(bits, rmask, sum(parts), parts, rafts)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +420,11 @@ def decompose_with_trace(
     current = rp
     counts: list[int] = []  # smallest raft first
     moves: list[tuple[RaftedPartition, int, RaftedPartition]] = []
-    for rank in range(len(rp._rafts)):
-        current, n = _move_raft(current, rank, _backward_step, None, moves.append)
+    rest = rp._rmask  # the rafts still to move, read off the bitset
+    while rest:
+        k = (rest & -rest).bit_length() - 1
+        rest ^= 1 << k
+        current, n = _move_raft(current, k, _backward_step, None, moves.append)
         counts.append(2 * n)
     eta = EvenPartition(tuple(reversed(counts)))
     return current, eta, moves
@@ -403,17 +444,19 @@ def compose_with_trace(
     reason not-minimal when beta admits a backward move, and ValueError with
     reason invalid-eta when eta does not fit beta's raft count.
     """
-    k = len(beta.rafts)
-    if len(eta) != k:
+    rest = beta._rmask  # the rafts still to move, read off the bitset
+    if len(eta) != rest.bit_count():
         raise ValueError(
-            f"invalid-eta: {len(eta.parts)} parts for {k} rafts in {beta}"
+            f"invalid-eta: {len(eta.parts)} parts for {rest.bit_count()} rafts in {beta}"
         )
     if not beta.is_minimal():
         raise MoveError(f"not-minimal: {beta} admits a backward move")
     current = beta
     moves: list[tuple[RaftedPartition, int, RaftedPartition]] = []
-    for i, amount in enumerate(eta.parts):
-        current, _ = _move_raft(current, k - 1 - i, _forward_step, amount // 2, moves.append)
+    for amount in eta.parts:
+        k = rest.bit_length() - 1
+        rest ^= 1 << k
+        current, _ = _move_raft(current, k, _forward_step, amount // 2, moves.append)
     return current, moves
 
 
@@ -540,15 +583,20 @@ def _runs_exact(weight: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[in
     run: from length 1 that adds raft low-1, and from length >= 2 it moves
     the run's raft up to low-1.  Any larger part leaves the rafts as they are.
 
-    A node with weight R still to place in parts >= low is skipped when its
-    subtree cannot reach k rafts.  Every further raft comes from one of:
-      - a new run of length >= 2.  It holds two parts q, q+1 with q >= low,
-        of weight >= 2·low + 1, and two new runs share no part;
+    A node with weight R still to place in parts >= low, where m = k - (its
+    rafts so far) > 0 rafts are missing, is skipped when its subtree cannot
+    supply them.  Every further raft comes from one of:
+      - a new run of length >= 2 in parts >= low.  Its top pair q, q+1
+        weighs 2q + 1, and the next new run's top pair starts at q+3 or
+        above, as q+2 is absent.  So j new runs weigh at least
+        sum over i < j of 2(low + 3i) + 1 = j(2·low + 1) + 3j(j - 1);
       - the open run, when it has length 1, reaching length 2.  That takes
-        the part low, and the new runs then lie in the weight R - low left.
-    Extending a run of length >= 2 adds no raft.  So at most
-    max(R // (2·low+1), 1 + (R - low) // (2·low+1)) more rafts fit, the
-    second term only when the open run has length 1 (for R < low it is 0).
+        the part low, and the new runs then lie in parts >= low+2 and in
+        the weight R - low left.
+    Extending a run of length >= 2 adds no raft.  So the subtree holds k
+    rafts only if R >= m(2·low + 3m - 2), m new runs, or the open run has
+    length 1 and R - low >= (m-1)(2·low + 3m - 1), m-1 new runs in parts
+    >= low+2; the node is skipped when neither holds.
     """
     if weight < 0:
         return
@@ -556,11 +604,9 @@ def _runs_exact(weight: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[in
 
     def rec(remaining: int, low: int, run: int,
             rafts: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        pair = 2 * low + 1
-        more = remaining // pair
-        if run == 1:
-            more = max(more, 1 + (remaining - low) // pair)
-        if len(rafts) + more < k:
+        m = k - len(rafts)
+        if m > 0 and remaining < m * (2 * low + 3 * m - 2) and not (
+                run == 1 and remaining - low >= (m - 1) * (2 * low + 3 * m - 1)):
             return
         # the rafts once the part low extends the open run
         grown = rafts[:-1] + (low - 1,) if run > 1 else rafts + (low - 1,) if run else rafts

@@ -94,7 +94,7 @@ class TestValidation:
         """The part rule on a bitset refuses a part 0, as Partition does."""
         with pytest.raises(ValueError, match=re.escape(
                 "parts must be strictly increasing positive integers, got (0, 1, 2)")):
-            _state(0b111, (1,), 3)
+            _state(0b111, 0b10, 3)
 
     def test_parse_semantic_failure(self):
         with pytest.raises(RaftError) as e:
@@ -151,6 +151,33 @@ class TestMoves:
         out = rp.backward(4)
         assert str(out) == "[1,2],4,5"
         assert out.forward(1) == rp
+
+    @pytest.mark.parametrize("text, raft, want, beta, eta", [
+        # the run starts at 2: no raft a-3 = -1 is read
+        ("[2,3]", 2, "[1,2]", "[1,2]", (2,)),
+        ("1,[3,4]", 3, "1,[2,3]", "1,[2,3]", (2,)),
+        ("2,[4,5]", 4, "2,[3,4]", "[1,2],4", (4,)),
+        ("[1,2]", 1, "move-not-applicable: raft [1,2] sits on a run starting at 1",
+         "[1,2]", (0,)),
+        ("[1,2],[4,5]", 4, "move-not-applicable: raft [4,5] is blocked by designated "
+         "raft [1,2] just below its run", "[1,2],[4,5]", (0, 0)),
+    ])
+    def test_backward_near_the_floor(self, text, raft, want, beta, eta):
+        """Backward steps whose run starts at 1 to 4, through the method,
+        can_backward, is_minimal and the decomposition."""
+        rp = RaftedPartition.parse(text)
+        moves = not want.startswith("move-not-applicable")
+        assert rp.can_backward(raft) == moves
+        assert rp.is_minimal() == (not moves)
+        if moves:
+            assert str(rp.backward(raft)) == want
+        else:
+            with pytest.raises(MoveError) as exc:
+                rp.backward(raft)
+            assert str(exc.value) == want
+        got_beta, got_eta, trace = decompose_with_trace(rp)
+        assert (str(got_beta), got_eta.parts) == (beta, eta)
+        assert [str(after) for _, _, after in trace[:1]] == [want] * moves
 
     def test_weight_delta(self):
         rp = RaftedPartition.parse("1,[2,3],5")
@@ -243,6 +270,17 @@ class TestAgainstReference:
                             assert (_built(lambda: _checked_state(q, given))
                                     == _built(lambda: RaftedPartition(Partition(q), given))), \
                                 (q, given)
+            # the bitset rules on every designation bitset of up to three
+            # rafts, bit 0 and the two bits past the largest part included:
+            # _state refuses exactly where the constructor refuses the sorted
+            # rafts, with the same RaftError, and builds the same state
+            # otherwise
+            bits = sum(1 << q for q in parts)
+            for r in range(4):
+                for rafts in itertools.combinations(range(top + 3), r):
+                    rmask = sum(1 << k for k in rafts)
+                    assert (_built(lambda: _state(bits, rmask, sum(parts)))
+                            == _built(lambda: RaftedPartition(p, rafts))), (parts, rafts)
         assert reasons == {"ok", "raft-pair-broken", "colliding-rafts", "raft-not-terminal"}
 
     def test_traces_match_reference(self):
@@ -302,7 +340,7 @@ class TestMethodsMatchTraces:
                     for step, can, move, ref_move in (
                             (_forward_step, state.can_forward, state.forward, ref.forward),
                             (_backward_step, state.can_backward, state.backward, ref.backward)):
-                        refused = step(state._bits, state._rafts, k)[3]
+                        refused = step(state._bits, state._rmask, k)[1]
                         assert can(k) == (not refused), (str(state), k)
                         if refused:
                             with pytest.raises(MoveError) as want:
@@ -322,9 +360,9 @@ class TestMethodsMatchTraces:
 
         build, built = qrafts.rafts._refusal, []
 
-        def spy(k, new_raft, gain):
-            built.append((k, new_raft, gain))
-            return build(k, new_raft, gain)
+        def spy(k, new_raft):
+            built.append((k, new_raft))
+            return build(k, new_raft)
 
         monkeypatch.setattr(qrafts.rafts, "_refusal", spy)
         states = list(all_rafted(24))
@@ -434,32 +472,29 @@ class TestConstructionRoutes:
         inputs = _route_inputs()
         checked_tuples, checked_bits, checked_rafts = [], [], []
         check_parts = qrafts.rafts._check_parts
-        check_bits, valid_rafts = qrafts.rafts._check_bits, qrafts.rafts._valid_rafts
+        state = qrafts.rafts._state
 
         def spy_parts(parts):
             checked_tuples.append(parts)
             return check_parts(parts)
 
-        def spy_bits(bits):
+        def spy_state(bits, rmask, *args):
+            # _state runs the part rule and the raft rules on its bitsets
+            out = state(bits, rmask, *args)
             checked_bits.append(_bit_parts(bits))
-            return check_bits(bits)
-
-        def spy_rafts(bits, rafts):
-            out = valid_rafts(bits, rafts)
-            checked_rafts.append((_bit_parts(bits), out))
+            checked_rafts.append((_bit_parts(bits), _bit_parts(rmask)))
             return out
 
         monkeypatch.setattr(qrafts.rafts, "_check_parts", spy_parts)
-        monkeypatch.setattr(qrafts.rafts, "_check_bits", spy_bits)
-        monkeypatch.setattr(qrafts.rafts, "_valid_rafts", spy_rafts)
+        monkeypatch.setattr(qrafts.rafts, "_state", spy_state)
         built = _ROUTES[route](*inputs)
         monkeypatch.undo()
 
         assert len(built) > 20, route
         keys = [(rp.partition.parts, rp.rafts) for rp in built]
         parts = collections.Counter(p for p, _ in keys)
-        # each state's bitset went through the part rule and the raft rules,
-        # once per state at least
+        # each state's bitsets went through _state, and so through the part
+        # rule and the raft rules, once per state at least
         assert collections.Counter(checked_bits) >= parts
         assert collections.Counter(checked_rafts) >= collections.Counter(keys)
         # and a state built from a part tuple ran Partition's rule on the tuple
@@ -655,8 +690,10 @@ class TestEnumeration:
         windows = [(w, low) for w in (0, 1, 2, 5, 9, 26, 40)
                    for low in (-2, 0, 1, 8, 27, 40) if low <= w]
         for k in range(6):
-            # past weight 40 only where the pruning cuts most
-            for max_weight, low in windows + [(52, 44), (56, 52)] * (k >= 2):
+            # past weight 40 only where the pruning cuts most; 4 rafts need
+            # weight 48, so k = 4 lists nothing to 40 and runs on to 60
+            for max_weight, low in (windows + [(52, 44), (56, 52)] * (k >= 2)
+                                    + [(60, 48)] * (k == 4)):
                 got = [(rp.partition.parts, rp.rafts)
                        for rp in enumerate_rafted(k, max_weight, low)]
                 assert got == list(reference_rafted(k, max_weight, low)), (k, max_weight, low)
