@@ -188,18 +188,9 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _iter_target(args, parser):
-    """Yield (weight, display string) for the family, weight then lex order."""
+def _iter_target(args, parser, weights: range):
+    """Yield the family's objects of these weights, weight then lex order."""
     target = args.target
-    if args.weight is not None:
-        weights = [args.weight]
-        top = args.weight
-    else:
-        weights = range(args.max_weight + 1)
-        top = args.max_weight
-    if top < 0:
-        parser.error("weights must be >= 0")
-
     if target == "distinct" or target.endswith("-distinct"):
         if target == "distinct":
             gap = 1
@@ -212,35 +203,33 @@ def _iter_target(args, parser):
             parser.error(f"--k does not apply to target {target!r}")
         for w in weights:
             for parts in iter_gap_exact(w, gap):
-                yield w, str(Partition(parts))
+                yield Partition(parts)
         return
 
     if target in ("minimal-rafted", "rafted"):
         if args.k is None or args.k < 1:
             parser.error(f"target {target!r} needs --k >= 1")
         it = enumerate_minimal if target == "minimal-rafted" else enumerate_rafted
-        for rp in it(args.k, top, min_weight=weights[0]):
-            yield rp.weight, str(rp)
+        yield from it(args.k, weights[-1], min_weight=weights[0])
         return
 
     parser.error(f"unknown target {target!r}")
 
 
 def _cmd_enumerate(args, parser) -> int:
+    top = args.max_weight if args.weight is None else args.weight
+    if top < 0:
+        parser.error("weights must be >= 0")
+    weights = range(0 if args.weight is None else top, top + 1)
+    objects = _iter_target(args, parser, weights)
     if args.counts:
-        weights = [args.weight] if args.weight is not None \
-            else range(args.max_weight + 1)
-        counts = {w: 0 for w in weights}
-        for w, _ in _iter_target(args, parser):
-            counts[w] += 1
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["weight", "count"])
-        for w in weights:
-            writer.writerow([w, counts[w]])
-        return 0 if _emit(buf.getvalue(), args.output) else 2
-    lines = [text + "\n" for _, text in _iter_target(args, parser)]
-    return 0 if _emit("".join(lines), args.output) else 2
+        counts = dict.fromkeys(weights, 0)
+        for obj in objects:
+            counts[obj.weight] += 1
+        text = "weight,count\n" + "".join(f"{w},{n}\n" for w, n in counts.items())
+    else:
+        text = "".join(f"{obj}\n" for obj in objects)
+    return 0 if _emit(text, args.output) else 2
 
 
 def _eta_text(eta) -> str:

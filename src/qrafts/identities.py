@@ -384,8 +384,9 @@ def staircase_gf(d: int, x_trunc: int, q_trunc: int) -> XQSeries:
     packing exact, (n_max + 1) M sum_{s<=N} p_{n_max}(s) for the last step
     n_max and the largest row coefficient M.  At d >= 1 the shift's dnj
     differs from row to row, so no one shift per step serves every row, and
-    each row runs through ``_terms`` on its own list.  Each pass takes O(N^2.5)
-    coefficient steps at d = 0, against O(N^3) for the nested triple loop.
+    ``_list_rows_pass`` runs each row through ``_terms`` on its own list.
+    Each pass takes O(N^2.5) coefficient steps at d = 0, against O(N^3) for
+    the nested triple loop.
     At order 85 pass (a) steps or adds 17,172 coefficients, where
     full-length terms took 35,958, and the packed pass's bound steps 954.
 
@@ -405,7 +406,15 @@ def staircase_gf(d: int, x_trunc: int, q_trunc: int) -> XQSeries:
 
     if d == 0:
         return _packed_rows_pass(rows, x_trunc, q_trunc)
-    acc: dict[int, list[int]] = {}  # pass (b): row j becomes G_j / (q^j (q;q)_n)
+    return _list_rows_pass(rows, d, x_trunc, q_trunc)
+
+
+def _list_rows_pass(rows: dict[int, list[int]], d: int, x_trunc: int, q_trunc: int) -> XQSeries:
+    """Pass (b) of ``staircase_gf`` row by row, each row stepped in place:
+    the sum over n and j of q^(binom(n+1,2) + d binom(n,2) + dnj + j) x^(n+j)
+    rows[j] / (q;q)_n to x^x_trunc, q^q_trunc.  It runs at d >= 1, and at
+    d = 0 the tests hold ``_packed_rows_pass`` to it."""
+    acc: dict[int, list[int]] = {}
     for j, row in rows.items():
         for n, e, term in _terms(q_trunc, lambda n: _b2(n + 1) + d * _b2(n) + d * n * j + j,
                                  row, den=_QQ, stop=lambda n: n + j > x_trunc):

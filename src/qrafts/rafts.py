@@ -29,8 +29,9 @@ flag.  One loop, _move_raft, makes every move: once for forward and
 backward, until refused for decompose_with_trace, eta_i/2 times for
 compose_with_trace.  It keeps both bitsets, the weight and the moving raft's
 place in locals and builds each state through _state; only a refusal that
-raises builds its text.  The traces and is_minimal take each raft's place
-off the designation bitset, so no move path builds a raft tuple.
+raises builds its text.  The moves and the can_* methods test raft k's bit
+in the designation, and the traces and is_minimal take each raft's place
+off it, so no move path builds a raft tuple.
 
 Every state the package builds comes from _state, which runs the part rule
 (no part 0: a bitset holds no repeated or unsorted part) and the raft rules
@@ -151,15 +152,10 @@ class RaftedPartition:
             rafts = self._rafts = _ones(self._rmask)
         return rafts
 
-    def _partition(self) -> Partition:
-        p = _new(Partition)
-        _set_parts(p, self._part_tuple())
-        return p
-
     # the fields read through properties, so that the package's own code
     # stores the slots directly; assigning a field raises, as on a frozen
     # dataclass
-    partition = property(_partition, _refuse("partition"))
+    partition = property(lambda self: Partition(self._part_tuple()), _refuse("partition"))
     rafts = property(_raft_tuple, _refuse("rafts"), doc="The designated rafts, sorted.")
     weight = property(attrgetter("_weight"), _refuse("weight"), doc="The sum of the parts.")
 
@@ -182,21 +178,26 @@ class RaftedPartition:
 
     # -- moves --------------------------------------------------------------
 
+    def _designated(self, k: int) -> bool:
+        """Whether k is a designated raft: an int >= 1 with its bit set in the
+        designation.  Raft 0 is never designated, so no shift is negative."""
+        return isinstance(k, int) and k > 0 and self._rmask >> k & 1 == 1
+
     def _raft(self, k: int) -> int:
         """k, when it is a designated raft; MoveError otherwise."""
-        if k not in self.rafts:
+        if not self._designated(k):
             raise MoveError(f"move-not-applicable: {k} is not a designated raft of {self}")
         return k
 
     def can_forward(self, k: int) -> bool:
-        return k in self.rafts and not _forward_step(self._bits, self._rmask, k)[1]
+        return self._designated(k) and not _forward_step(self._bits, self._rmask, k)[1]
 
     def forward(self, k: int) -> "RaftedPartition":
         """Move raft k up, gaining weight 2: remove k, add k+2."""
         return _move_raft(self, self._raft(k), _forward_step, 1, None)[0]
 
     def can_backward(self, k: int) -> bool:
-        return k in self.rafts and not _backward_step(self._bits, self._rmask, k)[1]
+        return self._designated(k) and not _backward_step(self._bits, self._rmask, k)[1]
 
     def backward(self, k: int) -> "RaftedPartition":
         """Move raft k down, losing weight 2: remove a+1, add a-1 (a = run start)."""
@@ -343,10 +344,7 @@ def _text(bits: int) -> str:
     return render_rafted_text(_ones(bits), ())
 
 
-# bound once: object.__new__, and Partition's slot descriptor, whose __set__
-# writes the field of a frozen dataclass past its __setattr__ guard
-_new = object.__new__
-_set_parts = Partition.parts.__set__
+_new = object.__new__  # bound once
 
 
 def _state(bits: int, rmask: int, weight: int, parts: tuple[int, ...] | None = None,

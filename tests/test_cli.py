@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, formats, enumeration, tracing."""
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -263,6 +264,49 @@ class TestEnumerate:
                 heaviest = [line for line in upto.splitlines(keepends=True)
                             if RaftedPartition.parse(line.rstrip("\n")).weight == w]
                 assert single == "".join(heaviest), (k, w)
+
+    @pytest.mark.parametrize("target, ks", [
+        ("distinct", [()]), ("3-distinct", [()]),
+        ("rafted", [("--k", str(k)) for k in (1, 2, 3)]),
+        ("minimal-rafted", [("--k", str(k)) for k in (1, 2, 3)]),
+    ], ids=["distinct", "3-distinct", "rafted", "minimal-rafted"])
+    def test_counts_render_nothing(self, capsys, monkeypatch, target, ks):
+        """--counts reads each object's weight and renders no text; its CSV is
+        the per-weight line count of the same listing to weight 30."""
+        import qrafts.partitions
+        import qrafts.rafts
+
+        render, rendered = qrafts.partitions.render_rafted_text, []
+
+        def spy(parts, rafts):
+            rendered.append(parts)
+            return render(parts, rafts)
+
+        for module in (qrafts.partitions, qrafts.rafts):
+            monkeypatch.setattr(module, "render_rafted_text", spy)
+        for k in ks:
+            args = ("enumerate", "--target", target, *k, "--max-weight", "30")
+            rendered.clear()
+            code, listing, _ = run(capsys, *args)
+            lines = listing.splitlines()
+            assert code == 0 and len(rendered) == len(lines) > 0, k
+            rendered.clear()
+            code, counts, _ = run(capsys, *args, "--counts")
+            assert (code, rendered) == (0, []), k
+            per_weight = collections.Counter(RaftedPartition.parse(line).weight for line in lines)
+            assert counts == "weight,count\n" + "".join(
+                f"{w},{per_weight[w]}\n" for w in range(31)), k
+
+    @pytest.mark.parametrize("bound", ["--weight", "--max-weight"])
+    @pytest.mark.parametrize("target", [("weird",), ("rafted",), ("distinct", "--k", "2")],
+                             ids=["unknown-target", "rafted-without-k", "distinct-with-k"])
+    def test_negative_weight_is_refused_first(self, capsys, bound, target):
+        """A negative weight exits 2 before any target or --k error."""
+        with pytest.raises(SystemExit) as e:
+            main(["enumerate", "--target", *target, bound, "-1"])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert err.rstrip("\n").endswith("error: weights must be >= 0"), err
 
     def test_rafted_needs_k(self, capsys):
         with pytest.raises(SystemExit) as e:

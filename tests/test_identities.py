@@ -28,7 +28,6 @@ from qrafts.series import QSeries, XQSeries
 import product_forms as ref
 from brute import all_distinct, enumerate_designations, is_minimal_structural
 from raft_reference import runs_of
-from staircase_reference import list_rows_pass
 from walk_reference import reference_walk
 
 
@@ -736,9 +735,9 @@ def _spy_reads(monkeypatch) -> list[tuple[int, int]]:
 
 class TestPackedRowsPass:
     """Pass (b) of the d = 0 staircase sum, every row packed across x-degree,
-    against the list pass it replaced (tests/staircase_reference.py), at
-    slots of one, two and three 64-bit words: ``series._signed_slots`` reads
-    the int for q^t back at min(t, x_trunc) + 1 slots of that many words."""
+    against the list pass ``_list_rows_pass`` at d = 0, on copies of the
+    rows, at slots of one, two and three 64-bit words: ``series._signed_slots``
+    reads the int for q^t back at min(t, x_trunc) + 1 slots of that many words."""
 
     @pytest.mark.parametrize("N, nx, words", [
         (64, 64, 1), (64, 21, 1), (64, 1, 1), (85, 85, 1), (85, 28, 1), (85, 1, 1),
@@ -758,7 +757,7 @@ class TestPackedRowsPass:
         monkeypatch.setattr(idn, "_packed_rows_pass", spy)
         reads = _spy_reads(monkeypatch)
         got = idn.staircase_gf(0, nx, N)
-        assert got == list_rows_pass(tables[0], nx, N)
+        assert got == idn._list_rows_pass(tables[0], 0, nx, N)
         assert reads == [(words, min(t, nx) + 1) for t in range(N + 1)]
 
     @pytest.mark.parametrize("low, high, words", [
@@ -776,7 +775,7 @@ class TestPackedRowsPass:
         for N, nx in ((40, 40), (40, 13), (40, 1), (7, 7), (7, 20), (0, 0)):
             rows = {j: [rnd.randint(low, high) for _ in range(N + 1 - j)]
                     for j in range(min(nx, N) + 1) if j % 3 != 1}
-            want = list_rows_pass(rows, nx, N)
+            want = idn._list_rows_pass({j: row[:] for j, row in rows.items()}, 0, nx, N)
             reads.clear()
             assert idn._packed_rows_pass({j: row[:] for j, row in rows.items()}, nx, N) == want, \
                 (N, nx)

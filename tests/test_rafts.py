@@ -179,6 +179,52 @@ class TestMoves:
         assert (str(got_beta), got_eta.parts) == (beta, eta)
         assert [str(after) for _, _, after in trace[:1]] == [want] * moves
 
+    @pytest.mark.parametrize("name, k", [("forward", -1), ("forward", 0), ("backward", -1),
+                                         ("backward", 0)])
+    def test_no_raft_below_one(self, name, k):
+        """A count below 1 names no raft: the move raises the not-designated
+        message and the can_* methods answer False, with no negative shift."""
+        rp = RaftedPartition.parse("1,[2,3],5")
+        assert not rp.can_forward(k) and not rp.can_backward(k)
+        with pytest.raises(MoveError) as exc:
+            getattr(rp, name)(k)
+        assert str(exc.value) == f"move-not-applicable: {k} is not a designated raft of 1,[2,3],5"
+
+    @pytest.mark.parametrize("k", [2.0, 2.5, "2", None, (2,)],
+                             ids=["float", "fraction", "str", "None", "tuple"])
+    def test_non_int_k_is_no_raft(self, k):
+        """A non-int k names no raft, even one equal to a designated raft:
+        the moves raise MoveError and the can_* methods answer False."""
+        rp = RaftedPartition.parse("1,[2,3],5")
+        for move in (rp.forward, rp.backward):
+            with pytest.raises(MoveError, match="is not a designated raft of 1,\\[2,3\\],5"):
+                move(k)
+        assert not rp.can_forward(k) and not rp.can_backward(k)
+
+    def test_lookups_build_no_raft_tuple(self, monkeypatch):
+        """On states that moves built, forward, backward and both can_*
+        methods test the raft's bit: they never read the rafts through
+        ``_ones``."""
+        import qrafts.rafts
+
+        moved = [(out, _bit_parts(out._rmask)) for rp in all_rafted(20) for k in rp.rafts
+                 for can, move in ((rp.can_forward, rp.forward), (rp.can_backward, rp.backward))
+                 if can(k) for out in [move(k)]]
+        calls = []
+        ones = qrafts.rafts._ones
+        monkeypatch.setattr(qrafts.rafts, "_ones", lambda bits: calls.append(bits) or ones(bits))
+        steps = 0
+        for state, rafts in moved:
+            for k in rafts:
+                for can, move in ((state.can_forward, state.forward),
+                                  (state.can_backward, state.backward)):
+                    if can(k):
+                        move(k)
+                        steps += 1
+        assert calls == [] and steps > 500, steps
+        moved[0][0].rafts  # a read of the rafts goes through the spy
+        assert len(calls) == 1
+
     def test_weight_delta(self):
         rp = RaftedPartition.parse("1,[2,3],5")
         assert rp.forward(2).weight == rp.weight + 2
@@ -237,8 +283,9 @@ class TestAgainstReference:
         for p in all_distinct(20):
             for rafts in enumerate_designations(p):
                 rp, ref = RaftedPartition(p, rafts), ReferenceRafted(p, rafts)
-                # every designated raft, and every part or 0 as a non-raft
-                for k in sorted({0, *p.parts}):
+                # every int k from -3 to two past the top part, and one far
+                # past it: each designated raft, and every other k as a non-raft
+                for k in (*range(-3, max(p.parts, default=0) + 3), 1 << 70):
                     assert rp.can_forward(k) == ref.can_forward(k), (str(rp), k)
                     assert rp.can_backward(k) == ref.can_backward(k), (str(rp), k)
                     assert _outcome(lambda: rp.forward(k)) == _outcome(lambda: ref.forward(k))
