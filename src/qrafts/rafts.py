@@ -35,19 +35,24 @@ off it, so no move path builds a raft tuple.
 
 Every state the package builds comes from _state, which runs the part rule
 (no part 0: a bitset holds no repeated or unsorted part) and the raft rules
-as a few int tests on the two bitsets, with no loop.  A state built from a
-part tuple (the constructor, parse, to_rafted, both enumerations) runs
-Partition's part rule on the tuple first, in _checked_state, and maps its
-rafts to their bitset: a strictly increasing tuple directly, any other
-through _sorted_rafts, which sorts it or raises the RaftError that names
-the first broken rule.  A designation bitset that breaks a rule reaches
-_sorted_rafts too, so every RaftError has one text.  The sorted raft tuple
-is built from the bitset only where it is read.
+as a few int tests on the two bitsets, with no loop.  parse reads both
+bitsets and the weight straight from the text and builds no tuple
+(partitions._read_rafted_text: one whole-line pattern, then one pass over
+the numbers, which finds a part 0 or a repeated part on the part bitset;
+any other text goes to parse_rafted_text's item loop).  The rafted listing builds the part bitset as it places the parts
+and keeps both tuples beside the bitsets.  A state built from a part tuple
+alone (the constructor, to_rafted, enumerate_minimal) runs Partition's part
+rule on the tuple first, in _checked_state, and maps its rafts to their
+bitset: a strictly increasing tuple directly, any other through
+_sorted_rafts, which sorts it or raises the RaftError that names the first
+broken rule.  A designation bitset that breaks a rule reaches _sorted_rafts
+too, so every RaftError has one text.  The sorted tuples are built from the
+bitsets only where they are read.
 
 The rafted listing recurses over the distinct-part partitions of each weight
-with the open run's length and the eligible rafts so far, and skips every
-subtree whose remaining weight cannot hold the new runs of length >= 2 that
-k rafts still need (_runs_exact).
+with the part bitset, the open run's length and the eligible rafts so far,
+and skips every subtree whose remaining weight cannot hold the new runs of
+length >= 2 that k rafts still need (_runs_exact).
 
 A configuration is minimal when no designated raft can move backward.
 Minimal configurations have rigid structure (consecutive parts from 1 up with
@@ -66,9 +71,10 @@ from typing import Iterator
 from .partitions import (
     EvenPartition,
     Partition,
+    _check_ints,
     _check_parts,
+    _read_rafted_text,
     iter_gap_exact,
-    parse_rafted_text,
     render_rafted_text,
 )
 
@@ -136,7 +142,7 @@ class RaftedPartition:
 
     @classmethod
     def parse(cls, text: str) -> "RaftedPartition":
-        return _checked_state(*parse_rafted_text(text))
+        return _state(*_read_rafted_text(text))
 
     def _part_tuple(self) -> tuple[int, ...]:
         """The parts, ascending: read from the bitset once, then kept."""
@@ -351,18 +357,19 @@ def _state(bits: int, rmask: int, weight: int, parts: tuple[int, ...] | None = N
            rafts: tuple[int, ...] | None = None) -> RaftedPartition:
     """The state with these two bitsets and weight, once every rule holds.
 
-    Every state the package builds comes from here: the tuple routes through
-    _checked_state, and the moves.  The rules are a few int tests on the two
-    bitsets, with no loop.  The part rule is bits & 1 == 0: a bitset holds
-    no repeated or unsorted part, so no part 0 is the whole of Partition's
-    rule.  Raft k keeps its own rules when k and k+1 are parts and k+2 is
-    not; raft 0 never does, as 0 is never a part.  Over the designation:
-    bits holds rmask and rmask << 1, and misses rmask << 2.  Two such rafts
-    a < b never share a run: b = a+1 would need a+2 present, and for
-    b >= a+2 the absent a+2 lies between them; a bitset holds no repeated
-    raft.  So these tests cover every raft rule.  The first test takes the
-    part rule and the last raft rule in one, bits & (rmask << 2 | 1); a
-    state that fails a test goes to _broken_rule.
+    Every state the package builds comes from here: parse and the rafted
+    listing directly, the tuple routes through _checked_state, and the
+    moves.  The rules are a few int tests on the two bitsets, with no loop.
+    The part rule is bits & 1 == 0: a bitset holds no repeated or unsorted
+    part, so no part 0 is the whole of Partition's rule.  Raft k keeps its
+    own rules when k and k+1 are parts and k+2 is not; raft 0 never does,
+    as 0 is never a part.  Over the designation: bits holds rmask and
+    rmask << 1, and misses rmask << 2.  Two such rafts a < b never share a
+    run: b = a+1 would need a+2 present, and for b >= a+2 the absent a+2
+    lies between them; a bitset holds no repeated raft.  So these tests
+    cover every raft rule.  The first test takes the part rule and the last
+    raft rule in one, bits & (rmask << 2 | 1); a state that fails a test
+    goes to _broken_rule.
 
     parts and rafts, when given, are the bitsets' tuples, kept for their
     readers.
@@ -378,14 +385,15 @@ def _state(bits: int, rmask: int, weight: int, parts: tuple[int, ...] | None = N
     return rp
 
 
-def _checked_state(parts: tuple[int, ...], rafts) -> RaftedPartition:
+def _checked_state(parts: tuple[int, ...], rafts, weight: int | None = None) -> RaftedPartition:
     """RaftedPartition(Partition(parts), rafts): Partition's rule on the tuple,
     then the state of its bitset and its rafts' bitset.
 
-    The route of every state built from a part tuple: the public
-    constructor, parse, to_rafted and both enumerations.  Rafts that are not
-    strictly increasing from 1 go to _sorted_rafts, which sorts them or
-    raises the RaftError that names the first broken rule.
+    The route of every state built from a part tuple without its bitset:
+    the public constructor, to_rafted and enumerate_minimal, which passes
+    the weight it sorted by.  Rafts that are not strictly increasing from 1
+    go to _sorted_rafts, which sorts them or raises the RaftError that names
+    the first broken rule.
     """
     _check_parts(parts)
     bits = sum(map(lshift, repeat(1), parts))
@@ -399,7 +407,7 @@ def _checked_state(parts: tuple[int, ...], rafts) -> RaftedPartition:
             break
         rmask |= 1 << k
         prev = k
-    return _state(bits, rmask, sum(parts), parts, rafts)
+    return _state(bits, rmask, sum(parts) if weight is None else weight, parts, rafts)
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +488,8 @@ class MinimalProfile:
 
     def __post_init__(self) -> None:
         r = self.raft_positions
+        _check_ints("raft positions", r)
+        _check_ints("tail parts", self.tail)
         if not r:
             raise ValueError("a profile needs at least one raft")
         if any(b - a < 3 for a, b in zip(r, r[1:])) or r[0] < 1:
@@ -548,8 +558,8 @@ def enumerate_minimal(k: int, max_weight: int,
             for tail in iter_gap_exact(w, 1, r[-1] + 3):
                 found.append((base + w, head + tail, r))
     found.sort()
-    for _, parts, r in found:
-        yield _checked_state(parts, r)
+    for weight, parts, r in found:
+        yield _checked_state(parts, r, weight)
 
 
 def enumerate_rafted(k: int, max_weight: int,
@@ -560,26 +570,30 @@ def enumerate_rafted(k: int, max_weight: int,
     with at least k eligible rafts, in lexicographic order (_runs_exact),
     crossed with every size-k subset of its eligible rafts, in lexicographic
     order.  So the stream is ordered by (weight, parts, rafts), and nothing
-    heavier than the last item is drawn.
+    heavier than the last item is drawn.  Each state is built from the part
+    bitset the recursion made, after Partition's rule on its tuple.
     """
     if k < 0:
         raise ValueError(f"raft count must be >= 0, got {k}")
     for w in range(min_weight, max_weight + 1):
-        for parts, elig in _runs_exact(w, k):
+        for parts, elig, bits in _runs_exact(w, k):
             for combo in itertools.combinations(elig, k):
-                yield _checked_state(parts, combo)
+                _check_parts(parts)
+                yield _state(bits, sum(map(lshift, repeat(1), combo)), w, parts, combo)
 
 
-def _runs_exact(weight: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(parts, eligible rafts) of each distinct-part partition of this exact
-    weight with at least k eligible rafts, parts lexicographically ascending.
+def _runs_exact(weight: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """(parts, eligible rafts, part bitset) of each distinct-part partition of
+    this exact weight with at least k eligible rafts, parts lexicographically
+    ascending.
 
     The recursion is iter_gap_exact's at gap 1, so the order is its order.
-    Beside the parts it keeps the length of the open run (the run ending at
-    the last part, low-1; 0 before any part) and the eligible rafts so far,
-    the top pair of each run of length >= 2.  The part low extends the open
-    run: from length 1 that adds raft low-1, and from length >= 2 it moves
-    the run's raft up to low-1.  Any larger part leaves the rafts as they are.
+    Beside the parts it keeps their bitset, the length of the open run (the
+    run ending at the last part, low-1; 0 before any part) and the eligible
+    rafts so far, the top pair of each run of length >= 2.  The part low
+    extends the open run: from length 1 that adds raft low-1, and from
+    length >= 2 it moves the run's raft up to low-1.  Any larger part leaves
+    the rafts as they are.
 
     A node with weight R still to place in parts >= low, where m = k - (its
     rafts so far) > 0 rafts are missing, is skipped when its subtree cannot
@@ -600,8 +614,8 @@ def _runs_exact(weight: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[in
         return
     prefix: list[int] = []
 
-    def rec(remaining: int, low: int, run: int,
-            rafts: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    def rec(remaining: int, low: int, run: int, rafts: tuple[int, ...],
+            bits: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
         m = k - len(rafts)
         if m > 0 and remaining < m * (2 * low + 3 * m - 2) and not (
                 run == 1 and remaining - low >= (m - 1) * (2 * low + 3 * m - 1)):
@@ -611,18 +625,18 @@ def _runs_exact(weight: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[in
         for p in range(low, (remaining - 1) // 2 + 1):
             prefix.append(p)
             if p == low:
-                yield from rec(remaining - p, p + 1, run + 1, grown)
+                yield from rec(remaining - p, p + 1, run + 1, grown, bits | 1 << p)
             else:
-                yield from rec(remaining - p, p + 1, 1, rafts)
+                yield from rec(remaining - p, p + 1, 1, rafts, bits | 1 << p)
             prefix.pop()
         # the last part
         if remaining >= low:
             last = grown if remaining == low else rafts
             if len(last) >= k:
-                yield (*prefix, remaining), last
+                yield (*prefix, remaining), last, bits | 1 << remaining
 
     if weight == 0:
         if k == 0:
-            yield (), ()
+            yield (), (), 0
         return
-    yield from rec(weight, 1, 0, ())
+    yield from rec(weight, 1, 0, (), 0)

@@ -1,6 +1,7 @@
 """Partition model, enumeration generators, and the bracketed text format."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +76,12 @@ class TestPartition:
             Partition((0, 1))
         assert Partition(()).weight == 0
 
+    @pytest.mark.parametrize("parts", [(1.5, 2), (True, 2), (1, 2.0), ("1",)])
+    def test_parts_must_be_ints(self, parts):
+        """A float or a bool is no part, even where it compares as one."""
+        with pytest.raises(ValueError, match=re.escape(f"parts must be integers, got {parts}")):
+            Partition(parts)
+
     def test_of_sorts(self):
         p = Partition.of(5, 1, 3)
         assert p.parts == (1, 3, 5)
@@ -116,6 +123,12 @@ class TestEvenPartition:
         eta = EvenPartition((4, 2, 2, 0))
         assert eta.weight == 8
         assert len(eta) == 4
+
+    @pytest.mark.parametrize("parts", [(2.0,), (4, 2.0), (False,), (4, True)])
+    def test_parts_must_be_ints(self, parts):
+        """A float or a bool is no part, even where it is even."""
+        with pytest.raises(ValueError, match=re.escape(f"parts must be integers, got {parts}")):
+            EvenPartition(parts)
 
 
 def _brute_gap_exact(weight, gap, min_part):
@@ -224,6 +237,9 @@ class TestTextFormat:
         assert parse_rafted_text("1,[03,4]") == ((1, 3, 4), (3,))
         # parts come back sorted; the order rule is Partition's, not the parser's
         assert parse_rafted_text("3,1") == ((1, 3), ())
+        # a part of any size is read; only a bitset would need one bit per unit
+        assert parse_rafted_text("1,[99999999999999999999,100000000000000000000]") == \
+            ((1, 99999999999999999999, 100000000000000000000), (99999999999999999999,))
 
     @pytest.mark.parametrize("bad", list(PARSE_ERRORS))
     def test_parse_rejects(self, bad):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrafts.partitions import EvenPartition, Partition
+from qrafts.partitions import EvenPartition, Partition, parse_rafted_text
 from qrafts.rafts import (
     MinimalProfile,
     MoveError,
@@ -500,8 +500,8 @@ _ROUTES = {
         [after for beta, eta in pairs for _, _, after in compose_with_trace(beta, eta)[1]],
 }
 
-# the routes that build a state from a part tuple, not from a move
-_TUPLE_ROUTES = ("constructor", "parse", "to_rafted", "enumerate_minimal", "enumerate_rafted")
+# the routes that build a state from a part tuple, not from a move or a text
+_TUPLE_ROUTES = ("constructor", "to_rafted", "enumerate_minimal", "enumerate_rafted")
 
 
 def _bit_parts(bits: int) -> tuple[int, ...]:
@@ -517,9 +517,10 @@ class TestConstructionRoutes:
         import qrafts.rafts
 
         inputs = _route_inputs()
-        checked_tuples, checked_bits, checked_rafts = [], [], []
+        checked_tuples, checked_bits, checked_rafts, read_bits = [], [], [], []
         check_parts = qrafts.rafts._check_parts
         state = qrafts.rafts._state
+        read_text = qrafts.rafts._read_rafted_text
 
         def spy_parts(parts):
             checked_tuples.append(parts)
@@ -532,8 +533,15 @@ class TestConstructionRoutes:
             checked_rafts.append((_bit_parts(bits), _bit_parts(rmask)))
             return out
 
+        def spy_read(text):
+            # the text reader runs the bitset part rule: no part 0, none repeated
+            out = read_text(text)
+            read_bits.append(_bit_parts(out[0]))
+            return out
+
         monkeypatch.setattr(qrafts.rafts, "_check_parts", spy_parts)
         monkeypatch.setattr(qrafts.rafts, "_state", spy_state)
+        monkeypatch.setattr(qrafts.rafts, "_read_rafted_text", spy_read)
         built = _ROUTES[route](*inputs)
         monkeypatch.undo()
 
@@ -544,13 +552,105 @@ class TestConstructionRoutes:
         # rule and the raft rules, once per state at least
         assert collections.Counter(checked_bits) >= parts
         assert collections.Counter(checked_rafts) >= collections.Counter(keys)
-        # and a state built from a part tuple ran Partition's rule on the tuple
+        # and a state built from a part tuple ran Partition's rule on the
+        # tuple; parse builds no tuple, and its reader ran the part rule on
+        # the bitset
         if route in _TUPLE_ROUTES:
             assert collections.Counter(checked_tuples) >= parts
+        if route == "parse":
+            assert collections.Counter(read_bits) >= parts
         for rp, (parts, rafts) in zip(built, keys):
             assert type(rp) is RaftedPartition and type(rp.partition) is Partition
             rebuilt = RaftedPartition(Partition(parts), rafts)
             assert rp == rebuilt and hash(rp) == hash(rebuilt), str(rp)
+
+
+def _census_texts() -> list[str]:
+    """Every line of the six census listings: k = 1..3, weight <= 42."""
+    return [str(rp) for k in (1, 2, 3) for listing in (enumerate_minimal, enumerate_rafted)
+            for rp in listing(k, 42)]
+
+
+# hand-picked texts: the empty partition, refusals of every kind and their
+# order, and the whitespace the grammar allows
+_HAND_TEXTS = [
+    "()", " () ", "", "1 2", "1_0", "+1", "\u0661", "0", "1,,2", ",1", "1,", "[2,3",
+    "[2,4]", "2,[2,3]", "[2,3],4", "3,1", "1,[2,3],5", "[1,2],[4,5],8", "0,0", "0,[1,2]",
+    "1,0,1", "[2,4],0", "0,[2,4]", "1,1,[2,4]", "[3,4],[1,2]", "10,[2,3],007",
+    "1,\t[2,3]", "1,\n[2,3]", " 1 ,\t[ 2 ,\n3 ] , 5\n", "\u00a01,[2,3]\u00a0",
+    "\u20031\u2003,\u2003[\u20032\u2003,\u20033\u2003]\u2003", "1\u00a02", "[2\t,3]",
+    "1,[2,\u00a03],5", "\t", "\n()\n", "[2,3],[2,3]", "1,2,3", "2,3,[4,5]",
+    # whitespace to the pattern, but not to int()
+    "1,\x1c[2,3]\x1f", "\x1d5,\x1e1",
+    # numbers past six digits: the item loop reads them, the bitset of a
+    # 20-digit part refuses to be built, and a part 0 is named first
+    "1234567,[2,3]", "0000001,[2,3]", "[999999,1000000]", "99999999999999999999",
+    "0,99999999999999999999", "99999999999999999999,99999999999999999999",
+]
+
+
+def _random_texts(seed: int, count: int) -> list[str]:
+    """Seeded random texts of two kinds: strings over 0123[], space and tab,
+    most of them refused, and lists of parts and brackets, right and wrong,
+    with random whitespace and separators.  No number has more than five
+    digits, so every bitset stays small."""
+    rng = random.Random(seed)
+    spaces = ["", "", "", " ", "\t", "\n", "\u00a0", "\u2003"]
+    texts = []
+    while len(texts) < count:
+        text = "".join(rng.choices("0123[],  \t", k=rng.randint(0, 12)))
+        if not re.search("[0-9]{6}", text):
+            texts.append(text)
+        items = []
+        for _ in range(rng.randint(1, 6)):
+            a = rng.randint(0, 12)
+            item = (str(a) if rng.random() < 0.6
+                    else f"[{rng.choice(spaces)}{a},{rng.choice(spaces)}{a + rng.choice((1, 1, 1, 0, 2))}]")
+            items.append(rng.choice(spaces) + item + rng.choice(spaces))
+        texts.append(rng.choice((",", ",", ",", ", ", ",,", " ")).join(items))
+    return texts
+
+
+def _read_outcome(read, text):
+    """What read(text) gives: a state with its hash, weight and text, the
+    tuples, or the exception's type and message."""
+    try:
+        out = read(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(out, RaftedPartition):
+        return out, hash(out), out.weight, out.partition.parts, out.rafts, str(out)
+    return out
+
+
+def _parse_matches_tuple_route(texts: list[str]) -> collections.Counter:
+    """Check parse against the tuple route on every text: both give an
+    equal, hash-equal state, or the same exception type and message.
+    Returns how many texts each outcome type took."""
+    seen = collections.Counter()
+    for text in texts:
+        got = _read_outcome(RaftedPartition.parse, text)
+        assert got == _read_outcome(lambda t: _checked_state(*parse_rafted_text(t)), text), text
+        seen[got[0] if isinstance(got[0], type) else RaftedPartition] += 1
+    return seen
+
+
+class TestParseRoute:
+    """RaftedPartition.parse reads its bitsets straight from the text; the
+    tuple route and the item loop are its references."""
+
+    def test_census_lines(self):
+        assert _parse_matches_tuple_route(_census_texts()) == {RaftedPartition: 13377}
+
+    def test_hand_texts(self):
+        seen = _parse_matches_tuple_route(_HAND_TEXTS)
+        assert seen[RaftedPartition] >= 10 and seen[ValueError] >= 15 and seen[RaftError]
+
+    def test_random_texts(self):
+        seen = _parse_matches_tuple_route(_random_texts(2024, 6000))
+        # RaftError is rare here: few random texts get the syntax and the
+        # parts right and a raft rule wrong
+        assert seen[RaftedPartition] > 500 and seen[ValueError] > 500 and seen[RaftError] > 20, seen
 
 
 class TestMinimality:
@@ -587,6 +687,20 @@ class TestMinimality:
             with pytest.raises(ValueError, match=re.escape(
                     f"tail parts must be strictly increasing, got {tail}")):
                 MinimalProfile((1,), tail)
+
+    @pytest.mark.parametrize("positions, tail, message", [
+        ((1.0,), (), "raft positions must be integers, got (1.0,)"),
+        ((True,), (), "raft positions must be integers, got (True,)"),
+        ((1, 4.0), (), "raft positions must be integers, got (1, 4.0)"),
+        ((1,), (4.0,), "tail parts must be integers, got (4.0,)"),
+        ((1,), (True, 4), "tail parts must be integers, got (True, 4)"),
+    ])
+    def test_profile_coordinates_must_be_ints(self, positions, tail, message):
+        """A float or a bool coordinate is refused where the profile is
+        made, not later in to_rafted."""
+        for make in (MinimalProfile, MinimalProfile.from_positions):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                make(positions, tail)
 
 
 class TestBijection:
@@ -763,6 +877,19 @@ class TestEnumeration:
             for low in (0, 3, 12, 27, 30, 31):
                 assert list(enum(k, 30, min_weight=low)) == \
                     [rp for rp in full if rp.weight >= low], (k, low)
+
+    def test_kept_tuples_match_the_bitsets(self):
+        """Both listings keep each state's tuples beside its bitsets; they
+        are the bitsets' set bits, and the weight is the parts' sum."""
+        listed = 0
+        for k in (1, 2, 3):
+            for listing in (enumerate_minimal, enumerate_rafted):
+                for rp in listing(k, 42):
+                    assert rp._parts == _bit_parts(rp._bits), str(rp)
+                    assert rp._rafts == _bit_parts(rp._rmask), str(rp)
+                    assert rp.weight == sum(rp._parts), str(rp)
+                    listed += 1
+        assert listed == 13377
 
     def test_min_weight_draws_nothing_lighter(self, monkeypatch):
         drawn = _record_drawn_weights(monkeypatch, "_runs_exact")
